@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._search import _injective, _roots
 from .errors import MiddleMismatch, NotFunctor, NotLeftPrincipal
 from .groups import group_isomorphisms
-from .groupoids import (FiniteGroupoid, GroupoidHom, isotropy, orbit_partition)
+from .groupoids import (FiniteGroupoid, GroupoidHom, isotropy, orbit_partition,
+                        orbits)
 from .report import ValidationReport
 
 
@@ -227,27 +229,12 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     pairs = [(x, y) for x in range(len(s.carrier)) for y in range(len(s2.carrier))
              if s.j2[x] == s2.j1[y]]
     pos = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for (x, y) in pairs:
-        for g in mid.t_fiber(s.j2[x]):
-            moved = (s.right_act[(x, g)], s2.left_act[(mid.inv[g], y)])
-            union(pos[(x, y)], pos[moved])
+    moves = ((pos[(x, y)], pos[(s.right_act[(x, g)], s2.left_act[(mid.inv[g], y)])])
+             for (x, y) in pairs for g in mid.t_fiber(s.j2[x]))
+    roots = _roots(len(pairs), moves)
 
     def rep(x, y):
-        r = find(pos[(x, y)])
-        return pairs[r]
+        return pairs[roots[pos[(x, y)]]]
 
     classes = sorted({rep(x, y) for (x, y) in pairs})
 
@@ -287,30 +274,12 @@ def bibundle_isomorphic(s1: Bibundle, s2: Bibundle):
         return None
 
     # two-sided components of s1
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for (g, x), y in s1.left_act.items():
-        union(x, y)
-    for (x, g), y in s1.right_act.items():
-        union(x, y)
+    moves = [(x, y) for (g, x), y in s1.left_act.items()]
+    moves += [(x, y) for (x, g), y in s1.right_act.items()]
     comp_of = {}
-    for x in range(n):
-        comp_of.setdefault(find(x), []).append(x)
+    for x, root in enumerate(_roots(n, moves)):
+        comp_of.setdefault(root, []).append(x)
     components = [comp_of[r] for r in sorted(comp_of)]
-
-    s2_left_inv = {}
-    s2_right_inv = {}
 
     def propagate(pivot, image, mapping):
         # BFS through both actions; returns the extended mapping or None
@@ -385,34 +354,28 @@ def induced_orbit_map(s: Bibundle) -> dict:
     """Orbit-space map of a left-principal bibundle (right orbits to left).
 
     Returned as a dict from right-orbit blocks to left-orbit blocks (blocks
-    are the id tuples produced by ``orbits``).
+    are the id tuples produced by ``orbits``); ``orbit_permutation`` is
+    its block-index form.
     """
     if not principality(s).left_principal:
         raise NotLeftPrincipal("orbit map needs a left-principal bibundle")
-    left_blocks = orbit_partition(s.left)
-    right_blocks = orbit_partition(s.right)
-    left_block_of = {x: b for b, block in enumerate(left_blocks) for x in block}
-    right_block_of = {x: b for b, block in enumerate(right_blocks) for x in block}
-    out = {}
-    for x in range(len(s.carrier)):
-        rb = right_block_of[s.j2[x]]
-        lb = left_block_of[s.j1[x]]
-        out.setdefault(rb, lb)
-    return {
-        tuple(s.right.objects[i] for i in right_blocks[rb]):
-        tuple(s.left.objects[i] for i in left_blocks[lb])
-        for rb, lb in sorted(out.items())
-    }
+    left_blocks, right_blocks = orbits(s.left), orbits(s.right)
+    return {right_blocks[rb]: left_blocks[lb]
+            for rb, lb in enumerate(orbit_permutation(s))}
 
 
 def orbit_permutation(s: Bibundle) -> tuple[int, ...]:
-    """Block-index form of ``induced_orbit_map`` for a self-bibundle."""
-    right_blocks = orbit_partition(s.right)
-    left_blocks = orbit_partition(s.left)
+    """Block-index form of ``induced_orbit_map`` for a self-bibundle.
+
+    Entry ``rb`` is the left-orbit block of the first carrier point over
+    right-orbit block ``rb``.
+    """
+    left_blocks, right_blocks = orbit_partition(s.left), orbit_partition(s.right)
     left_block_of = {x: b for b, block in enumerate(left_blocks) for x in block}
+    right_block_of = {x: b for b, block in enumerate(right_blocks) for x in block}
     perm = [None] * len(right_blocks)
     for x in range(len(s.carrier)):
-        rb = next(b for b, block in enumerate(right_blocks) if s.j2[x] in block)
+        rb = right_block_of[s.j2[x]]
         if perm[rb] is None:
             perm[rb] = left_block_of[s.j1[x]]
     return tuple(perm)
@@ -442,7 +405,7 @@ def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None
             return None
         candidates.append(row)
 
-    matching = _perfect_matching(candidates, len(blocks2))
+    matching = next(_injective(candidates, lambda c: c[0]), None)
     if matching is None:
         return None
 
@@ -451,24 +414,6 @@ def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None
         _glue_orbit_pair(g1, blocks1[i], g2, blocks2[j], iso1[i], iso2[j], theta,
                          carrier, j1, j2, left_act, right_act)
     return Bibundle(g1, g2, carrier, j1, j2, left_act, right_act)
-
-
-def _perfect_matching(candidates, n_right):
-    """Backtracking perfect matching; candidates[i] lists (j, data)."""
-    assignment = [None] * len(candidates)
-
-    def go(i, used):
-        if i == len(candidates):
-            return True
-        for j, data in candidates[i]:
-            if j in used:
-                continue
-            assignment[i] = (j, data)
-            if go(i + 1, used | {j}):
-                return True
-        return False
-
-    return assignment if go(0, frozenset()) else None
 
 
 def _glue_orbit_pair(g1, block1, g2, block2, h1, h2, theta,

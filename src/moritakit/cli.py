@@ -11,28 +11,34 @@ One JSON document goes to stdout; a short human summary goes to stderr
 
 Reports are byte-identical across runs for identical inputs and version;
 timing therefore stays out of the JSON unless --timing is passed.
+
+Every subcommand is declared in one place, ``build_parser``: its
+arguments and, through ``set_defaults(handler=...)``, the function that
+runs it.  A handler takes the parsed arguments and returns the result
+payload, the exit code and the summary line.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from .bibundles import (morita_equivalent, principality, tensor,
                         validate_bibundle)
-from .errors import (FormulaInapplicable, GridMismatch, GridTooSmall,
-                     InconsistentTopology, InvalidAction, MiddleMismatch,
-                     MissingVolume, MoritaKitError, NotFunctor,
-                     NotLeftPrincipal, NotPrincipal, SingularEndomorphism)
+from .errors import MoritaKitError, SingularEndomorphism
 from .gauge import (apply_gauge, closedness_residual, invertibility_check,
                     jacobi_residual, rank_map)
-from .groupoids import isotropy, orbits, validate
+from .groupoids import isotropy, orbit_partition, orbits, validate
 from .io import (detect_kind, load_bibundle, load_field, load_groupoid,
                  load_tss, save_bibundle, save_field, sha256_digest)
 from .picard import (automorphisms, bisections, inaut, outaut, picard_group,
                      verify_exact_sequences)
+from .report import ValidationReport
 from .tss import (morita_equivalent_tss, picard_ingredients,
                   poisson_isomorphic_tss, surface_genus, validate_tss)
 
@@ -42,10 +48,7 @@ EXIT_PRECONDITION = 2
 EXIT_SINGULAR = 3
 EXIT_NOT_EQUIVALENT = 4
 
-_PRECONDITION_ERRORS = (FormulaInapplicable, GridMismatch, GridTooSmall,
-                        InconsistentTopology, InvalidAction, MiddleMismatch,
-                        MissingVolume, NotFunctor, NotLeftPrincipal,
-                        NotPrincipal, ValueError, OSError, KeyError)
+_PRECONDITION_ERRORS = (MoritaKitError, ValueError, OSError, KeyError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,284 +59,231 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json"], default="json")
+    def command(name, handler, summary, *positionals, **defaults):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stderr summary")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized search shuffling; all "
-                            "searches are deterministic, so this only pins "
-                            "the interface")
         p.add_argument("--timing", action="store_true",
                        help="include wall time in the JSON report "
                             "(breaks byte-identical output)")
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(handler=handler, **defaults)
         return p
 
-    p = common(sub.add_parser("validate", help="validate a groupoid/bibundle/tss/field file"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("orbits", help="orbit partition of a groupoid"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("isotropy", help="isotropy group at an object"))
-    p.add_argument("path")
+    command("validate", _validate,
+            "validate a groupoid/bibundle/tss/field file", "path")
+    command("orbits", _orbits, "orbit partition of a groupoid", "path")
+    p = command("isotropy", _isotropy, "isotropy group at an object", "path")
     p.add_argument("--object", required=True, dest="obj")
-
-    p = common(sub.add_parser("aut", help="groupoid automorphism group"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("inaut", help="inner automorphism group"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("out", help="outer automorphism group"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("bisections", help="group of bisections"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("picard", help="Picard group of a groupoid"))
-    p.add_argument("path")
+    command("aut", _automorphism_group, "groupoid automorphism group", "path",
+            group=automorphisms, listing="automorphisms", label="Aut")
+    command("inaut", _automorphism_group, "inner automorphism group", "path",
+            group=inaut, listing="automorphisms", label="Inaut")
+    command("out", _automorphism_group, "outer automorphism group", "path",
+            group=outaut, listing="coset_representatives", label="Outaut")
+    command("bisections", _bisections, "group of bisections", "path")
+    p = command("picard", _picard, "Picard group of a groupoid", "path")
     p.add_argument("--method", choices=["auto", "enumerate", "formula"],
                    default="auto")
+    command("verify-exact", _verify_exact, "check the exact sequences", "path")
 
-    p = common(sub.add_parser("verify-exact", help="check the exact sequences"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("compose", help="tensor product of two bibundles"))
-    p.add_argument("first")
-    p.add_argument("second")
+    p = command("compose", _compose, "tensor product of two bibundles",
+                "first", "second")
     p.add_argument("--emit-witness", dest="emit", default=None,
                    help="write the composed bibundle to this path")
-
-    p = common(sub.add_parser("morita", help="decide Morita equivalence"))
-    p.add_argument("first")
-    p.add_argument("second")
+    p = command("morita", _morita, "decide Morita equivalence", "first", "second")
     p.add_argument("--emit-witness", dest="emit", default=None,
                    help="write the witness bibundle to this path")
 
-    p = common(sub.add_parser("tss-iso", help="compare labeled surface graphs"))
-    p.add_argument("first")
-    p.add_argument("second")
+    p = command("tss-iso", _tss_iso, "compare labeled surface graphs",
+                "first", "second")
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--volume", action="store_true",
                    help="also require the volume invariant to match")
     p.add_argument("--reversed", action="store_true", dest="reversed_",
                    help="compare against the orientation-reversed second graph "
                         "(not an equivalence invariant)")
+    command("tss-picard-ingredients", _tss_picard_ingredients,
+            "Picard-group ingredients of a graph", "path")
+    command("tss-genus", _tss_genus, "genus of the encoded surface", "path")
 
-    p = common(sub.add_parser("tss-picard-ingredients",
-                              help="Picard-group ingredients of a graph"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("tss-genus", help="genus of the encoded surface"))
-    p.add_argument("path")
-
-    p = common(sub.add_parser("gauge-apply", help="apply a gauge transform"))
-    p.add_argument("bivector")
-    p.add_argument("two_form")
+    p = command("gauge-apply", _gauge_apply, "apply a gauge transform",
+                "bivector", "two_form")
     p.add_argument("--out", default=None, help="write the transformed field here")
     p.add_argument("--eps-sing", type=float, default=1e-10)
-
-    p = common(sub.add_parser("gauge-check",
-                              help="invertibility and residual diagnostics"))
-    p.add_argument("bivector")
-    p.add_argument("two_form")
+    p = command("gauge-check", _gauge_check,
+                "invertibility and residual diagnostics", "bivector", "two_form")
     p.add_argument("--eps-sing", type=float, default=1e-10)
     return parser
 
 
-def _summarize(args, text):
-    if not args.quiet:
-        print(text, file=sys.stderr)
+# ---------------------------------------------------------------------------
+# handlers: each returns (result payload, exit code, summary line)
+
+def _validate(args):
+    kind = detect_kind(args.path)
+    if kind == "groupoid":
+        report = validate(load_groupoid(args.path))
+    elif kind == "bibundle":
+        report = validate_bibundle(load_bibundle(args.path))
+    elif kind == "tss":
+        report = validate_tss(load_tss(args.path))
+    else:
+        field, _ = load_field(args.path)
+        report = ValidationReport()
+        defect = field.antisymmetry_defect()
+        if defect > 1e-12:
+            report.add("antisymmetry", defect)
+    payload = {"kind": kind, **report.as_dict()}
+    code = EXIT_OK if report.ok else EXIT_INVALID
+    return payload, code, f"{kind}: {'valid' if report.ok else 'INVALID'}"
 
 
-def _run(args):
-    """Dispatch; returns (result payload, exit code, summary line)."""
-    cmd = args.command
-
-    if cmd == "validate":
-        kind = detect_kind(args.path)
-        if kind == "groupoid":
-            report = validate(load_groupoid(args.path))
-        elif kind == "bibundle":
-            report = validate_bibundle(load_bibundle(args.path))
-        elif kind == "tss":
-            report = validate_tss(load_tss(args.path))
-        else:
-            field, _ = load_field(args.path)
-            from .report import ValidationReport
-            report = ValidationReport()
-            defect = field.antisymmetry_defect()
-            if defect > 1e-12:
-                report.add("antisymmetry", defect)
-        payload = {"kind": kind, **report.as_dict()}
-        code = EXIT_OK if report.ok else EXIT_INVALID
-        return payload, code, f"{kind}: {'valid' if report.ok else 'INVALID'}"
-
-    if cmd == "orbits":
-        blocks = orbits(load_groupoid(args.path))
-        return ({"orbits": [list(b) for b in blocks]}, EXIT_OK,
-                f"{len(blocks)} orbit(s)")
-
-    if cmd == "isotropy":
-        group = isotropy(load_groupoid(args.path), args.obj)
-        return ({"object": args.obj, "isotropy": group.as_dict()}, EXIT_OK,
-                f"isotropy at {args.obj} has order {len(group)}")
-
-    if cmd == "aut":
-        g = load_groupoid(args.path)
-        aut = automorphisms(g)
-        payload = {"order": len(aut), "group": aut.as_dict(),
-                   "automorphisms": [h.as_dict() for h in aut.payload]}
-        return payload, EXIT_OK, f"|Aut| = {len(aut)}"
-
-    if cmd == "inaut":
-        g = load_groupoid(args.path)
-        inn = inaut(g)
-        payload = {"order": len(inn), "group": inn.as_dict(),
-                   "automorphisms": [h.as_dict() for h in inn.payload]}
-        return payload, EXIT_OK, f"|Inaut| = {len(inn)}"
-
-    if cmd == "out":
-        g = load_groupoid(args.path)
-        out = outaut(g)
-        payload = {"order": len(out), "group": out.as_dict(),
-                   "coset_representatives": [h.as_dict() for h in out.payload]}
-        return payload, EXIT_OK, f"|Outaut| = {len(out)}"
-
-    if cmd == "bisections":
-        g = load_groupoid(args.path)
-        bis = bisections(g)
-        payload = {"count": len(bis), "group": bis.as_dict(),
-                   "bisections": [list(b.arrow_ids()) for b in bis.payload]}
-        return payload, EXIT_OK, f"{len(bis)} bisection(s)"
-
-    if cmd == "picard":
-        g = load_groupoid(args.path)
-        pic = picard_group(g, args.method)
-        payload = pic.as_dict()
-        payload["order"] = len(pic)
-        payload["identity"] = pic.elements[pic.identity]
-        if pic.cross_checked:
-            payload["cross_checked"] = list(pic.cross_checked)
-        return payload, EXIT_OK, f"|Pic| = {len(pic)} via {pic.method}"
-
-    if cmd == "verify-exact":
-        g = load_groupoid(args.path)
-        report = verify_exact_sequences(g)
-        code = EXIT_OK if report.ok else EXIT_INVALID
-        return report.as_dict(), code, ("exact sequences verified" if report.ok
-                                        else "exactness FAILED")
-
-    if cmd == "compose":
-        s1 = load_bibundle(args.first)
-        s2 = load_bibundle(args.second)
-        prod = tensor(s1, s2)
-        pr = principality(prod)
-        payload = {"carrier_size": len(prod.carrier),
-                   "left_principal": pr.left_principal,
-                   "right_principal": pr.right_principal}
-        if args.emit:
-            save_bibundle(prod, args.emit)
-            payload["witness"] = args.emit
-        return payload, EXIT_OK, f"tensor carrier has {len(prod.carrier)} point(s)"
-
-    if cmd == "morita":
-        g1 = load_groupoid(args.first)
-        g2 = load_groupoid(args.second)
-        witness = morita_equivalent(g1, g2)
-        if witness is None:
-            payload = {"equivalent": False,
-                       "obstruction": _morita_obstruction(g1, g2)}
-            return payload, EXIT_NOT_EQUIVALENT, "not Morita equivalent"
-        payload = {"equivalent": True, "witness_carrier": len(witness.carrier)}
-        if args.emit:
-            save_bibundle(witness, args.emit)
-            payload["witness"] = args.emit
-        return payload, EXIT_OK, "Morita equivalent"
-
-    if cmd == "tss-iso":
-        a = load_tss(args.first)
-        b = load_tss(args.second)
-        if args.reversed_:
-            b = b.reversed_orientation()
-        if args.volume:
-            iso = poisson_isomorphic_tss(a, b, args.tol)
-        else:
-            iso = morita_equivalent_tss(a, b, args.tol)
-        if iso is None:
-            payload = {"equivalent": False,
-                       "obstruction": _tss_obstruction(a, b, args.tol,
-                                                       args.volume)}
-            return payload, EXIT_NOT_EQUIVALENT, "not equivalent"
-        payload = {"equivalent": True,
-                   "isomorphism": {
-                       "vertices": {a.vertices[v]: b.vertices[iso.vertex_map[v]]
-                                    for v in range(a.n_vertices)},
-                       "edges": list(iso.edge_map)}}
-        return payload, EXIT_OK, "equivalent"
-
-    if cmd == "tss-picard-ingredients":
-        g = load_tss(args.path)
-        ing = picard_ingredients(g)
-        payload = {"graph_aut_order": len(ing.graph_aut),
-                   "graph_aut": ing.graph_aut.as_dict(),
-                   "torus_rank": ing.torus_rank,
-                   "leaf_descriptors": [list(d) for d in ing.leaf_descriptors]}
-        return payload, EXIT_OK, (f"|Aut| = {len(ing.graph_aut)}, "
-                                  f"torus rank {ing.torus_rank}")
-
-    if cmd == "tss-genus":
-        g = load_tss(args.path)
-        genus = surface_genus(g)
-        return ({"euler_characteristic": g.euler_characteristic(),
-                 "genus": genus}, EXIT_OK, f"genus {genus}")
-
-    if cmd == "gauge-apply":
-        pi, _ = load_field(args.bivector)
-        b, _ = load_field(args.two_form)
-        check = invertibility_check(pi, b, args.eps_sing)
-        result = apply_gauge(pi, b, args.eps_sing)
-        payload = {"min_abs_det": check.min_abs_det,
-                   "max_asymmetry": result.asymmetry_report}
-        if args.out:
-            save_field(result, args.out, "bivector")
-            payload["out"] = args.out
-            payload["output_digest"] = sha256_digest(args.out)
-        return payload, EXIT_OK, "gauge transform applied"
-
-    if cmd == "gauge-check":
-        pi, _ = load_field(args.bivector)
-        b, _ = load_field(args.two_form)
-        check = invertibility_check(pi, b, args.eps_sing)
-        ranks = rank_map(pi)
-        unique, counts = _rank_histogram(ranks)
-        payload = {"invertibility": check.as_dict(),
-                   "jacobi_residual": jacobi_residual(pi),
-                   "closedness_residual": closedness_residual(b),
-                   "rank_histogram": {str(u): int(c)
-                                      for u, c in zip(unique, counts)}}
-        code = EXIT_OK if check.ok else EXIT_SINGULAR
-        return payload, code, ("fields pass the gauge checks" if check.ok else
-                               "endomorphism singular")
-
-    raise ValueError(f"unknown command {cmd!r}")
+def _orbits(args):
+    blocks = orbits(load_groupoid(args.path))
+    return ({"orbits": [list(b) for b in blocks]}, EXIT_OK,
+            f"{len(blocks)} orbit(s)")
 
 
-def _rank_histogram(ranks):
-    import numpy as np
+def _isotropy(args):
+    group = isotropy(load_groupoid(args.path), args.obj)
+    return ({"object": args.obj, "isotropy": group.as_dict()}, EXIT_OK,
+            f"isotropy at {args.obj} has order {len(group)}")
 
-    return np.unique(ranks, return_counts=True)
+
+def _automorphism_group(args):
+    """``aut``, ``inaut`` and ``out``: a group whose payload is functors."""
+    group = args.group(load_groupoid(args.path))
+    payload = {"order": len(group), "group": group.as_dict(),
+               args.listing: [h.as_dict() for h in group.payload]}
+    return payload, EXIT_OK, f"|{args.label}| = {len(group)}"
+
+
+def _bisections(args):
+    bis = bisections(load_groupoid(args.path))
+    payload = {"count": len(bis), "group": bis.as_dict(),
+               "bisections": [list(b.arrow_ids()) for b in bis.payload]}
+    return payload, EXIT_OK, f"{len(bis)} bisection(s)"
+
+
+def _picard(args):
+    pic = picard_group(load_groupoid(args.path), args.method)
+    payload = pic.as_dict()
+    payload["order"] = len(pic)
+    payload["identity"] = pic.elements[pic.identity]
+    if pic.cross_checked:
+        payload["cross_checked"] = list(pic.cross_checked)
+    return payload, EXIT_OK, f"|Pic| = {len(pic)} via {pic.method}"
+
+
+def _verify_exact(args):
+    report = verify_exact_sequences(load_groupoid(args.path))
+    code = EXIT_OK if report.ok else EXIT_INVALID
+    return report.as_dict(), code, ("exact sequences verified" if report.ok
+                                    else "exactness FAILED")
+
+
+def _compose(args):
+    prod = tensor(load_bibundle(args.first), load_bibundle(args.second))
+    pr = principality(prod)
+    payload = {"carrier_size": len(prod.carrier),
+               "left_principal": pr.left_principal,
+               "right_principal": pr.right_principal}
+    if args.emit:
+        save_bibundle(prod, args.emit)
+        payload["witness"] = args.emit
+    return payload, EXIT_OK, f"tensor carrier has {len(prod.carrier)} point(s)"
+
+
+def _morita(args):
+    g1 = load_groupoid(args.first)
+    g2 = load_groupoid(args.second)
+    witness = morita_equivalent(g1, g2)
+    if witness is None:
+        payload = {"equivalent": False,
+                   "obstruction": _morita_obstruction(g1, g2)}
+        return payload, EXIT_NOT_EQUIVALENT, "not Morita equivalent"
+    payload = {"equivalent": True, "witness_carrier": len(witness.carrier)}
+    if args.emit:
+        save_bibundle(witness, args.emit)
+        payload["witness"] = args.emit
+    return payload, EXIT_OK, "Morita equivalent"
+
+
+def _tss_iso(args):
+    a = load_tss(args.first)
+    b = load_tss(args.second)
+    if args.reversed_:
+        b = b.reversed_orientation()
+    if args.volume:
+        iso = poisson_isomorphic_tss(a, b, args.tol)
+    else:
+        iso = morita_equivalent_tss(a, b, args.tol)
+    if iso is None:
+        payload = {"equivalent": False,
+                   "obstruction": _tss_obstruction(a, b, args.tol, args.volume)}
+        return payload, EXIT_NOT_EQUIVALENT, "not equivalent"
+    payload = {"equivalent": True,
+               "isomorphism": {
+                   "vertices": {a.vertices[v]: b.vertices[iso.vertex_map[v]]
+                                for v in range(a.n_vertices)},
+                   "edges": list(iso.edge_map)}}
+    return payload, EXIT_OK, "equivalent"
+
+
+def _tss_picard_ingredients(args):
+    ing = picard_ingredients(load_tss(args.path))
+    payload = {"graph_aut_order": len(ing.graph_aut),
+               "graph_aut": ing.graph_aut.as_dict(),
+               "torus_rank": ing.torus_rank,
+               "leaf_descriptors": [list(d) for d in ing.leaf_descriptors]}
+    return payload, EXIT_OK, (f"|Aut| = {len(ing.graph_aut)}, "
+                              f"torus rank {ing.torus_rank}")
+
+
+def _tss_genus(args):
+    g = load_tss(args.path)
+    genus = surface_genus(g)
+    return ({"euler_characteristic": g.euler_characteristic(),
+             "genus": genus}, EXIT_OK, f"genus {genus}")
+
+
+def _gauge_apply(args):
+    pi, _ = load_field(args.bivector)
+    b, _ = load_field(args.two_form)
+    check = invertibility_check(pi, b, args.eps_sing)
+    result = apply_gauge(pi, b, args.eps_sing)
+    payload = {"min_abs_det": check.min_abs_det,
+               "max_asymmetry": result.asymmetry_report}
+    if args.out:
+        save_field(result, args.out, "bivector")
+        payload["out"] = args.out
+        payload["output_digest"] = sha256_digest(args.out)
+    return payload, EXIT_OK, "gauge transform applied"
+
+
+def _gauge_check(args):
+    pi, _ = load_field(args.bivector)
+    b, _ = load_field(args.two_form)
+    check = invertibility_check(pi, b, args.eps_sing)
+    unique, counts = np.unique(rank_map(pi), return_counts=True)
+    payload = {"invertibility": check.as_dict(),
+               "jacobi_residual": jacobi_residual(pi),
+               "closedness_residual": closedness_residual(b),
+               "rank_histogram": {str(u): int(c)
+                                  for u, c in zip(unique, counts)}}
+    code = EXIT_OK if check.ok else EXIT_SINGULAR
+    return payload, code, ("fields pass the gauge checks" if check.ok else
+                           "endomorphism singular")
 
 
 def _morita_obstruction(g1, g2) -> str:
-    from .groupoids import isotropy as iso_of, orbit_partition
-
     b1, b2 = orbit_partition(g1), orbit_partition(g2)
     if len(b1) != len(b2):
         return f"orbit counts differ ({len(b1)} vs {len(b2)})"
-    prof1 = sorted(iso_of(g1, g1.objects[b[0]]).order_profile() for b in b1)
-    prof2 = sorted(iso_of(g2, g2.objects[b[0]]).order_profile() for b in b2)
+    prof1 = sorted(isotropy(g1, g1.objects[b[0]]).order_profile() for b in b1)
+    prof2 = sorted(isotropy(g2, g2.objects[b[0]]).order_profile() for b in b2)
     if prof1 != prof2:
         return "isotropy order profiles differ"
     return "no orbit matching with isomorphic isotropy groups"
@@ -367,7 +317,7 @@ def main(argv=None) -> int:
     report = {"command": echo, "version": __version__, "timing_ms": None}
     try:
         report["inputs"] = _inputs_of(args)
-        result, code, summary = _run(args)
+        result, code, summary = args.handler(args)
         report["result"] = result
     except SingularEndomorphism as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc),
@@ -376,13 +326,18 @@ def main(argv=None) -> int:
     except _PRECONDITION_ERRORS as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code, summary = EXIT_PRECONDITION, f"precondition failed: {exc}"
-    except MoritaKitError as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code, summary = EXIT_PRECONDITION, f"error: {exc}"
     if args.timing:
         report["timing_ms"] = int((time.monotonic() - started) * 1000)
-    print(json.dumps(report, sort_keys=True, indent=2))
-    _summarize(args, summary)
+    try:
+        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
+        # so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if not args.quiet:
+        print(summary, file=sys.stderr)
     return code
 
 

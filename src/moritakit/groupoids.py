@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from ._search import _injective, _roots
 from .errors import InvalidAction, NotPrincipal
 from .groups import FiniteGroup, group_homomorphisms, group_isomorphisms
 from .report import ValidationReport
@@ -165,21 +166,9 @@ def orbit_partition(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
     """Orbit blocks as sorted index tuples, ordered by smallest member."""
     if g._orbits is not None:
         return g._orbits
-    parent = list(range(g.n_objects))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(g.n_arrows):
-        a, b = find(g.src[i]), find(g.tgt[i])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
     blocks = {}
-    for x in range(g.n_objects):
-        blocks.setdefault(find(x), []).append(x)
+    for x, root in enumerate(_roots(g.n_objects, zip(g.src, g.tgt))):
+        blocks.setdefault(root, []).append(x)
     g._orbits = tuple(tuple(blocks[root]) for root in sorted(blocks))
     return g._orbits
 
@@ -508,11 +497,8 @@ class _Frame:
                         nxt.append(y)
             frontier = nxt
         self.tree = tree  # object -> arrow root -> object
-        self.iso_arrows = g.isotropy_arrows(self.root)
-        pos = {a: i for i, a in enumerate(self.iso_arrows)}
-        table = [[pos[g.comp[(a, b)]] for b in self.iso_arrows] for a in self.iso_arrows]
-        self.iso_group = FiniteGroup([g.arrows[a] for a in self.iso_arrows], table)
-        self.iso_pos = pos
+        self.iso_group = isotropy(g, g.objects[self.root])
+        self.iso_pos = {a: i for i, a in enumerate(g.isotropy_arrows(self.root))}
 
     def decompose(self, g: FiniteGroupoid, arrow: int) -> tuple[int, int, int]:
         """Write arrow x->y as tree[y] . h . tree[x]^-1 with h isotropic."""
@@ -560,15 +546,12 @@ def enumerate_functors(g1: FiniteGroupoid, g2: FiniteGroupoid):
     tree arrow.
     """
     frames = _frames(g1)
+    iso2 = [isotropy(g2, x) for x in g2.objects]
     per_orbit = []
     for frame in frames:
         local = []
         for root_img in range(g2.n_objects):
-            iso2_arrows = g2.isotropy_arrows(root_img)
-            pos2 = {a: i for i, a in enumerate(iso2_arrows)}
-            table2 = [[pos2[g2.comp[(a, b)]] for b in iso2_arrows] for a in iso2_arrows]
-            iso2 = FiniteGroup([g2.arrows[a] for a in iso2_arrows], table2)
-            homs = group_homomorphisms(frame.iso_group, iso2)
+            homs = group_homomorphisms(frame.iso_group, iso2[root_img])
             fiber = g2.s_fiber(root_img)
             nonroots = [x for x in frame.block if x != frame.root]
             for phi in homs:
@@ -592,41 +575,22 @@ def groupoid_isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid,
         return []
     frames1 = _frames(g1)
     frames2 = _frames(g2)
+    iso2 = [isotropy(g2, x) for x in g2.objects]
     results = []
-
-    def match_orbits(k, used, matching):
-        if k == len(frames1):
-            expand(matching)
-            return
-        f1 = frames1[k]
-        for m, f2 in enumerate(frames2):
-            if m in used:
-                continue
-            if len(f1.block) != len(f2.block):
-                continue
-            if len(f1.iso_group) != len(f2.iso_group):
-                continue
-            match_orbits(k + 1, used | {m}, matching + [f2])
-            if results and first_only:
-                return
 
     def expand(matching):
         per_orbit = []
         for f1, f2 in zip(frames1, matching):
             local = []
+            nonroots = [x for x in f1.block if x != f1.root]
             for root_img in f2.block:
-                iso2_arrows = g2.isotropy_arrows(root_img)
-                pos2 = {a: i for i, a in enumerate(iso2_arrows)}
-                table2 = [[pos2[g2.comp[(a, b)]] for b in iso2_arrows] for a in iso2_arrows]
-                iso2 = FiniteGroup([g2.arrows[a] for a in iso2_arrows], table2)
-                isos = group_isomorphisms(f1.iso_group, iso2)
+                isos = group_isomorphisms(f1.iso_group, iso2[root_img])
                 if not isos:
                     continue
-                nonroots = [x for x in f1.block if x != f1.root]
                 targets = [z for z in f2.block if z != root_img]
                 for phi in isos:
-                    for assign in _bijections(nonroots, targets):
-                        arrow_choices = [g2.hom(root_img, assign[x]) for x in nonroots]
+                    for assign in _injective([targets] * len(nonroots), lambda z: z):
+                        arrow_choices = [g2.hom(root_img, z) for z in assign]
                         for combo in product(*arrow_choices):
                             b = {f1.root: g2.unit[root_img]}
                             for x, a in zip(nonroots, combo):
@@ -641,18 +605,16 @@ def groupoid_isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid,
             if first_only:
                 return
 
-    match_orbits(0, frozenset(), [])
+    candidates = [[f2 for f2 in frames2
+                   if len(f1.block) == len(f2.block)
+                   and len(f1.iso_group) == len(f2.iso_group)]
+                  for f1 in frames1]
+    for matching in _injective(candidates, lambda f2: f2.root):
+        expand(matching)
+        if results and first_only:
+            break
     results.sort(key=lambda h: h.key())
     return results
-
-
-def _bijections(xs, ys):
-    from itertools import permutations
-
-    if len(xs) != len(ys):
-        return
-    for perm in permutations(ys):
-        yield dict(zip(xs, perm))
 
 
 def groupoid_isomorphic(g1: FiniteGroupoid, g2: FiniteGroupoid) -> GroupoidHom | None:

@@ -8,7 +8,7 @@ cross-checking group-valued invariants.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 from .report import ValidationReport
 
@@ -80,8 +80,12 @@ class FiniteGroup:
         return None if any(v is None for v in inv) else tuple(inv)
 
     def element_order(self, i: int) -> int:
+        """Least k with i^k the identity; ValueError if none is at most |G|."""
         e, x, k = self.identity, i, 1
         while x != e:
+            if k == len(self.elements):
+                raise ValueError(f"element {self.elements[i]!r} has no order "
+                                 "up to the group size (table not a group)")
             x = self.table[x][i]
             k += 1
         return k
@@ -127,6 +131,18 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
     return report
 
 
+def _cayley(items, mul, key, prefix: str) -> FiniteGroup:
+    """The group of ``items`` under the product ``mul``, items as payload.
+
+    ``key`` identifies an item, so ``key(mul(a, b))`` locates the product
+    among the items.  Elements are named ``prefix000``, ``prefix001``, ...
+    """
+    index = {key(x): i for i, x in enumerate(items)}
+    table = [[index[key(mul(x, y))] for y in items] for x in items]
+    names = [f"{prefix}{i:03d}" for i in range(len(items))]
+    return FiniteGroup(names, table, payload=items)
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -141,8 +157,6 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    from itertools import permutations
-
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # product = "apply right, then left", matching the composition convention
@@ -168,12 +182,7 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def quaternion_group() -> FiniteGroup:
     # unit quaternions; "z" stands for -1, so "zi" is -i etc.
-    axes = ["e", "i", "j", "k"]
-    names = []
-    for s in (1, -1):
-        for a in axes:
-            names.append(a if s == 1 else f"z{a}" if a != "e" else "ze")
-    # reorder so the identity sorts first and signs pair up per axis
+    # the identity comes first and signs pair up per axis
     names = ["e", "ze", "i", "zi", "j", "zj", "k", "zk"]
 
     def unpack(idx):
@@ -379,10 +388,7 @@ def group_isomorphic(g: FiniteGroup, h: FiniteGroup):
 def automorphism_group(g: FiniteGroup) -> FiniteGroup:
     """Aut(g), with the permutation tuples as payload."""
     perms = sorted(group_isomorphisms(g, g))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[k]] for k in range(len(g)))] for q in perms] for p in perms]
-    names = [f"a{i:03d}" for i in range(len(perms))]
-    return FiniteGroup(names, table, payload=perms)
+    return _cayley(perms, lambda p, q: tuple(p[k] for k in q), lambda p: p, "a")
 
 
 def inner_automorphism_group(g: FiniteGroup, aut: FiniteGroup | None = None) -> FiniteGroup:

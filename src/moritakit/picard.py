@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from .bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
                         identity_bibundle, orbit_permutation, principality,
                         tensor)
+from ._search import _injective
 from .errors import FormulaInapplicable, MoritaKitError
-from .groups import (FiniteGroup, group_isomorphic, outer_automorphism_group,
-                     quotient_group, subgroup)
+from .groups import (FiniteGroup, _cayley, group_isomorphic,
+                     outer_automorphism_group, quotient_group, subgroup)
 from .groupoids import (FiniteGroupoid, GroupoidHom, enumerate_functors,
                         groupoid_isomorphisms, identity_hom, isotropy,
                         is_transitive, orbit_partition)
@@ -37,12 +38,8 @@ from .groupoids import (FiniteGroupoid, GroupoidHom, enumerate_functors,
 
 def automorphisms(g: FiniteGroupoid) -> FiniteGroup:
     """The group of groupoid automorphisms; payload holds the functors."""
-    homs = groupoid_isomorphisms(g, g)
-    index = {h.key(): i for i, h in enumerate(homs)}
-    n = len(homs)
-    table = [[index[homs[j].then(homs[i]).key()] for j in range(n)] for i in range(n)]
-    names = [f"a{i:03d}" for i in range(n)]
-    return FiniteGroup(names, table, payload=homs)
+    return _cayley(groupoid_isomorphisms(g, g), lambda a, b: b.then(a),
+                   GroupoidHom.key, "a")
 
 
 @dataclass(frozen=True)
@@ -61,36 +58,14 @@ class Bisection:
 
 def bisections(g: FiniteGroupoid) -> FiniteGroup:
     """All bisections, as a group under setwise product; payload holds them."""
-    found = []
+    found = sorted(_injective([g.s_fiber(x) for x in range(g.n_objects)],
+                              lambda a: g.tgt[a]))
 
-    def extend(x, chosen, used_targets):
-        if x == g.n_objects:
-            found.append(tuple(chosen))
-            return
-        for a in g.s_fiber(x):
-            t = g.tgt[a]
-            if t in used_targets:
-                continue
-            chosen.append(a)
-            extend(x + 1, chosen, used_targets | {t})
-            chosen.pop()
+    def product(n, m):
+        return Bisection(g, tuple(g.comp[(n.arrows[g.tgt[a]], a)] for a in m.arrows))
 
-    extend(0, [], frozenset())
-    found.sort()
-    sections = [Bisection(g, arrows) for arrows in found]
-    index = {b.arrows: i for i, b in enumerate(sections)}
-
-    def product_arrows(n_arr, m_arr):
-        out = []
-        for x in range(g.n_objects):
-            m = m_arr[x]
-            out.append(g.comp[(n_arr[g.tgt[m]], m)])
-        return tuple(out)
-
-    table = [[index[product_arrows(a.arrows, b.arrows)] for b in sections]
-             for a in sections]
-    names = [f"b{i:03d}" for i in range(len(sections))]
-    return FiniteGroup(names, table, payload=sections)
+    return _cayley([Bisection(g, arrows) for arrows in found], product,
+                   lambda b: b.arrows, "b")
 
 
 def inner_automorphism(g: FiniteGroupoid, n: Bisection) -> GroupoidHom:
@@ -293,21 +268,8 @@ def lemma_section_check(s: Bibundle):
         fiber.sort(key=lambda x: (0 if s.j1[x] == p else 1, x))
         fibers.append(fiber)
 
-    sigma = [None] * n_obj
-
-    def search(p, used):
-        if p == n_obj:
-            return True
-        for x in fibers[p]:
-            if s.j1[x] in used:
-                continue
-            sigma[p] = x
-            if search(p + 1, used | {s.j1[x]}):
-                return True
-        sigma[p] = None
-        return False
-
-    if not search(0, frozenset()):
+    sigma = next(_injective(fibers, lambda x: s.j1[x]), None)
+    if sigma is None:
         return None
 
     obj_map = tuple(s.j1[sigma[p]] for p in range(n_obj))
@@ -365,23 +327,15 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
     checks = {}
 
     inner_keys = {h.key() for h in inn.payload}
-    witnesses = []
-    for name, hom in zip(aut.elements, aut.payload):
-        in_kernel = j_homomorphism(g, hom, pic) == pic.identity
-        if in_kernel != (hom.key() in inner_keys):
-            witnesses.append(name)
+    j_of = [j_homomorphism(g, hom, pic) for hom in aut.payload]
+    witnesses = [name for name, hom, j in zip(aut.elements, aut.payload, j_of)
+                 if (j == pic.identity) != (hom.key() in inner_keys)]
     checks["j-kernel"] = {"ok": not witnesses, "witnesses": witnesses}
 
-    sample = min(len(aut), 8)
-    witnesses = []
-    for i in range(sample):
-        for j in range(sample):
-            composed = aut.payload[j].then(aut.payload[i])
-            lhs = j_homomorphism(g, composed, pic)
-            rhs = pic.table[j_homomorphism(g, aut.payload[i], pic)][
-                j_homomorphism(g, aut.payload[j], pic)]
-            if lhs != rhs:
-                witnesses.append((aut.elements[i], aut.elements[j]))
+    # aut.table[i][j] is the composite "a_j, then a_i"
+    witnesses = [(aut.elements[i], aut.elements[j])
+                 for i in range(len(aut)) for j in range(len(aut))
+                 if j_of[aut.table[i][j]] != pic.table[j_of[i]][j_of[j]]]
     checks["j-homomorphism"] = {"ok": not witnesses, "witnesses": witnesses}
 
     slide = [inner_automorphism(g, n).key() for n in bis.payload]

@@ -10,10 +10,11 @@ isomorphism test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
+from ._search import _injective, _roots
 from .errors import InconsistentTopology, MissingVolume
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _cayley
 from .report import ValidationReport
 
 
@@ -105,19 +106,7 @@ def validate_tss(g: LabeledSurfaceGraph) -> ValidationReport:
     if g.n_vertices == 0:
         report.add("nonempty")
         return report
-    parent = list(range(g.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (t, h, _) in g.edges:
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[max(rt, rh)] = min(rt, rh)
-    if len({find(v) for v in range(g.n_vertices)}) > 1:
+    if len(set(_roots(g.n_vertices, ((t, h) for t, h, _ in g.edges)))) > 1:
         report.add("connected")
     for i, (t, h, p) in enumerate(g.edges):
         if not p > 0:
@@ -211,24 +200,14 @@ def _isomorphisms(g1, g2, tol, first_only=True):
     order = sorted(range(g1.n_vertices), key=lambda v: len(candidates[v]))
     results = []
     vmap = [None] * g1.n_vertices
-
-    def backtrack(k, used):
-        if results and first_only:
-            return
-        if k == g1.n_vertices:
-            emap = _edge_bijection(g1, g2, tuple(vmap), tol)
-            if emap is not None:
-                results.append(TssIsomorphism(tuple(vmap), emap))
-            return
-        v = order[k]
-        for w in candidates[v]:
-            if w in used:
-                continue
+    for images in _injective([candidates[v] for v in order], lambda w: w):
+        for v, w in zip(order, images):
             vmap[v] = w
-            backtrack(k + 1, used | {w})
-            vmap[v] = None
-
-    backtrack(0, frozenset())
+        emap = _edge_bijection(g1, g2, tuple(vmap), tol)
+        if emap is not None:
+            results.append(TssIsomorphism(tuple(vmap), emap))
+            if first_only:
+                break
     return results
 
 
@@ -264,32 +243,20 @@ def graph_automorphisms(g: LabeledSurfaceGraph) -> FiniteGroup:
     for iso in vertex_autos:
         vmap = iso.vertex_map
         per_group = []
-        keys = sorted(groups)
-        for key in keys:
-            idxs1 = groups[key]
-            t, h = key
+        for (t, h), idxs1 in sorted(groups.items()):
             idxs2 = groups[(vmap[t], vmap[h])]
-            options = []
-            for perm in permutations(idxs2):
-                if all(g.edges[a][2] == g.edges[b][2]
-                       for a, b in zip(idxs1, perm)):
-                    options.append(perm)
-            per_group.append((idxs1, options))
+            options = [[b for b in idxs2 if g.edges[b][2] == g.edges[a][2]]
+                       for a in idxs1]
+            per_group.append((idxs1, list(_injective(options, lambda b: b))))
         for combo in product(*(opts for _, opts in per_group)):
             emap = [None] * g.n_edges
             for (idxs1, _), perm in zip(per_group, combo):
                 for a, b in zip(idxs1, perm):
                     emap[a] = b
             autos.add((vmap, tuple(emap)))
-    autos = sorted(autos)
-    payload = [TssIsomorphism(vm, em) for vm, em in autos]
-    index = {a: i for i, a in enumerate(autos)}
-    n = len(autos)
-    table = [[index[(payload[i].compose(payload[j]).vertex_map,
-                     payload[i].compose(payload[j]).edge_map)]
-              for j in range(n)] for i in range(n)]
-    names = [f"g{i:03d}" for i in range(n)]
-    return FiniteGroup(names, table, payload=payload)
+    payload = [TssIsomorphism(vm, em) for vm, em in sorted(autos)]
+    return _cayley(payload, TssIsomorphism.compose,
+                   lambda a: (a.vertex_map, a.edge_map), "g")
 
 
 def picard_ingredients(g: LabeledSurfaceGraph) -> PicardIngredients:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -127,6 +130,36 @@ def test_morita_command(files, capsys):
     from moritakit.io import load_bibundle
     from moritakit.bibundles import principality
     assert principality(load_bibundle(witness)).biprincipal
+
+
+def test_non_associative_table_is_a_precondition_failure(files, capsys):
+    # identity and inverses exist, but b.b = b, so b has no finite order
+    names = ["e", "a", "b"]
+    table = [["e", "a", "b"], ["a", "b", "e"], ["b", "e", "b"]]
+    doc = {"objects": ["pt"],
+           "arrows": [{"id": x, "src": "pt", "tgt": "pt"} for x in names],
+           "comp": [[x, y, table[i][j]] for i, x in enumerate(names)
+                    for j, y in enumerate(names)],
+           "units": {"pt": "e"}, "inv": {"e": "e", "a": "b", "b": "a"}}
+    (files / "nonassoc.json").write_text(json.dumps(doc))
+    code, report = run(capsys, "picard", files / "nonassoc.json", "--quiet")
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
+
+
+def test_closed_stdout_gives_no_traceback(files):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "moritakit", "validate", str(files / "z4.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "groupoid: valid" in proc.stderr
 
 
 def test_missing_file_is_a_precondition_failure(files, capsys):

@@ -1,0 +1,187 @@
+"""Golden CLI results: exit code and SHA-256 of every subcommand's answer.
+
+Each case runs one subcommand through ``cli.main`` on fixed inputs and
+compares the exit code, the SHA-256 of the sorted ``result`` (and
+``error``) JSON and, for commands that write a file, the SHA-256 of that
+file with digests recorded before the searches were merged into the
+shared kernels of ``moritakit._search``.  The inputs exercise
+the searches whose first witness is part of the answer: orbit matching
+on a disjoint union, the TSS vertex and edge maps of a relabelled
+circulant graph, parallel-edge automorphisms and emitted Morita
+witnesses.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from moritakit.bibundles import identity_bibundle
+from moritakit.cli import main
+from moritakit.gauge import GridSpec, SampledBivectorField, SampledTwoFormField
+from moritakit.groupoids import (bundle_of_groups, disjoint_union,
+                                 group_as_groupoid, pair_groupoid)
+from moritakit.groups import cyclic_group, klein_four_group, quaternion_group
+from moritakit.io import save_bibundle, save_field, save_groupoid, save_tss
+from moritakit.tss import LabeledSurfaceGraph
+
+J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+RELABEL = [5, 2, 7, 0, 3, 6, 1, 4]
+
+
+def circulant(steps, names):
+    n = len(names)
+    edges = [(names[i], names[(i + s) % n], float(k + 1))
+             for i in range(n) for k, s in enumerate(steps)]
+    return LabeledSurfaceGraph(names, {v: 0 for v in names}, edges)
+
+
+def write_inputs():
+    """Write every input file into the current directory."""
+    z3 = group_as_groupoid(cyclic_group(3))
+    save_groupoid(disjoint_union(pair_groupoid(2), pair_groupoid(3), z3), "du.json")
+    save_groupoid(disjoint_union(z3, pair_groupoid(3), pair_groupoid(2)), "du2.json")
+    save_groupoid(disjoint_union(pair_groupoid(2), pair_groupoid(2), z3), "du3.json")
+    v4 = klein_four_group()
+    save_groupoid(bundle_of_groups({"a": v4, "b": v4}), "v4bundle.json")
+    save_groupoid(group_as_groupoid(cyclic_group(4)), "z4.json")
+    save_groupoid(group_as_groupoid(quaternion_group()), "q8.json")
+    save_bibundle(identity_bibundle(pair_groupoid(3)), "ib.json")
+    names = [f"v{i}" for i in range(8)]
+    save_tss(circulant((1, 2), names), "c8.json")
+    save_tss(circulant((1, 2), [f"x{RELABEL[i]}" for i in range(8)]), "c8r.json")
+    save_tss(circulant((1, 3), names), "c8b.json")
+    save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1},
+                                 [("n", "s", 1.0)] * 3), "par3.json")
+    grid = GridSpec(2, (0.0, 0.0), 0.25, (5, 5))
+    save_field(SampledBivectorField.constant(grid, J2), "pi.field", "bivector")
+    save_field(SampledTwoFormField.constant(grid, 0.5 * J2), "b.field", "two_form")
+    save_field(SampledTwoFormField.constant(grid, J2), "bsing.field", "two_form")
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs()
+    return tmp_path
+
+
+# name -> (argv, emitted file or None)
+CASES = {
+    "validate-groupoid": (["validate", "du.json"], None),
+    "validate-bibundle": (["validate", "ib.json"], None),
+    "validate-tss": (["validate", "c8.json"], None),
+    "validate-field": (["validate", "pi.field"], None),
+    "orbits": (["orbits", "du.json"], None),
+    "isotropy": (["isotropy", "du.json", "--object", "u2:pt"], None),
+    "aut-v4bundle": (["aut", "v4bundle.json"], None),
+    "inaut-v4bundle": (["inaut", "v4bundle.json"], None),
+    "out-v4bundle": (["out", "v4bundle.json"], None),
+    "bisections-v4bundle": (["bisections", "v4bundle.json"], None),
+    "aut-union": (["aut", "du.json"], None),
+    "bisections-union": (["bisections", "du.json"], None),
+    "picard-union": (["picard", "du3.json"], None),
+    "picard-formula-inapplicable": (["picard", "du.json", "--method", "formula"], None),
+    "picard-q8": (["picard", "q8.json"], None),
+    "verify-exact-z4": (["verify-exact", "z4.json"], None),
+    "verify-exact-q8": (["verify-exact", "q8.json"], None),
+    "verify-exact-union": (["verify-exact", "du.json"], None),
+    "compose": (["compose", "ib.json", "ib.json", "--emit-witness", "comp.json"],
+                "comp.json"),
+    "morita-union": (["morita", "du.json", "du2.json", "--emit-witness", "w.json"],
+                     "w.json"),
+    "morita-negative": (["morita", "du.json", "v4bundle.json"], None),
+    "tss-iso-relabelled": (["tss-iso", "c8.json", "c8r.json"], None),
+    "tss-iso-negative": (["tss-iso", "c8.json", "c8b.json"], None),
+    "tss-picard-ingredients-parallel": (["tss-picard-ingredients", "par3.json"], None),
+    "tss-picard-ingredients-c8": (["tss-picard-ingredients", "c8.json"], None),
+    "tss-genus": (["tss-genus", "c8.json"], None),
+    "gauge-apply": (["gauge-apply", "pi.field", "b.field", "--out", "tau.field"],
+                    "tau.field"),
+    "gauge-apply-singular": (["gauge-apply", "pi.field", "bsing.field"], None),
+    "gauge-check": (["gauge-check", "pi.field", "b.field"], None),
+}
+
+# name -> (exit code, result digest, emitted-file digest or None)
+GOLDEN = {
+    "aut-union": (0, "f230d9d89d12e47913a43a81b94b8359b2e9147fe50d9af9b207ce0c288f249e",
+        None),
+    "aut-v4bundle": (0, "0c8d00d0aa1ae25a4e52a7ee6454f374bae896be40336f9212e4c1ffd88a74a0",
+        None),
+    "bisections-union": (0, "cfbdf79526f16a72046cc9bb7e021baf2e72147d9f7a1a014192cb3bfb4c008f",
+        None),
+    "bisections-v4bundle": (0, "33b5f6d4c1de47897934ca6bc2755e31e5ad699c2c21be9c32211bbc87ff4126",
+        None),
+    "compose": (0, "e5644eed1db4075d4747f8be073c84c742dc36347ff334f0bc68d1888dd140ad",
+        "7953fbe96bd101aa95522a57e2eff0d8d762b1788cb79aebadacc6575bd814bb"),
+    "gauge-apply": (0, "da5c245a2c00b1ef0fb696a60ab5406232be571b5ecbf9c43d4aeb727ad1646a",
+        "3030823012c88c9561ba27927ec14fcd2540d642d4ecd0a4d1650b315234fdf2"),
+    "gauge-apply-singular": (3, "b096297bd2e2837447909e52588f7eb11b645983e039980bce6545a4ebc54ca5",
+        None),
+    "gauge-check": (0, "23888bd816b51651064061bdea50a6d30b92b369421194a8c2a4e0312f72612b",
+        None),
+    "inaut-v4bundle": (0, "3f4657a73051425490654bbeeedabea1672110a75a92cbbce3596b7a4414150d",
+        None),
+    "isotropy": (0, "5d075620235873d26116e0d34dd136f5cbb993eb9f9137354e091d86af8366d3",
+        None),
+    "morita-negative": (4, "ce9fd2bd7bfb1110ca49ca28f0653ce422a8dc312f07c33872908ce57f55090b",
+        None),
+    "morita-union": (0, "f020c8abe7dbf01fbfd91a70ef45f564652019d3f46332cefd0a0d3d6821481c",
+        "839152f9f655493108721b48661643267a495c05e4e0d28c1a571979b0f8777a"),
+    "orbits": (0, "b9addb4da3ecbaebed30311a59a3a2bd030ecc4fcdc5cc6249aa2df752618ba7",
+        None),
+    "out-v4bundle": (0, "8090425daf888d590e7f3c018a9549f6ac9438d1e9e9f3e6265aef3fd02df710",
+        None),
+    "picard-formula-inapplicable": (2, "1d0ede7692789a50055e831020fd18759f7cea5d79b74d670cba3afd802b1f44",
+        None),
+    "picard-q8": (0, "e83858bda9caae727fe89490b85c84a5634676d9295fc1940736996cf3c8ffa1",
+        None),
+    "picard-union": (0, "b66063b88f5303687d17f3e7cc86ab2830e0e5b993c5fcf18f566f93ab65c469",
+        None),
+    "tss-genus": (0, "fd0ade184ad703e6c6aebf65f481be0471346c848807194226a7018788ddaa46",
+        None),
+    "tss-iso-negative": (4, "0aa96eadf74cb7a2df4a05cbd38af506cfae5618a7b543b6dd81b87264310d95",
+        None),
+    "tss-iso-relabelled": (0, "163d016badabbceaf2592b2c42e7d5b30f756df8d142474d11ab9775831e1635",
+        None),
+    "tss-picard-ingredients-c8": (0, "3001fca542d8a06e1aa82f5d80fa5c39d949a2ee0ecb32e704bd46a3b39a13b1",
+        None),
+    "tss-picard-ingredients-parallel": (0, "6754a63a4f60b10e4d9a9d893ae8910abf15cd13d15b54328740b2ab55517979",
+        None),
+    "validate-bibundle": (0, "2dc1f22f66eee0babc68df2c52c2664b2b218b12b7e899ca57e707ab3569c04f",
+        None),
+    "validate-field": (0, "7b5c373905bfd9dede3188f923a2c531c64369fd3103f2d70fcc249417ba23c1",
+        None),
+    "validate-groupoid": (0, "dff7b43dec8e5aa17d6b982d1090bd0cad977cb3cd7c975432ebe0bb0f9c903b",
+        None),
+    "validate-tss": (0, "f807ff687b960169888db6873e94aa352250459de31498007913e52f299f3ce1",
+        None),
+    "verify-exact-q8": (0, "6f90a2847ff7480259e4bbb5f1f2605cfe60c02452906aacbd688adee8ac41cc",
+        None),
+    "verify-exact-union": (0, "fe261e27304ab89af070b4a2433ff53ea8e9a2bd6ec8388c230cd48d57a5c145",
+        None),
+    "verify-exact-z4": (0, "c73667110e1476113d10896ad5765479b317863d34124c8d966a601e1ca736ad",
+        None),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(name, capsys):
+    argv, emitted = CASES[name]
+    code = main(argv + ["--quiet"])
+    report = json.loads(capsys.readouterr().out)
+    answer = {key: report.get(key) for key in ("result", "error")}
+    digest = sha256(json.dumps(answer, sort_keys=True).encode())
+    file_digest = None
+    if emitted is not None:
+        with open(emitted, "rb") as fh:
+            file_digest = sha256(fh.read())
+    return code, digest, file_digest
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_result(name, inputs, capsys):
+    assert run_case(name, capsys) == GOLDEN[name]

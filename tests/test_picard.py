@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
+from moritakit import picard
 from moritakit.bibundles import (bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, morita_equivalent)
 from moritakit.errors import FormulaInapplicable
 from moritakit.groups import (cyclic_group, group_isomorphic, klein_four_group,
-                              symmetric_group, trivial_group, validate_group)
+                              quaternion_group, symmetric_group, trivial_group,
+                              validate_group)
 from moritakit.groupoids import (GroupoidHom, bundle_of_groups, disjoint_union,
                                  group_as_groupoid, identity_hom, isotropy,
                                  pair_groupoid)
@@ -265,6 +269,26 @@ def test_verify_exact_sequences_examples():
     report = verify_exact_sequences(pair_groupoid(3))
     assert report.orders["pic"] == 1
     assert report.orders["aut"] == report.orders["inaut"]
+
+
+def test_j_homomorphism_checked_on_every_automorphism_pair(monkeypatch):
+    # Aut(Q8) has 24 elements; corrupt one Pic product whose factors are
+    # hit by j only from automorphisms with index >= 8.
+    g = group_as_groupoid(quaternion_group())
+    aut = automorphisms(g)
+    pic = picard_group(g, "enumerate")
+    j_of = [j_homomorphism(g, h, pic) for h in aut.payload]
+    late = next(c for c in range(len(pic)) if c in j_of and j_of.index(c) >= 8)
+    table = [list(row) for row in pic.table]
+    table[late][late] = (table[late][late] + 1) % len(pic)
+    broken = dataclasses.replace(pic, table=tuple(map(tuple, table)))
+    monkeypatch.setattr(picard, "picard_group", lambda g, method="auto": broken)
+    check = verify_exact_sequences(g).checks["j-homomorphism"]
+    expected = [(aut.elements[i], aut.elements[j])
+                for i in range(len(aut)) for j in range(len(aut))
+                if j_of[i] == j_of[j] == late]
+    assert not check["ok"]
+    assert check["witnesses"] == expected
 
 
 def test_exactness_orders_multiply():
