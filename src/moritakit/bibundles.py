@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ._search import _injective, _roots
 from .errors import MiddleMismatch, NotFunctor, NotLeftPrincipal
-from .groups import group_isomorphisms
+from .groups import group_isomorphic
 from .groupoids import (FiniteGroupoid, GroupoidHom, isotropy, orbit_partition,
                         orbits)
 from .report import ValidationReport
@@ -398,9 +398,9 @@ def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None
     for i, h1 in enumerate(iso1):
         row = []
         for j, h2 in enumerate(iso2):
-            isos = group_isomorphisms(h2, h1, first_only=True)
-            if isos:
-                row.append((j, isos[0]))
+            theta = group_isomorphic(h2, h1)
+            if theta is not None:
+                row.append((j, theta))
         if not row:
             return None
         candidates.append(row)

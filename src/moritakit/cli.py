@@ -132,8 +132,10 @@ def _validate(args):
     else:
         field, _ = load_field(args.path)
         report = ValidationReport()
-        defect = field.antisymmetry_defect()
-        if defect > 1e-12:
+        point, defect = field.nonfinite_point(), field.antisymmetry_defect()
+        if point is not None:
+            report.add("finite", *point)
+        elif defect > 1e-12:
             report.add("antisymmetry", defect)
     payload = {"kind": kind, **report.as_dict()}
     code = EXIT_OK if report.ok else EXIT_INVALID
@@ -252,9 +254,8 @@ def _tss_genus(args):
 def _gauge_apply(args):
     pi, _ = load_field(args.bivector)
     b, _ = load_field(args.two_form)
-    check = invertibility_check(pi, b, args.eps_sing)
     result = apply_gauge(pi, b, args.eps_sing)
-    payload = {"min_abs_det": check.min_abs_det,
+    payload = {"min_abs_det": result.invertibility_report.min_abs_det,
                "max_asymmetry": result.asymmetry_report}
     if args.out:
         save_field(result, args.out, "bivector")

@@ -63,9 +63,15 @@ class _SampledField:
         self.grid = grid
         self.values = values
         self.asymmetry_report: float | None = None
+        self.invertibility_report: InvertibilityReport | None = None
 
     def antisymmetry_defect(self) -> float:
         return float(np.max(np.abs(self.values + np.swapaxes(self.values, -1, -2))))
+
+    def nonfinite_point(self) -> tuple[int, ...] | None:
+        """Grid index of the first point with a NaN or infinite entry, or None."""
+        bad = np.argwhere(~np.isfinite(self.values).all(axis=(-2, -1)))
+        return tuple(int(i) for i in bad[0]) if len(bad) else None
 
     @classmethod
     def constant(cls, grid: GridSpec, matrix):
@@ -159,8 +165,16 @@ def _endomorphism(pi: SampledBivectorField, b: SampledTwoFormField) -> np.ndarra
 
 def invertibility_check(pi: SampledBivectorField, b: SampledTwoFormField,
                         eps_sing: float = EPS_SING) -> InvertibilityReport:
-    """Pointwise determinant of 1 + B pi against the singularity threshold."""
+    """Pointwise determinant of 1 + B pi against the singularity threshold.
+
+    Raises ValueError naming the first grid point where either field is
+    not finite.
+    """
     _require_same_grid(pi, b)
+    for name, field in (("bivector", pi), ("two-form", b)):
+        point = field.nonfinite_point()
+        if point is not None:
+            raise ValueError(f"{name} field is not finite at grid point {point}")
     dets = np.abs(np.linalg.det(_endomorphism(pi, b)))
     worst = np.unravel_index(np.argmin(dets), pi.grid.shape)
     min_det = float(dets[worst])
@@ -173,7 +187,8 @@ def apply_gauge(pi: SampledBivectorField, b: SampledTwoFormField,
     """Gauge transform pi (1 + B pi)^{-1}, symmetrized defensively.
 
     The asymmetry accumulated before symmetrization is stored on the
-    result as ``asymmetry_report``.
+    result as ``asymmetry_report``, the invertibility check as
+    ``invertibility_report``.
     """
     report = invertibility_check(pi, b, eps_sing)
     if not report.ok:
@@ -183,6 +198,7 @@ def apply_gauge(pi: SampledBivectorField, b: SampledTwoFormField,
     out = 0.5 * (out - np.swapaxes(out, -1, -2))
     result = SampledBivectorField(pi.grid, out)
     result.asymmetry_report = defect
+    result.invertibility_report = report
     return result
 
 

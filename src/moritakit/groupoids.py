@@ -79,10 +79,6 @@ class FiniteGroupoid:
     def n_arrows(self):
         return len(self.arrows)
 
-    def compose(self, g: int, h: int):
-        """Composite of arrow indices (h then g), or None if undefined."""
-        return self.comp.get((g, h))
-
     def hom(self, x: int, y: int) -> list[int]:
         """Arrows with src x and tgt y."""
         return self._hom.get((x, y), [])
@@ -101,6 +97,8 @@ class FiniteGroupoid:
                 self.inv, tuple(sorted(self.comp.items())))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented
         return self._key() == other._key()
@@ -445,17 +443,6 @@ class GroupoidHom:
             tuple(other.obj_map[v] for v in self.obj_map),
             tuple(other.arr_map[v] for v in self.arr_map))
 
-    def inverse(self) -> "GroupoidHom":
-        if not self.is_bijective():
-            raise ValueError("homomorphism is not invertible")
-        obj = [0] * self.target.n_objects
-        arr = [0] * self.target.n_arrows
-        for i, v in enumerate(self.obj_map):
-            obj[v] = i
-        for i, v in enumerate(self.arr_map):
-            arr[v] = i
-        return GroupoidHom(self.target, self.source, tuple(obj), tuple(arr))
-
     def as_dict(self):
         return {
             "objects": {x: self.apply_obj(x) for x in self.source.objects},
@@ -465,14 +452,6 @@ class GroupoidHom:
 
 def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
     return GroupoidHom(g, g, tuple(range(g.n_objects)), tuple(range(g.n_arrows)))
-
-
-def hom_from_maps(source: FiniteGroupoid, target: FiniteGroupoid,
-                  obj_map: dict, arr_map: dict) -> GroupoidHom:
-    """Build a GroupoidHom from id-level maps (no functor check)."""
-    om = tuple(target.obj_index[obj_map[x]] for x in source.objects)
-    am = tuple(target.arr_index[arr_map[a]] for a in source.arrows)
-    return GroupoidHom(source, target, om, am)
 
 
 # ---------------------------------------------------------------------------
@@ -565,30 +544,28 @@ def enumerate_functors(g1: FiniteGroupoid, g2: FiniteGroupoid):
         yield _assemble_hom(g1, g2, frames, choices)
 
 
-def groupoid_isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid,
-                          first_only: bool = False) -> list[GroupoidHom]:
-    """All invertible functors g1 -> g2 (or the first one found)."""
+def _isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid):
+    """Yield the invertible functors g1 -> g2, in search order."""
     if g1.n_objects != g2.n_objects or g1.n_arrows != g2.n_arrows:
-        return []
+        return
     blocks1, blocks2 = orbit_partition(g1), orbit_partition(g2)
     if sorted(map(len, blocks1)) != sorted(map(len, blocks2)):
-        return []
+        return
     frames1 = _frames(g1)
     frames2 = _frames(g2)
     iso2 = [isotropy(g2, x) for x in g2.objects]
-    results = []
-
-    def expand(matching):
+    candidates = [[f2 for f2 in frames2
+                   if len(f1.block) == len(f2.block)
+                   and len(f1.iso_group) == len(f2.iso_group)]
+                  for f1 in frames1]
+    for matching in _injective(candidates, lambda f2: f2.root):
         per_orbit = []
         for f1, f2 in zip(frames1, matching):
             local = []
             nonroots = [x for x in f1.block if x != f1.root]
             for root_img in f2.block:
-                isos = group_isomorphisms(f1.iso_group, iso2[root_img])
-                if not isos:
-                    continue
                 targets = [z for z in f2.block if z != root_img]
-                for phi in isos:
+                for phi in group_isomorphisms(f1.iso_group, iso2[root_img]):
                     for assign in _injective([targets] * len(nonroots), lambda z: z):
                         arrow_choices = [g2.hom(root_img, z) for z in assign]
                         for combo in product(*arrow_choices):
@@ -597,27 +574,18 @@ def groupoid_isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid,
                                 b[x] = a
                             local.append((root_img, phi, b))
             if not local:
-                return
+                break
             per_orbit.append(local)
-        for choices in product(*per_orbit):
-            hom = _assemble_hom(g1, g2, frames1, choices)
-            results.append(hom)
-            if first_only:
-                return
+        else:
+            for choices in product(*per_orbit):
+                yield _assemble_hom(g1, g2, frames1, choices)
 
-    candidates = [[f2 for f2 in frames2
-                   if len(f1.block) == len(f2.block)
-                   and len(f1.iso_group) == len(f2.iso_group)]
-                  for f1 in frames1]
-    for matching in _injective(candidates, lambda f2: f2.root):
-        expand(matching)
-        if results and first_only:
-            break
-    results.sort(key=lambda h: h.key())
-    return results
+
+def groupoid_isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid) -> list[GroupoidHom]:
+    """All invertible functors g1 -> g2, sorted by key."""
+    return sorted(_isomorphisms(g1, g2), key=GroupoidHom.key)
 
 
 def groupoid_isomorphic(g1: FiniteGroupoid, g2: FiniteGroupoid) -> GroupoidHom | None:
     """An isomorphism g1 -> g2 if one exists, found by exhaustive search."""
-    found = groupoid_isomorphisms(g1, g2, first_only=True)
-    return found[0] if found else None
+    return next(_isomorphisms(g1, g2), None)

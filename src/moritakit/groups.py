@@ -265,7 +265,7 @@ def quotient_group(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]
 
     Normality is verified.  Returns the coset group together with the
     chosen coset representatives (the smallest index in each coset);
-    cosets are named ``[rep]``.
+    cosets are named ``[rep]`` and carry the representatives' payload.
     """
     normal = frozenset(normal)
     for a in range(len(g)):
@@ -290,7 +290,8 @@ def quotient_group(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]
     reps = tuple(rep for rep, _ in cosets)
     table = [[coset_of[g.table[ra][rb]] for rb in reps] for ra in reps]
     names = [f"[{g.elements[r]}]" for r in reps]
-    return FiniteGroup(names, table), reps
+    payload = [g.payload[r] for r in reps] if g.payload is not None else None
+    return FiniteGroup(names, table, payload), reps
 
 
 # ---------------------------------------------------------------------------
@@ -338,51 +339,41 @@ def _extend_map(g: FiniteGroup, h: FiniteGroup, gens, words, images):
     return tuple(out)
 
 
+def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
+    """Yield the homomorphisms g -> h (only the bijective ones if asked).
+
+    Generators go only to elements whose order divides theirs (equals it,
+    for isomorphisms); maps come in the order of the generator images.
+    """
+    if bijective and (len(g) != len(h) or g.order_profile() != h.order_profile()):
+        return
+    gens = _generating_sequence(g)
+    words = _words(g, gens)
+    h_orders = [h.element_order(i) for i in range(len(h))]
+    candidates = []
+    for gidx in gens:
+        o = g.element_order(gidx)
+        candidates.append([i for i in range(len(h))
+                           if (h_orders[i] == o if bijective else o % h_orders[i] == 0)])
+    for images in product(*candidates):
+        out = _extend_map(g, h, gens, words, images)
+        if out is not None and (not bijective or len(set(out)) == len(g)):
+            yield out
+
+
 def group_homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[tuple[int, ...]]:
     """All homomorphisms g -> h, each as a tuple of target indices."""
-    gens = _generating_sequence(g)
-    if not gens:
-        return [tuple(h.identity for _ in range(len(g)))]
-    words = _words(g, gens)
-    h_orders = [h.element_order(i) for i in range(len(h))]
-    candidates = []
-    for gidx in gens:
-        o = g.element_order(gidx)
-        candidates.append([i for i in range(len(h)) if o % h_orders[i] == 0])
-    homs = []
-    for images in product(*candidates):
-        out = _extend_map(g, h, gens, words, images)
-        if out is not None:
-            homs.append(out)
-    return homs
+    return list(_maps(g, h, bijective=False))
 
 
-def group_isomorphisms(g: FiniteGroup, h: FiniteGroup, first_only: bool = False):
-    """All isomorphisms g -> h (or at most one if ``first_only``)."""
-    if len(g) != len(h) or g.order_profile() != h.order_profile():
-        return []
-    gens = _generating_sequence(g)
-    if not gens:
-        return [tuple(h.identity for _ in range(len(g)))]
-    words = _words(g, gens)
-    h_orders = [h.element_order(i) for i in range(len(h))]
-    candidates = []
-    for gidx in gens:
-        o = g.element_order(gidx)
-        candidates.append([i for i in range(len(h)) if h_orders[i] == o])
-    isos = []
-    for images in product(*candidates):
-        out = _extend_map(g, h, gens, words, images)
-        if out is not None and len(set(out)) == len(g):
-            isos.append(out)
-            if first_only:
-                return isos
-    return isos
+def group_isomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[tuple[int, ...]]:
+    """All isomorphisms g -> h."""
+    return list(_maps(g, h, bijective=True))
 
 
 def group_isomorphic(g: FiniteGroup, h: FiniteGroup):
-    isos = group_isomorphisms(g, h, first_only=True)
-    return isos[0] if isos else None
+    """The first isomorphism g -> h, or None."""
+    return next(_maps(g, h, bijective=True), None)
 
 
 def automorphism_group(g: FiniteGroup) -> FiniteGroup:
@@ -407,6 +398,4 @@ def outer_automorphism_group(g: FiniteGroup) -> FiniteGroup:
     """Out(g) = Aut(g)/Inn(g), coset representatives as payload."""
     aut = automorphism_group(g)
     inn = inner_automorphism_group(g, aut)
-    normal = {aut.index[e] for e in inn.elements}
-    quot, reps = quotient_group(aut, normal)
-    return FiniteGroup(quot.elements, quot.table, payload=[aut.payload[r] for r in reps])
+    return quotient_group(aut, {aut.index[e] for e in inn.elements})[0]

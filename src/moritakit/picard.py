@@ -96,10 +96,7 @@ def outaut(g: FiniteGroupoid, aut: FiniteGroup | None = None) -> FiniteGroup:
     if aut is None:
         aut = automorphisms(g)
     inn = inaut(g, aut)
-    normal = {aut.index[e] for e in inn.elements}
-    quot, reps = quotient_group(aut, normal)
-    return FiniteGroup(quot.elements, quot.table,
-                       payload=[aut.payload[r] for r in reps])
+    return quotient_group(aut, {aut.index[e] for e in inn.elements})[0]
 
 
 def ciso_bisections(g: FiniteGroupoid, bis: FiniteGroup | None = None) -> FiniteGroup:
@@ -233,19 +230,9 @@ def static_picard(g: FiniteGroupoid, pic: PicardGroup | None = None) -> PicardGr
     ident = tuple(range(len(orbit_partition(g))))
     idx = [i for i, r in enumerate(pic.representatives)
            if orbit_permutation(r) == ident]
-    pos = {v: k for k, v in enumerate(idx)}
-    table = []
-    for i in idx:
-        row = []
-        for j in idx:
-            v = pic.table[i][j]
-            if v not in pos:
-                raise MoritaKitError("static classes are not closed under tensor")
-            row.append(pos[v])
-        table.append(row)
-    return PicardGroup(tuple(pic.elements[i] for i in idx),
-                       tuple(map(tuple, table)), pos[pic.identity], pic.method,
-                       tuple(pic.representatives[i] for i in idx))
+    static = subgroup(FiniteGroup(pic.elements, pic.table, pic.representatives), idx)
+    return PicardGroup(static.elements, static.table, static.identity, pic.method,
+                       static.payload)
 
 
 def lemma_section_check(s: Bibundle):
@@ -326,10 +313,10 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
 
     checks = {}
 
-    inner_keys = {h.key() for h in inn.payload}
+    inner = {aut.index[e] for e in inn.elements}
     j_of = [j_homomorphism(g, hom, pic) for hom in aut.payload]
-    witnesses = [name for name, hom, j in zip(aut.elements, aut.payload, j_of)
-                 if (j == pic.identity) != (hom.key() in inner_keys)]
+    witnesses = [name for i, (name, j) in enumerate(zip(aut.elements, j_of))
+                 if (j == pic.identity) != (i in inner)]
     checks["j-kernel"] = {"ok": not witnesses, "witnesses": witnesses}
 
     # aut.table[i][j] is the composite "a_j, then a_i"
@@ -338,19 +325,14 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
                  if j_of[aut.table[i][j]] != pic.table[j_of[i]][j_of[j]]]
     checks["j-homomorphism"] = {"ok": not witnesses, "witnesses": witnesses}
 
-    slide = [inner_automorphism(g, n).key() for n in bis.payload]
+    # slide[i] indexes the inner automorphism of bisection i in Aut
     aut_index = {h.key(): i for i, h in enumerate(aut.payload)}
-    witnesses = []
-    for i in range(len(bis)):
-        for j in range(len(bis)):
-            prod = bis.table[i][j]
-            composed = aut.payload[aut_index[slide[j]]].then(
-                aut.payload[aut_index[slide[i]]])
-            if slide[prod] != composed.key():
-                witnesses.append((bis.elements[i], bis.elements[j]))
-    surjective = set(slide) == inner_keys
-    kernel = {bis.elements[i] for i, k in enumerate(slide)
-              if k == identity_hom(g).key()}
+    slide = [aut_index[inner_automorphism(g, n).key()] for n in bis.payload]
+    witnesses = [(bis.elements[i], bis.elements[j])
+                 for i in range(len(bis)) for j in range(len(bis))
+                 if slide[bis.table[i][j]] != aut.table[slide[i]][slide[j]]]
+    surjective = set(slide) == inner
+    kernel = {bis.elements[i] for i, k in enumerate(slide) if k == aut.identity}
     exact_kernel = kernel == set(ciso.elements)
     counted = len(bis) == len(ciso) * len(inn)
     checks["bisection-sequence"] = {

@@ -82,15 +82,6 @@ class TssIsomorphism:
             tuple(self.vertex_map[v] for v in other.vertex_map),
             tuple(self.edge_map[e] for e in other.edge_map))
 
-    def inverse(self) -> "TssIsomorphism":
-        vm = [0] * len(self.vertex_map)
-        em = [0] * len(self.edge_map)
-        for i, v in enumerate(self.vertex_map):
-            vm[v] = i
-        for i, e in enumerate(self.edge_map):
-            em[e] = i
-        return TssIsomorphism(tuple(vm), tuple(em))
-
 
 @dataclass(frozen=True)
 class PicardIngredients:
@@ -154,13 +145,6 @@ def _vertex_signature(g: LabeledSurfaceGraph, v: int, exact_periods: bool):
     return (g.genus[v], len(out), len(inc), loops)
 
 
-def _match_periods(ps1, ps2, tol):
-    """Match two sorted period lists pairwise within tol."""
-    if len(ps1) != len(ps2):
-        return False
-    return all(abs(a - b) <= tol for a, b in zip(ps1, ps2))
-
-
 def _edge_bijection(g1, g2, vmap, tol):
     """Edge map induced by a vertex bijection, or None.
 
@@ -187,35 +171,31 @@ def _edge_bijection(g1, g2, vmap, tol):
     return tuple(edge_map)
 
 
-def _isomorphisms(g1, g2, tol, first_only=True):
+def _isomorphisms(g1, g2, tol):
+    """Yield the label-preserving isomorphisms g1 -> g2, in search order."""
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
-        return []
+        return
     exact = tol == 0
     sig1 = [_vertex_signature(g1, v, exact) for v in range(g1.n_vertices)]
     sig2 = [_vertex_signature(g2, v, exact) for v in range(g2.n_vertices)]
     if sorted(sig1) != sorted(sig2):
-        return []
+        return
     candidates = [[w for w in range(g2.n_vertices) if sig2[w] == sig1[v]]
                   for v in range(g1.n_vertices)]
     order = sorted(range(g1.n_vertices), key=lambda v: len(candidates[v]))
-    results = []
     vmap = [None] * g1.n_vertices
     for images in _injective([candidates[v] for v in order], lambda w: w):
         for v, w in zip(order, images):
             vmap[v] = w
         emap = _edge_bijection(g1, g2, tuple(vmap), tol)
         if emap is not None:
-            results.append(TssIsomorphism(tuple(vmap), emap))
-            if first_only:
-                break
-    return results
+            yield TssIsomorphism(tuple(vmap), emap)
 
 
 def morita_equivalent_tss(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
                           period_tolerance: float = 0.0) -> TssIsomorphism | None:
     """Labeled-graph isomorphism preserving orientation, genus and periods."""
-    found = _isomorphisms(g1, g2, period_tolerance, first_only=True)
-    return found[0] if found else None
+    return next(_isomorphisms(g1, g2, period_tolerance), None)
 
 
 def gauge_equivalent_tss(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
@@ -236,11 +216,10 @@ def poisson_isomorphic_tss(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
 
 def graph_automorphisms(g: LabeledSurfaceGraph) -> FiniteGroup:
     """Label-preserving automorphisms, including parallel-edge swaps."""
-    vertex_autos = _isomorphisms(g, g, 0.0, first_only=False)
     # expand each vertex automorphism by all period-preserving edge bijections
     autos = set()
     groups = _edge_groups(g)
-    for iso in vertex_autos:
+    for iso in _isomorphisms(g, g, 0.0):
         vmap = iso.vertex_map
         per_group = []
         for (t, h), idxs1 in sorted(groups.items()):

@@ -254,6 +254,36 @@ def test_gauge_accepts_analytic_specs(files, capsys):
     assert report["result"]["closedness_residual"] == 0.0
 
 
+def save_with_nonfinite(files, name, cls, kind, matrix, point, value):
+    field = cls.constant(GridSpec(2, (0.0, 0.0), 0.25, (5, 5)), matrix)
+    field.values[point][0, 1] = value
+    save_field(field, files / name, kind)
+    return files / name
+
+
+def test_validate_rejects_nonfinite_field(files, capsys):
+    path = save_with_nonfinite(files, "pinan.field", SampledBivectorField,
+                               "bivector", J2, (2, 3), np.nan)
+    code, report = run(capsys, "validate", path, "--quiet")
+    assert code == 1
+    assert report["result"]["violations"] == [{"rule": "finite",
+                                               "witness": [2, 3]}]
+
+
+def test_gauge_commands_reject_nonfinite_fields(files, capsys):
+    pinan = save_with_nonfinite(files, "pinan.field", SampledBivectorField,
+                                "bivector", J2, (2, 3), np.nan)
+    binf = save_with_nonfinite(files, "binf.field", SampledTwoFormField,
+                               "two_form", 0.5 * J2, (4, 1), np.inf)
+    for argv, point in ((["gauge-apply", pinan, files / "b.field"], "(2, 3)"),
+                        (["gauge-check", files / "pi.field", binf], "(4, 1)")):
+        code = main([str(a) for a in argv] + ["--quiet"])
+        out = capsys.readouterr().out
+        assert code == 2, argv
+        assert "NaN" not in out and "Infinity" not in out
+        assert point in json.loads(out)["error"]["message"]
+
+
 def test_reports_are_byte_identical(files, capsys):
     code1 = main(["picard", str(files / "z4.json"), "--quiet"])
     out1 = capsys.readouterr().out

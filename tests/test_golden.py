@@ -4,7 +4,9 @@ Each case runs one subcommand through ``cli.main`` on fixed inputs and
 compares the exit code, the SHA-256 of the sorted ``result`` (and
 ``error``) JSON and, for commands that write a file, the SHA-256 of that
 file with digests recorded before the searches were merged into the
-shared kernels of ``moritakit._search``.  The inputs exercise
+shared kernels of ``moritakit._search`` (the two ``--method formula``
+cases: before Out and Pic were taken through ``quotient_group``).  The
+inputs exercise
 the searches whose first witness is part of the answer: orbit matching
 on a disjoint union, the TSS vertex and edge maps of a relabelled
 circulant graph, parallel-edge automorphisms and emitted Morita
@@ -83,6 +85,9 @@ CASES = {
     "picard-union": (["picard", "du3.json"], None),
     "picard-formula-inapplicable": (["picard", "du.json", "--method", "formula"], None),
     "picard-q8": (["picard", "q8.json"], None),
+    "picard-q8-formula": (["picard", "q8.json", "--method", "formula"], None),
+    "picard-v4bundle-formula": (["picard", "v4bundle.json", "--method", "formula"],
+                                None),
     "verify-exact-z4": (["verify-exact", "z4.json"], None),
     "verify-exact-q8": (["verify-exact", "q8.json"], None),
     "verify-exact-union": (["verify-exact", "du.json"], None),
@@ -136,7 +141,11 @@ GOLDEN = {
         None),
     "picard-q8": (0, "e83858bda9caae727fe89490b85c84a5634676d9295fc1940736996cf3c8ffa1",
         None),
+    "picard-q8-formula": (0, "2d2138f35654951008481ed9b6b47162dad57913934a3ae87937875cd6addc26",
+        None),
     "picard-union": (0, "b66063b88f5303687d17f3e7cc86ab2830e0e5b993c5fcf18f566f93ab65c469",
+        None),
+    "picard-v4bundle-formula": (0, "05ddc5ec60debed78d511c9eaab9ccdaa8edc4bacd70e988a629766bf4d1723b",
         None),
     "tss-genus": (0, "fd0ade184ad703e6c6aebf65f481be0471346c848807194226a7018788ddaa46",
         None),

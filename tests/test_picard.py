@@ -6,7 +6,7 @@ from moritakit import picard
 from moritakit.bibundles import (bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, morita_equivalent)
 from moritakit.errors import FormulaInapplicable
-from moritakit.groups import (cyclic_group, group_isomorphic, klein_four_group,
+from moritakit.groups import (FiniteGroup, cyclic_group, group_isomorphic, klein_four_group,
                               quaternion_group, symmetric_group, trivial_group,
                               validate_group)
 from moritakit.groupoids import (GroupoidHom, bundle_of_groups, disjoint_union,
@@ -289,6 +289,22 @@ def test_j_homomorphism_checked_on_every_automorphism_pair(monkeypatch):
                 if j_of[i] == j_of[j] == late]
     assert not check["ok"]
     assert check["witnesses"] == expected
+
+
+def test_bisection_sequence_checked_on_every_bisection_pair(monkeypatch):
+    # Bis(pair(3)) is S3 and sliding is injective, so redirecting one
+    # product to another non-identity bisection breaks exactly that pair.
+    g = pair_groupoid(3)
+    bis = bisections(g)
+    i = j = len(bis) - 1
+    table = [list(row) for row in bis.table]
+    table[i][j] = next(v for v in range(len(bis))
+                       if v not in (bis.identity, table[i][j]))
+    broken = FiniteGroup(bis.elements, table, bis.payload)
+    monkeypatch.setattr(picard, "bisections", lambda g: broken)
+    check = verify_exact_sequences(g).checks["bisection-sequence"]
+    assert not check["ok"]
+    assert check["witnesses"] == [(bis.elements[i], bis.elements[j])]
 
 
 def test_exactness_orders_multiply():
