@@ -25,6 +25,6 @@ from .picard import (Bisection, PicardGroup, automorphisms, bisections,
                      j_homomorphism, lemma_section_check, outaut,
                      picard_group, static_picard, verify_exact_sequences)
 from .tss import (LabeledSurfaceGraph, PicardIngredients, TssIsomorphism,
-                  gauge_equivalent_tss, graph_automorphisms,
-                  morita_equivalent_tss, picard_ingredients,
-                  poisson_isomorphic_tss, surface_genus, validate_tss)
+                  graph_automorphisms, morita_equivalent_tss,
+                  picard_ingredients, poisson_isomorphic_tss, surface_genus,
+                  validate_tss)

@@ -25,10 +25,6 @@ class NotLeftPrincipal(MoritaKitError):
     """Tensor factors must be left principal."""
 
 
-class FormulaInapplicable(MoritaKitError):
-    """Closed-form Picard computation requested outside its domain."""
-
-
 class MissingVolume(MoritaKitError):
     """Poisson isomorphism test needs the volume invariant on both graphs."""
 

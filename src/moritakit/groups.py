@@ -90,10 +90,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        n = len(self.elements)
-        return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i))
-
     def center(self) -> tuple[int, ...]:
         n = len(self.elements)
         return tuple(z for z in range(n)

@@ -198,12 +198,6 @@ def morita_equivalent_tss(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
     return next(_isomorphisms(g1, g2, period_tolerance), None)
 
 
-def gauge_equivalent_tss(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
-                         tol: float = 0.0) -> TssIsomorphism | None:
-    """Gauge equivalence coincides with Morita equivalence for these graphs."""
-    return morita_equivalent_tss(g1, g2, tol)
-
-
 def poisson_isomorphic_tss(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
                            tol: float = 0.0) -> TssIsomorphism | None:
     """Morita equivalence plus agreement of the regularized volume."""

@@ -90,16 +90,17 @@ def test_picard_command_and_formula_exit(files, capsys):
     assert code == 0
     assert report["result"]["order"] == 2
     assert report["result"]["method"] == "enumeration"
-    assert report["result"]["cross_checked"] == ["transitive-formula"]
-    # formula on a disjoint union is a precondition failure: exit 2
+    assert report["result"]["cross_checked"] == ["skeleton-formula"]
+    # the formula also covers orbits with different isotropy groups
     from moritakit.groupoids import disjoint_union
     save_groupoid(disjoint_union(pair_groupoid(2),
                                  group_as_groupoid(cyclic_group(3))),
                   files / "du.json")
     code, report = run(capsys, "picard", files / "du.json",
                        "--method", "formula", "--quiet")
-    assert code == 2
-    assert report["error"]["type"] == "FormulaInapplicable"
+    assert code == 0
+    assert report["result"]["order"] == 2
+    assert report["result"]["method"] == "skeleton-formula"
 
 
 def test_verify_exact_command(files, capsys):

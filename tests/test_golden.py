@@ -4,9 +4,13 @@ Each case runs one subcommand through ``cli.main`` on fixed inputs and
 compares the exit code, the SHA-256 of the sorted ``result`` (and
 ``error``) JSON and, for commands that write a file, the SHA-256 of that
 file with digests recorded before the searches were merged into the
-shared kernels of ``moritakit._search`` (the two ``--method formula``
-cases: before Out and Pic were taken through ``quotient_group``).  The
-inputs exercise
+shared kernels of ``moritakit._search``.  The five ``picard`` cases whose
+answer names the formula were re-recorded when the two special-case
+formulas became the one skeleton formula: ``picard-q8`` and
+``picard-union`` (its cross-check), ``picard-q8-formula`` and
+``picard-v4bundle-formula`` (method, and Out's bracketed coset names on
+the bundle), and ``picard-union-formula`` (a disjoint union with
+different isotropy, which the old formula refused).  The inputs exercise
 the searches whose first witness is part of the answer: orbit matching
 on a disjoint union, the TSS vertex and edge maps of a relabelled
 circulant graph, parallel-edge automorphisms and emitted Morita
@@ -83,7 +87,7 @@ CASES = {
     "aut-union": (["aut", "du.json"], None),
     "bisections-union": (["bisections", "du.json"], None),
     "picard-union": (["picard", "du3.json"], None),
-    "picard-formula-inapplicable": (["picard", "du.json", "--method", "formula"], None),
+    "picard-union-formula": (["picard", "du.json", "--method", "formula"], None),
     "picard-q8": (["picard", "q8.json"], None),
     "picard-q8-formula": (["picard", "q8.json", "--method", "formula"], None),
     "picard-v4bundle-formula": (["picard", "v4bundle.json", "--method", "formula"],
@@ -137,15 +141,15 @@ GOLDEN = {
         None),
     "out-v4bundle": (0, "8090425daf888d590e7f3c018a9549f6ac9438d1e9e9f3e6265aef3fd02df710",
         None),
-    "picard-formula-inapplicable": (2, "1d0ede7692789a50055e831020fd18759f7cea5d79b74d670cba3afd802b1f44",
+    "picard-q8": (0, "dd0c324c7b453116c1f42cc4b220bb80c3a7ff3535cbd7efac6de705082bdcf8",
         None),
-    "picard-q8": (0, "e83858bda9caae727fe89490b85c84a5634676d9295fc1940736996cf3c8ffa1",
+    "picard-q8-formula": (0, "08e56edcefde51bc6401c7d5ab91db8c84ded711568b14e60e4000f13268b83d",
         None),
-    "picard-q8-formula": (0, "2d2138f35654951008481ed9b6b47162dad57913934a3ae87937875cd6addc26",
+    "picard-union": (0, "b5b08d39229bb8a06a306ef147f98250b4b9ae30a97188fc28a0e4442dcc012a",
         None),
-    "picard-union": (0, "b66063b88f5303687d17f3e7cc86ab2830e0e5b993c5fcf18f566f93ab65c469",
+    "picard-union-formula": (0, "be10ad4c1f9aef9b48163ed75e97f8a149c2e2089f71f3cc4058434bf91cd762",
         None),
-    "picard-v4bundle-formula": (0, "05ddc5ec60debed78d511c9eaab9ccdaa8edc4bacd70e988a629766bf4d1723b",
+    "picard-v4bundle-formula": (0, "c743df1aaf86418a793cae22980987e728f6ca7138da1d46e581c2fb9dfbe95b",
         None),
     "tss-genus": (0, "fd0ade184ad703e6c6aebf65f481be0471346c848807194226a7018788ddaa46",
         None),

@@ -1,11 +1,8 @@
 import dataclasses
 
-import pytest
-
 from moritakit import picard
 from moritakit.bibundles import (bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, morita_equivalent)
-from moritakit.errors import FormulaInapplicable
 from moritakit.groups import (FiniteGroup, cyclic_group, group_isomorphic, klein_four_group,
                               quaternion_group, symmetric_group, trivial_group,
                               validate_group)
@@ -118,22 +115,24 @@ def test_picard_specific_values():
 
 def test_picard_formula_matches_enumeration_when_applicable():
     for name, g in corpus_groupoids():
-        try:
-            closed = picard_group(g, "formula")
-        except FormulaInapplicable:
-            continue
+        closed = picard_group(g, "formula")
         pic = picard_group(g, "enumerate")
         assert group_isomorphic(pic.as_group(), closed.as_group()) is not None, name
 
 
-def test_formula_inapplicable_cases():
-    du = disjoint_union(pair_groupoid(2), z_groupoid(3))
-    with pytest.raises(FormulaInapplicable):
-        picard_group(du, "formula")
-    nonabelian = bundle_of_groups({"a": symmetric_group(3),
-                                   "b": cyclic_group(2)})
-    with pytest.raises(FormulaInapplicable):
-        picard_group(nonabelian, "formula")
+def test_formula_covers_every_groupoid():
+    # a disjoint union of orbits with different isotropy, a bundle with a
+    # non-abelian fibre, and a bundle whose two fibres can be swapped
+    s3 = symmetric_group(3)
+    cases = [(disjoint_union(pair_groupoid(2), z_groupoid(3)), 2),
+             (bundle_of_groups({"a": s3, "b": cyclic_group(2)}), 1),
+             (bundle_of_groups({"a": s3, "b": s3}), 2)]
+    for g, order in cases:
+        closed = picard_group(g, "formula")
+        assert closed.method == "skeleton-formula"
+        assert len(closed) == order
+        pic = picard_group(g, "enumerate")
+        assert group_isomorphic(pic.as_group(), closed.as_group()) is not None
 
 
 def test_picard_enumeration_complete_against_raw_search():
@@ -305,6 +304,18 @@ def test_bisection_sequence_checked_on_every_bisection_pair(monkeypatch):
     check = verify_exact_sequences(g).checks["bisection-sequence"]
     assert not check["ok"]
     assert check["witnesses"] == [(bis.elements[i], bis.elements[j])]
+
+
+def test_verify_exact_builds_bisections_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return bisections(g)
+
+    monkeypatch.setattr(picard, "bisections", counted)
+    assert verify_exact_sequences(group_as_groupoid(quaternion_group())).ok
+    assert len(calls) == 1
 
 
 def test_exactness_orders_multiply():

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from moritakit.errors import InconsistentTopology, MissingVolume
 from moritakit.groups import symmetric_group, group_isomorphic, validate_group
-from moritakit.tss import (LabeledSurfaceGraph, gauge_equivalent_tss,
-                           graph_automorphisms, morita_equivalent_tss,
-                           picard_ingredients, poisson_isomorphic_tss,
-                           surface_genus, validate_tss)
+from moritakit.tss import (LabeledSurfaceGraph, graph_automorphisms,
+                           morita_equivalent_tss, picard_ingredients,
+                           poisson_isomorphic_tss, surface_genus, validate_tss)
 
 from support import (perturb_one_period, random_tss, shuffled_copy,
                      tss_isomorphic_oracle)
@@ -84,8 +83,9 @@ def test_orientation_matters_but_reversal_mode_exists():
 
 
 def test_gauge_equivalence_delegates():
-    assert gauge_equivalent_tss(sphere(), sphere()) is not None
-    assert gauge_equivalent_tss(sphere(1.0), sphere(2.0)) is None
+    # gauge equivalence of these graphs is decided by Morita equivalence
+    assert morita_equivalent_tss(sphere(), sphere()) is not None
+    assert morita_equivalent_tss(sphere(1.0), sphere(2.0)) is None
 
 
 def test_poisson_isomorphism_needs_volume():
