@@ -455,137 +455,84 @@ def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
 
 
 # ---------------------------------------------------------------------------
-# frames: spanning data used to enumerate functors and isomorphisms
+# functor enumeration: one spanning tree per orbit
 
-class _Frame:
-    """Per-orbit spanning data: root, tree arrows root->x, isotropy group."""
+def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
+    """Yield the functors g1 -> g2 (only the invertible ones if asked).
 
-    def __init__(self, g: FiniteGroupoid, block: tuple[int, ...]):
-        self.root = block[0]
-        self.block = block
-        tree = {self.root: g.unit[self.root]}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for a in g.s_fiber(x):
-                    y = g.tgt[a]
-                    if y not in tree:
-                        # a : x -> y composed with tree[x] : root -> x
-                        tree[y] = g.comp[(a, tree[x])]
-                        nxt.append(y)
-            frontier = nxt
-        self.tree = tree  # object -> arrow root -> object
-        self.iso_group = isotropy(g, g.objects[self.root])
-        self.iso_pos = {a: i for i, a in enumerate(g.isotropy_arrows(self.root))}
-
-    def decompose(self, g: FiniteGroupoid, arrow: int) -> tuple[int, int, int]:
-        """Write arrow x->y as tree[y] . h . tree[x]^-1 with h isotropic."""
-        x, y = g.src[arrow], g.tgt[arrow]
-        h = g.comp[(g.comp[(g.inv[self.tree[y]], arrow)], self.tree[x])]
-        return x, y, self.iso_pos[h]
-
-
-def _frames(g: FiniteGroupoid) -> list[_Frame]:
-    return [_Frame(g, block) for block in orbit_partition(g)]
-
-
-def _assemble_hom(g1: FiniteGroupoid, g2: FiniteGroupoid, frames, choices) -> GroupoidHom:
-    """Build the functor determined by per-orbit frame choices.
-
-    ``choices[k] = (root_image, phi, b)`` where ``phi`` maps isotropy
-    element positions into the isotropy of ``root_image`` and ``b[x]`` is
-    the arrow image of the tree arrow to object ``x``.
+    Each orbit of g1 gets a root r (its smallest object) and a breadth-first
+    spanning tree of arrows t_y : r -> y.  Every arrow a : x -> y is then
+    t_y . h . t_x^-1 for one loop h at r, and is decomposed so once per
+    call.  A functor is fixed freely, per orbit, by an image r' of r, a
+    homomorphism from the isotropy at r to the isotropy at r', and an image
+    arrow starting at r' for each tree arrow.  It is invertible exactly
+    when each orbit goes onto its own orbit of g2 by an isomorphism of
+    isotropy, with tree images ending at distinct objects other than r'.
+    Choices come orbit by orbit, each in the order of r', the homomorphism
+    and the tree images; for isomorphisms the tree images are grouped by
+    the object they end at.
     """
-    obj_map = [None] * g1.n_objects
-    arr_map = [None] * g1.n_arrows
-    frame_of = {}
-    for k, frame in enumerate(frames):
-        for x in frame.block:
-            frame_of[x] = k
-    for frame, (root_img, phi, b) in zip(frames, choices):
-        for x in frame.block:
-            obj_map[x] = g2.tgt[b[x]]
-    for i in range(g1.n_arrows):
-        k = frame_of[g1.src[i]]
-        frame = frames[k]
-        root_img, phi, b = choices[k]
-        x, y, hpos = frame.decompose(g1, i)
-        h_img = g2.isotropy_arrows(root_img)[phi[hpos]]
-        arr_map[i] = g2.comp[(g2.comp[(b[y], h_img)], g2.inv[b[x]])]
-    return GroupoidHom(g1, g2, tuple(obj_map), tuple(arr_map))
+    if bijective and (g1.n_objects != g2.n_objects or g1.n_arrows != g2.n_arrows):
+        return
+    blocks = orbit_partition(g1)
+    homs = group_isomorphisms if bijective else group_homomorphisms
+    iso2 = [isotropy(g2, x) for x in g2.objects]
+    targets = orbit_partition(g2) if bijective else [range(g2.n_objects)]
+    ends = g2.tgt.__getitem__
+    slots, decomposed = [], []
+    for k, block in enumerate(blocks):
+        root, rest = block[0], block[1:]
+        tree, queue = {root: g1.unit[root]}, [root]
+        for x in queue:  # breadth first, the queue growing as we walk it
+            for a in g1.s_fiber(x):
+                y = g1.tgt[a]
+                if y not in tree:
+                    tree[y] = g1.comp[(a, tree[x])]  # a after tree[x] : root -> x
+                    queue.append(y)
+        pos = {h: i for i, h in enumerate(g1.isotropy_arrows(root))}
+        for x in block:
+            for a in g1.s_fiber(x):
+                y = g1.tgt[a]
+                h = g1.comp[(g1.comp[(g1.inv[tree[y]], a)], tree[x])]
+                decomposed.append((a, k, x, y, pos[h]))
+        iso1 = isotropy(g1, g1.objects[root])
+        options = []
+        for t, target in enumerate(targets):
+            if bijective and len(target) != len(block):
+                continue
+            for r in target:
+                loops = g2.isotropy_arrows(r)
+                if bijective:
+                    fiber = sorted((b for b in g2.s_fiber(r) if g2.tgt[b] != r), key=ends)
+                    trees = list(_injective([fiber] * len(rest), ends))
+                else:
+                    trees = list(product(g2.s_fiber(r), repeat=len(rest)))
+                for phi in homs(iso1, iso2[r]):
+                    images = [loops[v] for v in phi]
+                    options.extend((t, images, (g2.unit[r],) + b) for b in trees)
+        slots.append(options)
+    comp, inv = g2.comp, g2.inv
+    for choice in (_injective(slots, lambda o: o[0]) if bijective else product(*slots)):
+        tree_img = [None] * g1.n_objects
+        for block, (_, _, b) in zip(blocks, choice):
+            for x, a in zip(block, b):
+                tree_img[x] = a
+        arr_map = [None] * g1.n_arrows
+        for a, k, x, y, h in decomposed:
+            arr_map[a] = comp[(comp[(tree_img[y], choice[k][1][h])], inv[tree_img[x]])]
+        yield GroupoidHom(g1, g2, tuple(map(ends, tree_img)), tuple(arr_map))
 
 
 def enumerate_functors(g1: FiniteGroupoid, g2: FiniteGroupoid):
-    """Yield every functor g1 -> g2, in a fixed deterministic order.
-
-    A functor is determined freely by, per orbit of g1: an image object
-    for the root, a group homomorphism on the root isotropy, and an
-    arbitrary image arrow (starting at the root image) for each spanning
-    tree arrow.
-    """
-    frames = _frames(g1)
-    iso2 = [isotropy(g2, x) for x in g2.objects]
-    per_orbit = []
-    for frame in frames:
-        local = []
-        for root_img in range(g2.n_objects):
-            homs = group_homomorphisms(frame.iso_group, iso2[root_img])
-            fiber = g2.s_fiber(root_img)
-            nonroots = [x for x in frame.block if x != frame.root]
-            for phi in homs:
-                for combo in product(fiber, repeat=len(nonroots)):
-                    b = {frame.root: g2.unit[root_img]}
-                    for x, a in zip(nonroots, combo):
-                        b[x] = a
-                    local.append((root_img, phi, b))
-        per_orbit.append(local)
-    for choices in product(*per_orbit):
-        yield _assemble_hom(g1, g2, frames, choices)
-
-
-def _isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid):
-    """Yield the invertible functors g1 -> g2, in search order."""
-    if g1.n_objects != g2.n_objects or g1.n_arrows != g2.n_arrows:
-        return
-    blocks1, blocks2 = orbit_partition(g1), orbit_partition(g2)
-    if sorted(map(len, blocks1)) != sorted(map(len, blocks2)):
-        return
-    frames1 = _frames(g1)
-    frames2 = _frames(g2)
-    iso2 = [isotropy(g2, x) for x in g2.objects]
-    candidates = [[f2 for f2 in frames2
-                   if len(f1.block) == len(f2.block)
-                   and len(f1.iso_group) == len(f2.iso_group)]
-                  for f1 in frames1]
-    for matching in _injective(candidates, lambda f2: f2.root):
-        per_orbit = []
-        for f1, f2 in zip(frames1, matching):
-            local = []
-            nonroots = [x for x in f1.block if x != f1.root]
-            for root_img in f2.block:
-                targets = [z for z in f2.block if z != root_img]
-                for phi in group_isomorphisms(f1.iso_group, iso2[root_img]):
-                    for assign in _injective([targets] * len(nonroots), lambda z: z):
-                        arrow_choices = [g2.hom(root_img, z) for z in assign]
-                        for combo in product(*arrow_choices):
-                            b = {f1.root: g2.unit[root_img]}
-                            for x, a in zip(nonroots, combo):
-                                b[x] = a
-                            local.append((root_img, phi, b))
-            if not local:
-                break
-            per_orbit.append(local)
-        else:
-            for choices in product(*per_orbit):
-                yield _assemble_hom(g1, g2, frames1, choices)
+    """Yield every functor g1 -> g2, in a fixed deterministic order."""
+    yield from _functors(g1, g2, bijective=False)
 
 
 def groupoid_isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid) -> list[GroupoidHom]:
     """All invertible functors g1 -> g2, sorted by key."""
-    return sorted(_isomorphisms(g1, g2), key=GroupoidHom.key)
+    return sorted(_functors(g1, g2, bijective=True), key=GroupoidHom.key)
 
 
 def groupoid_isomorphic(g1: FiniteGroupoid, g2: FiniteGroupoid) -> GroupoidHom | None:
     """An isomorphism g1 -> g2 if one exists, found by exhaustive search."""
-    return next(_isomorphisms(g1, g2), None)
+    return next(_functors(g1, g2, bijective=True), None)

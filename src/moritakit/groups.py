@@ -302,49 +302,30 @@ def _generating_sequence(g: FiniteGroup) -> list[int]:
     return gens
 
 
-def _words(g: FiniteGroup, gens) -> list[tuple[int, ...]]:
-    """A word over ``gens`` for every element, found by BFS."""
-    words = {g.identity: ()}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gidx in gens:
-                y = g.table[x][gidx]
-                if y not in words:
-                    words[y] = words[x] + (gidx,)
-                    nxt.append(y)
-        frontier = nxt
-    if len(words) != len(g):
-        raise ValueError("generators do not generate")
-    return [words[x] for x in range(len(g))]
-
-
-def _extend_map(g: FiniteGroup, h: FiniteGroup, gens, words, images):
-    """Total map induced by generator images, or None if inconsistent."""
-    img = {gens[i]: images[i] for i in range(len(gens))}
-    out = []
-    for word in words:
-        v = h.identity
-        for gidx in word:
-            v = h.table[v][img[gidx]]
-        out.append(v)
-    for i, j in product(range(len(g)), repeat=2):
-        if out[g.table[i][j]] != h.table[out[i]][out[j]]:
-            return None
-    return tuple(out)
-
-
 def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
     """Yield the homomorphisms g -> h (only the bijective ones if asked).
 
     Generators go only to elements whose order divides theirs (equals it,
     for isomorphisms); maps come in the order of the generator images.
+    Images are spread from the identity along the Cayley graph edges; they
+    define a homomorphism exactly when every edge x -> x s agrees, that is
+    when the image of x s is the image of x times the image of s.
     """
     if bijective and (len(g) != len(h) or g.order_profile() != h.order_profile()):
         return
     gens = _generating_sequence(g)
-    words = _words(g, gens)
+    # Cayley graph edges (x, k, x gens[k]) breadth first from the identity,
+    # so each x is the identity or the head of an earlier edge
+    reached, seen, edges = [g.identity], {g.identity}, []
+    for x in reached:  # the queue grows as we walk it
+        for k, s in enumerate(gens):
+            y = g.table[x][s]
+            edges.append((x, k, y))
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    if len(reached) != len(g):
+        raise ValueError("generators do not generate")
     h_orders = [h.element_order(i) for i in range(len(h))]
     candidates = []
     for gidx in gens:
@@ -352,9 +333,17 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
         candidates.append([i for i in range(len(h))
                            if (h_orders[i] == o if bijective else o % h_orders[i] == 0)])
     for images in product(*candidates):
-        out = _extend_map(g, h, gens, words, images)
-        if out is not None and (not bijective or len(set(out)) == len(g)):
-            yield out
+        out = [None] * len(g)
+        out[g.identity] = h.identity
+        for x, k, y in edges:
+            v = h.table[out[x]][images[k]]
+            if out[y] is None:
+                out[y] = v
+            elif out[y] != v:
+                break
+        else:
+            if not bijective or len(set(out)) == len(g):
+                yield tuple(out)
 
 
 def group_homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[tuple[int, ...]]:

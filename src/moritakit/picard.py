@@ -29,8 +29,8 @@ from .errors import MoritaKitError
 from .groups import (FiniteGroup, _cayley, group_isomorphic, quotient_group,
                      subgroup)
 from .groupoids import (FiniteGroupoid, GroupoidHom, bundle_of_groups,
-                        enumerate_functors, groupoid_isomorphisms,
-                        identity_hom, isotropy, orbit_partition)
+                        enumerate_functors, groupoid_isomorphisms, isotropy,
+                        orbit_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +105,17 @@ def outaut(g: FiniteGroupoid, aut: FiniteGroup | None = None) -> FiniteGroup:
 def ciso_bisections(g: FiniteGroupoid, bis: FiniteGroup | None = None) -> FiniteGroup:
     """Bisections inducing the trivial inner automorphism.
 
-    These take values in the centers of the isotropy groups and are
-    invariant under conjugation along arrows; the implementation takes the
-    kernel of the sliding map directly.
+    These are the bisections N whose every N(x) is a loop at x and which
+    commute with every arrow, N(t a) . a = a . N(s a); that is, they take
+    values in the centers of the isotropy groups and are invariant under
+    conjugation along arrows.
     """
     if bis is None:
         bis = bisections(g)
-    ident = identity_hom(g).key()
     idx = [i for i, n in enumerate(bis.payload)
-           if inner_automorphism(g, n).key() == ident]
+           if all(g.tgt[a] == x for x, a in enumerate(n.arrows))
+           and all(g.comp[(n.arrows[g.tgt[a]], a)] == g.comp[(a, n.arrows[g.src[a]])]
+                   for a in range(g.n_arrows))]
     return subgroup(bis, idx)
 
 

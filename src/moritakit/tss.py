@@ -130,10 +130,12 @@ def surface_genus(g: LabeledSurfaceGraph) -> int:
 # labeled-graph isomorphism
 
 def _edge_groups(g: LabeledSurfaceGraph) -> dict:
+    """Edge indices per ordered vertex pair, each list in period order."""
     groups = {}
     for i, (t, h, p) in enumerate(g.edges):
         groups.setdefault((t, h), []).append(i)
-    return groups
+    return {pair: sorted(idxs, key=lambda i: g.edges[i][2])
+            for pair, idxs in groups.items()}
 
 
 def _vertex_signature(g: LabeledSurfaceGraph, v: int, exact_periods: bool):
@@ -145,15 +147,14 @@ def _vertex_signature(g: LabeledSurfaceGraph, v: int, exact_periods: bool):
     return (g.genus[v], len(out), len(inc), loops)
 
 
-def _edge_bijection(g1, g2, vmap, tol):
+def _edge_bijection(g1, g2, groups1, groups2, vmap, tol):
     """Edge map induced by a vertex bijection, or None.
 
-    Within each ordered vertex pair, edges are matched in period order;
-    for a uniform tolerance on the line, the sorted pairing succeeds
-    whenever any pairing does.
+    ``groups1`` and ``groups2`` are the graphs' ``_edge_groups``, so
+    within each ordered vertex pair edges are matched in period order; for
+    a uniform tolerance on the line, the sorted pairing succeeds whenever
+    any pairing does.
     """
-    groups1 = _edge_groups(g1)
-    groups2 = _edge_groups(g2)
     mapped = {(vmap[t], vmap[h]): idxs for (t, h), idxs in groups1.items()}
     if set(mapped) != set(groups2):
         return None
@@ -162,9 +163,7 @@ def _edge_bijection(g1, g2, vmap, tol):
         idxs2 = groups2[key]
         if len(idxs1) != len(idxs2):
             return None
-        by_p1 = sorted(idxs1, key=lambda i: g1.edges[i][2])
-        by_p2 = sorted(idxs2, key=lambda i: g2.edges[i][2])
-        for a, b in zip(by_p1, by_p2):
+        for a, b in zip(idxs1, idxs2):
             if abs(g1.edges[a][2] - g2.edges[b][2]) > tol:
                 return None
             edge_map[a] = b
@@ -183,11 +182,12 @@ def _isomorphisms(g1, g2, tol):
     candidates = [[w for w in range(g2.n_vertices) if sig2[w] == sig1[v]]
                   for v in range(g1.n_vertices)]
     order = sorted(range(g1.n_vertices), key=lambda v: len(candidates[v]))
+    groups1, groups2 = _edge_groups(g1), _edge_groups(g2)
     vmap = [None] * g1.n_vertices
     for images in _injective([candidates[v] for v in order], lambda w: w):
         for v, w in zip(order, images):
             vmap[v] = w
-        emap = _edge_bijection(g1, g2, tuple(vmap), tol)
+        emap = _edge_bijection(g1, g2, groups1, groups2, tuple(vmap), tol)
         if emap is not None:
             yield TssIsomorphism(tuple(vmap), emap)
 

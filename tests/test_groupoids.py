@@ -1,15 +1,19 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moritakit.errors import InvalidAction, NotPrincipal
-from moritakit.groups import (cyclic_group, group_homomorphisms, symmetric_group,
-                              trivial_group)
-from moritakit.groupoids import (FiniteGroupoid, PrincipalBundleData,
-                                 action_groupoid, bundle_of_groups,
-                                 disjoint_union, gauge_groupoid,
+from moritakit.groups import (cyclic_group, group_homomorphisms, klein_four_group,
+                              symmetric_group, trivial_group)
+from moritakit.groupoids import (FiniteGroupoid, GroupoidHom,
+                                 PrincipalBundleData, action_groupoid,
+                                 bundle_of_groups, disjoint_union,
+                                 enumerate_functors, gauge_groupoid,
                                  group_as_groupoid, groupoid_isomorphic,
-                                 isotropy, is_transitive, orbits,
-                                 pair_groupoid, validate)
+                                 groupoid_isomorphisms, isotropy,
+                                 is_transitive, orbits, pair_groupoid,
+                                 validate)
 from moritakit.groups import validate_group
 
 from support import corpus_groupoids, gauge_over
@@ -139,6 +143,50 @@ def test_groupoid_isomorphic_examples():
     k4 = group_as_groupoid(
         __import__("moritakit.groups", fromlist=["klein_four_group"]).klein_four_group())
     assert groupoid_isomorphic(z4, k4) is None
+
+
+def test_isomorphisms_are_the_bijective_functors():
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    pair2_z3 = disjoint_union(pair_groupoid(2), group_as_groupoid(z3))
+    pairs = [
+        # equal object and arrow counts, not isomorphic
+        (bundle_of_groups({"a": z2, "b": z2}), pair_groupoid(2)),
+        (group_as_groupoid(cyclic_group(4)), group_as_groupoid(klein_four_group())),
+        # several orbits, summands in the other order
+        (pair2_z3, disjoint_union(group_as_groupoid(z3), pair_groupoid(2))),
+        (disjoint_union(pair_groupoid(2), pair_groupoid(3)),
+         disjoint_union(pair_groupoid(3), pair_groupoid(2))),
+    ]
+    pairs += [(g, g) for _, g in corpus_groupoids() if g.n_arrows <= 9]
+    for g1, g2 in pairs:
+        expected = sorted((f for f in enumerate_functors(g1, g2) if f.is_bijective()),
+                          key=GroupoidHom.key)
+        found = groupoid_isomorphisms(g1, g2)
+        assert [f.key() for f in found] == [f.key() for f in expected], (g1, g2)
+        first = groupoid_isomorphic(g1, g2)
+        assert (first is None) == (not expected)
+        assert first is None or first.key() in {f.key() for f in expected}
+
+
+def test_functor_enumeration_order_is_pinned():
+    # The first biprincipal functor met in each Picard class becomes the
+    # class representative, so the order is part of every Picard answer.
+    z3 = cyclic_group(3)
+    cases = {
+        "pair4": (pair_groupoid(4), 256,
+                  "e04f749023c3a0a351e60df3d5af72ff14373632624e62a0cf34204283d8d0cd"),
+        "S3": (group_as_groupoid(symmetric_group(3)), 10,
+               "cc552410fe06d7d24bef16ce5b3d7b42c032526595dec4e6eec65320dce2efc7"),
+        "Z3 bundle over 3 points": (
+            bundle_of_groups({"a": z3, "b": z3, "c": z3}), 729,
+            "9b3f1f65779f835137e42842a50bce4aa7aab7abb39475886942eb30e8ffbbe6"),
+        "pair2+pair3": (disjoint_union(pair_groupoid(2), pair_groupoid(3)), 455,
+                        "5ddb6168ca7dc4d5035590b7f2a562cb67e459084f4dd5428bc1a53038036816"),
+    }
+    for name, (g, count, digest) in cases.items():
+        keys = [f.key() for f in enumerate_functors(g, g)]
+        assert len(keys) == count, name
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest, name
 
 
 def test_decomposition_into_gauge_groupoids():

@@ -1,3 +1,5 @@
+from math import gcd
+
 from moritakit.groups import (FiniteGroup, automorphism_group, cyclic_group,
                               dihedral_group, direct_product, group_homomorphisms,
                               group_isomorphic, group_isomorphisms,
@@ -67,6 +69,25 @@ def test_homomorphism_enumeration_counts():
     # End(Z4) has 4 elements, two of which are automorphisms
     assert len(group_homomorphisms(cyclic_group(4), cyclic_group(4))) == 4
     assert len(group_isomorphisms(cyclic_group(4), cyclic_group(4))) == 2
+
+
+def test_homomorphisms_pass_the_full_product_check():
+    groups = [trivial_group(), cyclic_group(4), cyclic_group(6), symmetric_group(3),
+              dihedral_group(4), quaternion_group(), klein_four_group()]
+    for g in groups:
+        for h in groups:
+            homs = group_homomorphisms(g, h)
+            assert homs
+            for phi in homs:
+                assert all(phi[g.mul(i, j)] == h.mul(phi[i], phi[j])
+                           for i in range(len(g)) for j in range(len(g)))
+
+
+def test_cyclic_homomorphism_counts_are_gcds():
+    for m in range(1, 9):
+        for n in range(1, 9):
+            homs = group_homomorphisms(cyclic_group(m), cyclic_group(n))
+            assert len(homs) == gcd(m, n), (m, n)
 
 
 def test_subgroup_and_quotient():

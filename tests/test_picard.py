@@ -318,6 +318,18 @@ def test_verify_exact_builds_bisections_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_exact_slides_each_bisection_once(monkeypatch):
+    calls = []
+
+    def counted(g, n):
+        calls.append(n)
+        return inner_automorphism(g, n)
+
+    monkeypatch.setattr(picard, "inner_automorphism", counted)
+    assert verify_exact_sequences(group_as_groupoid(quaternion_group())).ok
+    assert len(calls) == 8  # |Bis(Q8)|
+
+
 def test_exactness_orders_multiply():
     for name, g in corpus_groupoids()[:10]:
         report = verify_exact_sequences(g)

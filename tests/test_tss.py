@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moritakit import tss
 from moritakit.errors import InconsistentTopology, MissingVolume
 from moritakit.groups import symmetric_group, group_isomorphic, validate_group
 from moritakit.tss import (LabeledSurfaceGraph, graph_automorphisms,
@@ -86,6 +87,26 @@ def test_gauge_equivalence_delegates():
     # gauge equivalence of these graphs is decided by Morita equivalence
     assert morita_equivalent_tss(sphere(), sphere()) is not None
     assert morita_equivalent_tss(sphere(1.0), sphere(2.0)) is None
+
+
+def test_search_builds_edge_groups_once_per_graph(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return edge_groups(g)
+
+    edge_groups = tss._edge_groups
+    monkeypatch.setattr(tss, "_edge_groups", counted)
+
+    def circulant(steps):
+        names = [f"v{i}" for i in range(6)]
+        edges = [(names[i], names[(i + s) % 6], 1.0) for i in range(6) for s in steps]
+        return LabeledSurfaceGraph(names, {v: 0 for v in names}, edges)
+
+    # every vertex has the same signature, so all 6! vertex maps are tried
+    assert morita_equivalent_tss(circulant((1, 2)), circulant((1, 3))) is None
+    assert len(calls) == 2
 
 
 def test_poisson_isomorphism_needs_volume():
