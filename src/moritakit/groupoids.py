@@ -457,6 +457,22 @@ def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
 # ---------------------------------------------------------------------------
 # functor enumeration: one spanning tree per orbit
 
+def _spanning_tree(g: FiniteGroupoid, root: int) -> dict[int, int]:
+    """Breadth-first spanning tree of root's orbit: y -> an arrow root -> y.
+
+    The root gets its unit; the other objects are reached along source
+    fibres in arrow order, so the tree is fixed by the groupoid alone.
+    """
+    tree, queue = {root: g.unit[root]}, [root]
+    for x in queue:  # breadth first, the queue growing as we walk it
+        for a in g.s_fiber(x):
+            y = g.tgt[a]
+            if y not in tree:
+                tree[y] = g.comp[(a, tree[x])]  # a after tree[x] : root -> x
+                queue.append(y)
+    return tree
+
+
 def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
     """Yield the functors g1 -> g2 (only the invertible ones if asked).
 
@@ -482,13 +498,7 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
     slots, decomposed = [], []
     for k, block in enumerate(blocks):
         root, rest = block[0], block[1:]
-        tree, queue = {root: g1.unit[root]}, [root]
-        for x in queue:  # breadth first, the queue growing as we walk it
-            for a in g1.s_fiber(x):
-                y = g1.tgt[a]
-                if y not in tree:
-                    tree[y] = g1.comp[(a, tree[x])]  # a after tree[x] : root -> x
-                    queue.append(y)
+        tree = _spanning_tree(g1, root)
         pos = {h: i for i, h in enumerate(g1.isotropy_arrows(root))}
         for x in block:
             for a in g1.s_fiber(x):

@@ -2,13 +2,17 @@
 
 The Picard group of a finite groupoid is computed two ways:
 
-* ``enumerate``: every endofunctor is enumerated, turned into its
-  associated bibundle, filtered by biprincipality, and deduplicated by
-  explicit bibundle isomorphism; the group table is then built from
-  actual tensor products.  Every biprincipal self-bibundle of a finite
-  groupoid is equivariantly isomorphic to the bibundle of some
-  endofunctor (choose a point in each fibre of the right moment and
-  divide), so the sweep is exhaustive.
+* ``enumerate``: every endofunctor is enumerated and classified up to
+  natural isomorphism by a key read off its orbit permutation and its
+  isotropy maps (``_equivalence_key``).  Every biprincipal self-bibundle
+  of a finite groupoid is equivariantly isomorphic to the bibundle
+  <phi> of some endofunctor phi (choose a point in each fibre of the
+  right moment and divide), so the sweep is exhaustive.  <phi> is
+  biprincipal exactly when phi is an equivalence, <phi> and <psi> are
+  isomorphic exactly when phi and psi are naturally isomorphic, and
+  <phi> (x) <psi> is isomorphic to <phi . psi>.  So the classes are the
+  keys of the equivalences, the table multiplies representative
+  functors, and only the representatives are turned into bibundles.
 * ``formula``: Pic is a Morita invariant, every finite groupoid is Morita
   equivalent to its skeleton (the bundle of one isotropy group per
   orbit), and a bundle of groups over a finite discrete base has
@@ -21,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
-                        identity_bibundle, orbit_permutation, principality,
-                        tensor)
+from .bibundles import (Bibundle, from_homomorphism, orbit_permutation,
+                        principality)
 from ._search import _injective
-from .errors import MoritaKitError
+from .errors import MoritaKitError, NotFunctor
 from .groups import (FiniteGroup, _cayley, group_isomorphic, quotient_group,
                      subgroup)
-from .groupoids import (FiniteGroupoid, GroupoidHom, bundle_of_groups,
-                        enumerate_functors, groupoid_isomorphisms, isotropy,
+from .groupoids import (FiniteGroupoid, GroupoidHom, _spanning_tree,
+                        bundle_of_groups, enumerate_functors,
+                        groupoid_isomorphisms, identity_hom, isotropy,
                         orbit_partition)
 
 
@@ -132,6 +136,7 @@ class PicardGroup:
     method: str
     representatives: tuple[Bibundle, ...] | None = None
     cross_checked: tuple[str, ...] = field(default_factory=tuple)
+    functors: tuple[GroupoidHom, ...] | None = None  # representatives[i] is <functors[i]>
 
     def __len__(self):
         return len(self.elements)
@@ -145,30 +150,76 @@ class PicardGroup:
                 "method": self.method}
 
 
-def _classify(reps, s: Bibundle) -> int:
-    for i, r in enumerate(reps):
-        if bibundle_isomorphic(r, s) is not None:
-            return i
-    raise MoritaKitError("bibundle does not match any enumerated class")
+def _equivalence_key(g: FiniteGroupoid):
+    """A function giving each endofunctor of g its Picard class key, or None.
+
+    The key of a functor phi is the orbit permutation sigma it induces,
+    with, per orbit root r, the map h -> t^-1 . phi(h) . t from the
+    isotropy at r to the isotropy at the root r' of sigma(orbit), where
+    t : r' -> phi(r) is the spanning-tree arrow.  Each such map is reduced
+    to the smallest member of its orbit under the inner automorphisms of
+    the isotropy at r'.  Two functors get the same key exactly when they
+    are naturally isomorphic, which is when their bibundles are
+    isomorphic.  A functor that is not an equivalence (sigma not a
+    permutation, or an isotropy map not bijective) gets None; these are
+    the functors whose bibundle is not biprincipal.
+    """
+    comp, inv = g.comp, g.inv
+    blocks = orbit_partition(g)
+    block_of = {x: k for k, block in enumerate(blocks) for x in block}
+    tree = {}
+    for block in blocks:
+        tree.update(_spanning_tree(g, block[0]))
+    loops = [g.isotropy_arrows(block[0]) for block in blocks]
+    pos = [{h: i for i, h in enumerate(hs)} for hs in loops]
+    # each root group's distinct conjugations, as permutations of positions
+    inner = [sorted({tuple(pos[k][comp[(comp[(c, h)], inv[c])]] for h in hs)
+                     for c in hs})
+             for k, hs in enumerate(loops)]
+
+    def key(phi: GroupoidHom):
+        sigma = tuple(block_of[phi.obj_map[block[0]]] for block in blocks)
+        if len(set(sigma)) != len(blocks):
+            return None
+        maps = []
+        for k, block in enumerate(blocks):
+            j = sigma[k]
+            t = tree[phi.obj_map[block[0]]]
+            m = [pos[j][comp[(comp[(inv[t], phi.arr_map[h])], t)]] for h in loops[k]]
+            if not len(m) == len(set(m)) == len(loops[j]):
+                return None
+            maps.append(min(tuple(c[v] for v in m) for c in inner[j]))
+        return sigma, tuple(maps)
+
+    return key
+
+
+def _class_of(index: dict, key) -> int:
+    try:
+        return index[key]
+    except KeyError:
+        raise MoritaKitError("bibundle does not match any enumerated class") from None
 
 
 def _enumerate_picard(g: FiniteGroupoid) -> PicardGroup:
-    reps: list[Bibundle] = []
-    for hom in enumerate_functors(g, g):
-        s = from_homomorphism(hom)
-        if not principality(s).biprincipal:
-            continue
-        if not any(bibundle_isomorphic(r, s) is not None for r in reps):
-            reps.append(s)
-    if not reps:
+    key = _equivalence_key(g)
+    first: dict = {}  # class key -> first functor met with it
+    for phi in enumerate_functors(g, g):
+        k = key(phi)
+        if k is not None and k not in first:
+            first[k] = phi
+    if not first:
         raise MoritaKitError("no biprincipal self-bibundle found (invalid groupoid?)")
-    identity = _classify(reps, identity_bibundle(g))
+    index = {k: i for i, k in enumerate(first)}
+    reps = tuple(first.values())
     n = len(reps)
-    table = [[_classify(reps, tensor(reps[i], reps[j])) for j in range(n)]
-             for i in range(n)]
-    names = [f"pic{i:03d}" for i in range(n)]
-    return PicardGroup(tuple(names), tuple(map(tuple, table)), identity,
-                       "enumeration", tuple(reps))
+    identity = _class_of(index, key(identity_hom(g)))
+    # <phi_i> (x) <phi_j> is the bibundle of phi_i . phi_j, phi_j applied first
+    table = tuple(tuple(_class_of(index, key(reps[j].then(reps[i]))) for j in range(n))
+                  for i in range(n))
+    names = tuple(f"pic{i:03d}" for i in range(n))
+    return PicardGroup(names, table, identity, "enumeration",
+                       tuple(map(from_homomorphism, reps)), functors=reps)
 
 
 def _formula_picard(g: FiniteGroupoid) -> PicardGroup:
@@ -197,12 +248,21 @@ def picard_group(g: FiniteGroupoid, method: str = "auto") -> PicardGroup:
 
 def j_homomorphism(g: FiniteGroupoid, phi: GroupoidHom,
                    pic: PicardGroup | None = None) -> int:
-    """Index of the Picard class of the bibundle attached to an automorphism."""
+    """Index of the Picard class of the bibundle attached to an automorphism.
+
+    The class is looked up by the functor's equivalence key among the keys
+    of ``pic.functors``; a functor in no class raises ``MoritaKitError``.
+    """
     if pic is None:
         pic = picard_group(g, "enumerate")
-    if pic.representatives is None:
+    if pic.functors is None:
         raise ValueError("need an enumeration-based Picard group")
-    return _classify(pic.representatives, from_homomorphism(phi))
+    if phi.source != g or phi.target != g:
+        raise ValueError("need an endofunctor of the groupoid")
+    if not phi.is_functor():
+        raise NotFunctor("arrow maps do not form a functor")
+    key = _equivalence_key(g)
+    return _class_of({key(f): i for i, f in enumerate(pic.functors)}, key(phi))
 
 
 def center_map(g: FiniteGroupoid, x: Bibundle) -> tuple[int, ...]:
@@ -222,8 +282,9 @@ def static_picard(g: FiniteGroupoid, pic: PicardGroup | None = None) -> PicardGr
     idx = [i for i, r in enumerate(pic.representatives)
            if orbit_permutation(r) == ident]
     static = subgroup(FiniteGroup(pic.elements, pic.table, pic.representatives), idx)
+    functors = None if pic.functors is None else tuple(pic.functors[i] for i in idx)
     return PicardGroup(static.elements, static.table, static.identity, pic.method,
-                       static.payload)
+                       static.payload, functors=functors)
 
 
 def lemma_section_check(s: Bibundle):

@@ -9,7 +9,9 @@ from __future__ import annotations
 import random
 from itertools import combinations_with_replacement, permutations, product
 
-from moritakit.bibundles import Bibundle, bibundle_isomorphic, principality, validate_bibundle
+from moritakit.bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
+                                 identity_bibundle, principality, tensor,
+                                 validate_bibundle)
 from moritakit.groups import (FiniteGroup, cyclic_group, dihedral_group,
                               klein_four_group, quaternion_group,
                               symmetric_group)
@@ -236,6 +238,35 @@ def raw_morita_exists(g1: FiniteGroupoid, g2: FiniteGroupoid,
         for _ in raw_biprincipal_bibundles(g1, g2, k):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Picard group through bibundles (no functor keys)
+
+def bibundle_picard(g: FiniteGroupoid):
+    """Pic(g) as ``(table, identity, representatives)``, the bibundle way.
+
+    A representative is the first biprincipal ``from_homomorphism`` of an
+    ``enumerate_functors`` functor that no earlier one is isomorphic to,
+    by ``bibundle_isomorphic``; the table classifies actual ``tensor``
+    products, each of which must match exactly one representative.
+    """
+    from moritakit.groupoids import enumerate_functors
+
+    reps = []
+    for hom in enumerate_functors(g, g):
+        s = from_homomorphism(hom)
+        if (principality(s).biprincipal
+                and all(bibundle_isomorphic(r, s) is None for r in reps)):
+            reps.append(s)
+
+    def classify(s):
+        matches = [i for i, r in enumerate(reps) if bibundle_isomorphic(r, s) is not None]
+        assert len(matches) == 1, matches
+        return matches[0]
+
+    table = [[classify(tensor(a, b)) for b in reps] for a in reps]
+    return table, classify(identity_bibundle(g)), reps
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,27 @@
 import dataclasses
 
+import pytest
+
 from moritakit import picard
 from moritakit.bibundles import (bibundle_isomorphic, from_homomorphism,
-                                 identity_bibundle, morita_equivalent)
-from moritakit.groups import (FiniteGroup, cyclic_group, group_isomorphic, klein_four_group,
+                                 identity_bibundle, morita_equivalent,
+                                 principality)
+from moritakit.errors import MoritaKitError, NotFunctor
+from moritakit.groups import (FiniteGroup, cyclic_group, direct_product,
+                              group_isomorphic, klein_four_group,
                               quaternion_group, symmetric_group, trivial_group,
                               validate_group)
 from moritakit.groupoids import (GroupoidHom, bundle_of_groups, disjoint_union,
-                                 group_as_groupoid, identity_hom, isotropy,
-                                 pair_groupoid)
+                                 enumerate_functors, group_as_groupoid,
+                                 identity_hom, isotropy, pair_groupoid)
 from moritakit.picard import (automorphisms, bisections, center_map,
                               ciso_bisections, inaut, inner_automorphism,
                               j_homomorphism, lemma_section_check, outaut,
                               picard_group, static_picard,
                               verify_exact_sequences)
 
-from support import corpus_groupoids, gauge_over, raw_biprincipal_classes
+from support import (bibundle_picard, corpus_groupoids, gauge_over,
+                     raw_biprincipal_classes, small_corpus)
 
 
 def z_groupoid(n):
@@ -153,6 +159,49 @@ def test_picard_enumeration_complete_against_raw_search():
             assert len(matches) == 1
 
 
+def test_equivalence_keys_are_exactly_the_biprincipal_functors():
+    # A functor has a key exactly when its bibundle is biprincipal; on the
+    # small corpus, its key's class holds a representative isomorphic to it.
+    small = {name for name, _ in small_corpus()}
+    total = 0
+    for name, g in corpus_groupoids():
+        key = picard._equivalence_key(g)
+        pic = picard_group(g, "enumerate")
+        index = {key(f): i for i, f in enumerate(pic.functors)}
+        for phi in enumerate_functors(g, g):
+            total += 1
+            s = from_homomorphism(phi)
+            k = key(phi)
+            assert (k is not None) == principality(s).biprincipal, (name, phi.key())
+            if k is not None and name in small:
+                rep = pic.representatives[index[k]]
+                assert bibundle_isomorphic(rep, s) is not None, (name, phi.key())
+    assert total == 1357
+
+
+def test_picard_matches_the_bibundle_route():
+    z3 = cyclic_group(3)
+    cases = small_corpus() + [
+        ("Z3 bundle over 3 points", bundle_of_groups({"a": z3, "b": z3, "c": z3}))]
+    for name, g in cases:
+        table, identity, reps = bibundle_picard(g)
+        pic = picard_group(g, "enumerate")
+        assert pic.table == tuple(map(tuple, table)), name
+        assert pic.identity == identity, name
+        assert [r.carrier for r in pic.representatives] == [r.carrier for r in reps], name
+
+
+def test_picard_of_z2_cubed_is_gl32():
+    z2 = cyclic_group(2)
+    g = group_as_groupoid(direct_product(direct_product(z2, z2), z2))
+    pic = picard_group(g, "auto")
+    assert len(pic) == 168
+    assert pic.cross_checked == ("skeleton-formula",)
+    profile = pic.as_group().order_profile()
+    assert {k: profile.count(k) for k in set(profile)} == {1: 1, 2: 21, 3: 56,
+                                                           4: 42, 7: 48}
+
+
 def test_picard_tables_are_groups():
     for name, g in corpus_groupoids():
         pic = picard_group(g, "enumerate")
@@ -177,6 +226,11 @@ def test_j_homomorphism_examples():
     assert j_homomorphism(z4, identity_hom(z4), pic) == pic.identity
     inversion = GroupoidHom(z4, z4, (0,), tuple(z4.inv))
     assert j_homomorphism(z4, inversion, pic) != pic.identity
+    # a functor that is no equivalence is in no class; a non-functor is refused
+    with pytest.raises(MoritaKitError, match="does not match any enumerated class"):
+        j_homomorphism(z4, GroupoidHom(z4, z4, (0,), (0, 0, 0, 0)), pic)
+    with pytest.raises(NotFunctor):
+        j_homomorphism(z4, GroupoidHom(z4, z4, (0,), (1, 1, 1, 1)), pic)
     # inner automorphisms land on the identity class
     s3 = group_as_groupoid(symmetric_group(3))
     pic3 = picard_group(s3, "enumerate")
