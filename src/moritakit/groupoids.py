@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from ._search import _injective, _roots
 from .errors import InvalidAction, NotPrincipal
 from .groups import FiniteGroup, group_homomorphisms, group_isomorphisms
@@ -68,6 +70,7 @@ class FiniteGroupoid:
             self._s_fiber[self.src[i]].append(i)
             self._t_fiber[self.tgt[i]].append(i)
         self._orbits = None
+        self._table = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -113,31 +116,65 @@ class FiniteGroupoid:
 # ---------------------------------------------------------------------------
 # validation
 
+def _comp_table(g: FiniteGroupoid) -> np.ndarray:
+    """The composition table as a dense (m+1) x (m+1) index array.
+
+    ``C[i, j]`` is the index of the composite "j, then i", or the sentinel
+    m where it is undefined; row and column m are all m, so gathers through
+    an undefined composite stay undefined.  Built once per groupoid.
+    """
+    if g._table is None:
+        m = g.n_arrows
+        table = np.full((m + 1, m + 1), m, dtype=np.intp)
+        if g.comp:
+            pairs = np.array(list(g.comp), dtype=np.intp)
+            table[pairs[:, 0], pairs[:, 1]] = list(g.comp.values())
+        g._table = table
+    return g._table
+
+
 def validate(g: FiniteGroupoid) -> ValidationReport:
-    """Check every groupoid axiom, reporting id-level witnesses."""
+    """Check every groupoid axiom, reporting id-level witnesses.
+
+    The check is exhaustive and runs over the dense table of
+    ``_comp_table``.  Composability and composite endpoints are compared
+    for all m^2 pairs at once.  Associativity compares (ij)k with i(jk) on
+    every composable triple: for each left arrow i, one gather over the
+    pairs j in t_fiber(src i), k in t_fiber(src j), counting a triple only
+    where both sides are defined.  Witnesses come in the order of a plain
+    loop: pairs (i, j) row-major, then triples (i, j, k).
+    """
     report = ValidationReport()
     A, O = g.arrows, g.objects
     m = len(A)
-    for i, j in product(range(m), repeat=2):
-        defined = (i, j) in g.comp
-        composable = g.src[i] == g.tgt[j]
-        if defined != composable:
+    C = _comp_table(g)
+    # endpoints, with -1 at the sentinel index m
+    src = np.array(g.src + (-1,), dtype=np.intp)
+    tgt = np.array(g.tgt + (-1,), dtype=np.intp)
+    ij = C[:m, :m]
+    defined = ij != m
+    composable = src[:m, None] == tgt[None, :m]
+    bad_pair = defined != composable
+    bad_ends = defined & composable & ((src[ij] != src[None, :m])
+                                       | (tgt[ij] != tgt[:m, None]))
+    for i, j in np.argwhere(bad_pair | bad_ends).tolist():
+        if bad_pair[i, j]:
             report.add("composability", A[i], A[j])
-        if defined and composable:
-            k = g.comp[(i, j)]
-            if g.src[k] != g.src[j] or g.tgt[k] != g.tgt[i]:
-                report.add("composite-endpoints", A[i], A[j], A[k])
+        else:
+            report.add("composite-endpoints", A[i], A[j], A[ij[i, j]])
+    # per object x: the pairs (j, k) with tgt j = x and tgt k = src j, in
+    # loop order, and their composites jk
+    pairs = []
+    for x in range(len(O)):
+        fibers = [g.t_fiber(g.src[j]) for j in g.t_fiber(x)]
+        js = np.repeat(np.array(g.t_fiber(x), dtype=np.intp), [len(f) for f in fibers])
+        ks = np.array([k for f in fibers for k in f], dtype=np.intp)
+        pairs.append((js, ks, C[js, ks]))
     for i in range(m):
-        for j in g.t_fiber(g.src[i]):
-            ij = g.comp.get((i, j))
-            if ij is None:
-                continue
-            for k in g.t_fiber(g.src[j]):
-                jk = g.comp.get((j, k))
-                if jk is None or (ij, k) not in g.comp or (i, jk) not in g.comp:
-                    continue
-                if g.comp[(ij, k)] != g.comp[(i, jk)]:
-                    report.add("associativity", A[i], A[j], A[k])
+        js, ks, jk = pairs[g.src[i]]
+        left, right = C[C[i, js], ks], C[i, jk]
+        for p in np.flatnonzero((left != right) & (left != m) & (right != m)).tolist():
+            report.add("associativity", A[i], A[js[p]], A[ks[p]])
     for x in range(len(O)):
         u = g.unit[x]
         if g.src[u] != x or g.tgt[u] != x:

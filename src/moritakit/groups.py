@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
+import numpy as np
+
 from .report import ValidationReport
 
 
@@ -27,7 +29,7 @@ class FiniteGroup:
 
     def __init__(self, elements, table, payload=None):
         self.elements = tuple(str(e) for e in elements)
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         self.payload = tuple(payload) if payload is not None else None
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate element ids")
@@ -127,16 +129,60 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
     return report
 
 
-def _cayley(items, mul, key, prefix: str) -> FiniteGroup:
-    """The group of ``items`` under the product ``mul``, items as payload.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row of an integer array: the row's bytes."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    if rows.shape[1] == 0:  # empty rows are all equal; give them one byte
+        rows = np.zeros((len(rows), 1), dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
-    ``key`` identifies an item, so ``key(mul(a, b))`` locates the product
-    among the items.  Elements are named ``prefix000``, ``prefix001``, ...
+
+def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
+    """The group of ``items`` under a product on their rows, items as payload.
+
+    ``rows`` is an n x w integer array whose row i encodes ``items[i]``
+    (distinct items, distinct rows), and ``compose(x, rows)`` returns, for
+    one row x, the n rows of the products x * y for y in ``rows``.  The
+    table is built one x at a time: each product is located among the
+    items by ``searchsorted`` on the row bytes and compared with the row
+    found, so every cell is checked, with no sampling.  A product outside
+    the items raises ``KeyError`` at the first such (x, y) in row-major
+    order.  Elements are named ``prefix000``, ``prefix001``, ...
     """
-    index = {key(x): i for i, x in enumerate(items)}
-    table = [[index[key(mul(x, y))] for y in items] for x in items]
+    rows = np.asarray(rows, dtype=np.intp)
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    shared = list(range(len(items)))  # one int object per element index
+    table = []
+    for x, row in enumerate(rows):
+        products = compose(row, rows)
+        at = np.searchsorted(sorted_keys, _row_keys(products))
+        found = order[np.minimum(at, len(items) - 1)]
+        missing = np.nonzero((rows[found] != products).any(axis=1))[0]
+        if len(missing):
+            raise KeyError(f"product of {prefix}{x:03d} and "
+                           f"{prefix}{missing[0]:03d} is not among the items")
+        table.append(tuple(map(shared.__getitem__, found.tolist())))
     names = [f"{prefix}{i:03d}" for i in range(len(items))]
     return FiniteGroup(names, table, payload=items)
+
+
+def _index_rows(maps, width: int) -> np.ndarray:
+    """Index maps of one length as an n x width array, for ``_cayley``.
+
+    The width is given, so that no maps, or empty ones, still make one.
+    """
+    return np.array(maps, dtype=np.intp).reshape(len(maps), width)
+
+
+def _after(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Products "x after y" of index maps: x[y] for every row y of ys.
+
+    Both act on one index range, so a map of objects and one of arrows go
+    in one row, the arrows offset by the number of objects.
+    """
+    return x[ys]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +410,7 @@ def group_isomorphic(g: FiniteGroup, h: FiniteGroup):
 def automorphism_group(g: FiniteGroup) -> FiniteGroup:
     """Aut(g), with the permutation tuples as payload."""
     perms = sorted(group_isomorphisms(g, g))
-    return _cayley(perms, lambda p, q: tuple(p[k] for k in q), lambda p: p, "a")
+    return _cayley(perms, _index_rows(perms, len(g)), _after, "a")
 
 
 def inner_automorphism_group(g: FiniteGroup, aut: FiniteGroup | None = None) -> FiniteGroup:

@@ -25,13 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bibundles import (Bibundle, from_homomorphism, orbit_permutation,
                         principality)
 from ._search import _injective
 from .errors import MoritaKitError, NotFunctor
-from .groups import (FiniteGroup, _cayley, group_isomorphic, quotient_group,
-                     subgroup)
-from .groupoids import (FiniteGroupoid, GroupoidHom, _spanning_tree,
+from .groups import (FiniteGroup, _after, _cayley, _index_rows,
+                     group_isomorphic, quotient_group, subgroup)
+from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, _spanning_tree,
                         bundle_of_groups, enumerate_functors,
                         groupoid_isomorphisms, identity_hom, isotropy,
                         orbit_partition)
@@ -42,8 +44,13 @@ from .groupoids import (FiniteGroupoid, GroupoidHom, _spanning_tree,
 
 def automorphisms(g: FiniteGroupoid) -> FiniteGroup:
     """The group of groupoid automorphisms; payload holds the functors."""
-    return _cayley(groupoid_isomorphisms(g, g), lambda a, b: b.then(a),
-                   GroupoidHom.key, "a")
+    isos = groupoid_isomorphisms(g, g)
+    # one row per functor: its object map, then its arrow map offset past
+    # the objects, so "a after b" is the row of a indexed by the row of b
+    n = g.n_objects
+    rows = _index_rows([h.obj_map + tuple(n + v for v in h.arr_map) for h in isos],
+                       n + g.n_arrows)
+    return _cayley(isos, rows, _after, "a")
 
 
 @dataclass(frozen=True)
@@ -64,12 +71,15 @@ def bisections(g: FiniteGroupoid) -> FiniteGroup:
     """All bisections, as a group under setwise product; payload holds them."""
     found = sorted(_injective([g.s_fiber(x) for x in range(g.n_objects)],
                               lambda a: g.tgt[a]))
+    C, tgt = _comp_table(g), np.array(g.tgt, dtype=np.intp)
 
-    def product(n, m):
-        return Bisection(g, tuple(g.comp[(n.arrows[g.tgt[a]], a)] for a in m.arrows))
+    def product(n, ms):
+        # (n m)(x) = n(t(m(x))) . m(x); undefined composites give the
+        # sentinel, which no bisection contains
+        return C[n[tgt[ms]], ms]
 
-    return _cayley([Bisection(g, arrows) for arrows in found], product,
-                   lambda b: b.arrows, "b")
+    return _cayley([Bisection(g, arrows) for arrows in found],
+                   _index_rows(found, g.n_objects), product, "b")
 
 
 def inner_automorphism(g: FiniteGroupoid, n: Bisection) -> GroupoidHom:
@@ -246,6 +256,28 @@ def picard_group(g: FiniteGroupoid, method: str = "auto") -> PicardGroup:
     return pic
 
 
+def _j_map(g: FiniteGroupoid, pic: PicardGroup):
+    """j : endofunctors of g -> Pic classes, with the class keys built once.
+
+    The returned function checks that its argument is an endofunctor of g
+    and looks its equivalence key up among the keys of ``pic.functors``; a
+    functor in no class raises ``MoritaKitError``.
+    """
+    if pic.functors is None:
+        raise ValueError("need an enumeration-based Picard group")
+    key = _equivalence_key(g)
+    index = {key(f): i for i, f in enumerate(pic.functors)}
+
+    def j(phi: GroupoidHom) -> int:
+        if phi.source != g or phi.target != g:
+            raise ValueError("need an endofunctor of the groupoid")
+        if not phi.is_functor():
+            raise NotFunctor("arrow maps do not form a functor")
+        return _class_of(index, key(phi))
+
+    return j
+
+
 def j_homomorphism(g: FiniteGroupoid, phi: GroupoidHom,
                    pic: PicardGroup | None = None) -> int:
     """Index of the Picard class of the bibundle attached to an automorphism.
@@ -255,14 +287,7 @@ def j_homomorphism(g: FiniteGroupoid, phi: GroupoidHom,
     """
     if pic is None:
         pic = picard_group(g, "enumerate")
-    if pic.functors is None:
-        raise ValueError("need an enumeration-based Picard group")
-    if phi.source != g or phi.target != g:
-        raise ValueError("need an endofunctor of the groupoid")
-    if not phi.is_functor():
-        raise NotFunctor("arrow maps do not form a functor")
-    key = _equivalence_key(g)
-    return _class_of({key(f): i for i, f in enumerate(pic.functors)}, key(phi))
+    return _j_map(g, pic)(phi)
 
 
 def center_map(g: FiniteGroupoid, x: Bibundle) -> tuple[int, ...]:
@@ -369,7 +394,7 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
 
     checks = {}
 
-    j_of = [j_homomorphism(g, hom, pic) for hom in aut.payload]
+    j_of = list(map(_j_map(g, pic), aut.payload))
     witnesses = [name for i, (name, j) in enumerate(zip(aut.elements, j_of))
                  if (j == pic.identity) != (i in inner)]
     checks["j-kernel"] = {"ok": not witnesses, "witnesses": witnesses}

@@ -14,7 +14,7 @@ from itertools import product
 
 from ._search import _injective, _roots
 from .errors import InconsistentTopology, MissingVolume
-from .groups import FiniteGroup, _cayley
+from .groups import FiniteGroup, _after, _cayley, _index_rows
 from .report import ValidationReport
 
 
@@ -227,9 +227,14 @@ def graph_automorphisms(g: LabeledSurfaceGraph) -> FiniteGroup:
                 for a, b in zip(idxs1, perm):
                     emap[a] = b
             autos.add((vmap, tuple(emap)))
-    payload = [TssIsomorphism(vm, em) for vm, em in sorted(autos)]
-    return _cayley(payload, TssIsomorphism.compose,
-                   lambda a: (a.vertex_map, a.edge_map), "g")
+    autos = sorted(autos)
+    payload = [TssIsomorphism(vm, em) for vm, em in autos]
+    # one row per automorphism: vertex map, then edge map offset past the
+    # vertices, so "a after b" is the row of a indexed by the row of b
+    n = g.n_vertices
+    rows = _index_rows([vm + tuple(n + e for e in em) for vm, em in autos],
+                       n + g.n_edges)
+    return _cayley(payload, rows, _after, "g")
 
 
 def picard_ingredients(g: LabeledSurfaceGraph) -> PicardIngredients:

@@ -19,6 +19,7 @@ from moritakit.groupoids import (FiniteGroupoid, PrincipalBundleData,
                                  bundle_of_groups, disjoint_union,
                                  gauge_groupoid, group_as_groupoid,
                                  pair_groupoid)
+from moritakit.report import ValidationReport
 from moritakit.tss import LabeledSurfaceGraph
 
 
@@ -267,6 +268,83 @@ def bibundle_picard(g: FiniteGroupoid):
 
     table = [[classify(tensor(a, b)) for b in reps] for a in reps]
     return table, classify(identity_bibundle(g)), reps
+
+
+# ---------------------------------------------------------------------------
+# plain loops behind the array kernels, kept as oracles
+
+def reference_validate(g: FiniteGroupoid) -> ValidationReport:
+    """``validate`` as a plain loop over the composition dict."""
+    report = ValidationReport()
+    A, O = g.arrows, g.objects
+    m = len(A)
+    for i, j in product(range(m), repeat=2):
+        defined = (i, j) in g.comp
+        composable = g.src[i] == g.tgt[j]
+        if defined != composable:
+            report.add("composability", A[i], A[j])
+        if defined and composable:
+            k = g.comp[(i, j)]
+            if g.src[k] != g.src[j] or g.tgt[k] != g.tgt[i]:
+                report.add("composite-endpoints", A[i], A[j], A[k])
+    for i in range(m):
+        for j in g.t_fiber(g.src[i]):
+            ij = g.comp.get((i, j))
+            if ij is None:
+                continue
+            for k in g.t_fiber(g.src[j]):
+                jk = g.comp.get((j, k))
+                if jk is None or (ij, k) not in g.comp or (i, jk) not in g.comp:
+                    continue
+                if g.comp[(ij, k)] != g.comp[(i, jk)]:
+                    report.add("associativity", A[i], A[j], A[k])
+    for x in range(len(O)):
+        u = g.unit[x]
+        if g.src[u] != x or g.tgt[u] != x:
+            report.add("unit-endpoints", O[x], A[u])
+    for i in range(m):
+        u_t, u_s = g.unit[g.tgt[i]], g.unit[g.src[i]]
+        if g.comp.get((u_t, i)) != i or g.comp.get((i, u_s)) != i:
+            report.add("unit-law", A[i])
+    for i in range(m):
+        j = g.inv[i]
+        if g.src[j] != g.tgt[i] or g.tgt[j] != g.src[i]:
+            report.add("inverse-endpoints", A[i], A[j])
+            continue
+        if (g.comp.get((j, i)) != g.unit[g.src[i]]
+                or g.comp.get((i, j)) != g.unit[g.tgt[i]]):
+            report.add("inverse-law", A[i], A[j])
+    return report
+
+
+def reference_cayley(items, mul, key, prefix: str) -> FiniteGroup:
+    """``groups._cayley`` as a loop over items: ``key(mul(x, y))`` per cell."""
+    index = {key(x): i for i, x in enumerate(items)}
+    table = [[index[key(mul(x, y))] for y in items] for x in items]
+    names = [f"{prefix}{i:03d}" for i in range(len(items))]
+    return FiniteGroup(names, table, payload=items)
+
+
+def with_composites(g: FiniteGroupoid, changes: dict) -> FiniteGroupoid:
+    """A copy of g whose composition dict is updated by ``changes``.
+
+    ``changes`` maps index pairs to an arrow index, or to None to delete
+    the composite; the copy is a fresh groupoid, so nothing cached on g is
+    shared.
+    """
+    comp = dict(g.comp)
+    for pair, k in changes.items():
+        if k is None:
+            comp.pop(pair, None)
+        else:
+            comp[pair] = k
+    A, O = g.arrows, g.objects
+    return FiniteGroupoid(
+        O, A, {a: O[g.src[i]] for i, a in enumerate(A)},
+        {a: O[g.tgt[i]] for i, a in enumerate(A)},
+        {x: A[g.unit[i]] for i, x in enumerate(O)},
+        {a: A[g.inv[i]] for i, a in enumerate(A)},
+        {(A[i], A[j]): A[k] for (i, j), k in comp.items()})
 
 
 # ---------------------------------------------------------------------------

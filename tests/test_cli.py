@@ -148,6 +148,29 @@ def test_non_associative_table_is_a_precondition_failure(files, capsys):
     assert report["error"]["type"] == "ValueError"
 
 
+def test_bisections_on_corrupted_z4(files, capsys):
+    # Two redirected composites leave every product among the four arrows,
+    # so the (non-associative) table comes back; a deleted composite is a
+    # product outside the bisections and a precondition failure.
+    data = json.loads((files / "z4.json").read_text())
+    assert data["comp"][5] == ["c1", "c1", "c2"]
+    assert data["comp"][10] == ["c2", "c2", "c0"]
+    data["comp"][5][2], data["comp"][10][2] = "c3", "c1"
+    (files / "bad2.json").write_text(json.dumps(data))
+    code, report = run(capsys, "bisections", files / "bad2.json", "--quiet")
+    assert code == 0 and "error" not in report
+    assert report["result"]["group"]["table"][1][1] == 3
+    code, report = run(capsys, "validate", files / "bad2.json", "--quiet")
+    assert code == 1
+    assert ({v["rule"] for v in report["result"]["violations"]}
+            == {"associativity", "inverse-law"})
+    del data["comp"][5]
+    (files / "gap.json").write_text(json.dumps(data))
+    code, report = run(capsys, "bisections", files / "gap.json", "--quiet")
+    assert code == 2
+    assert report["error"]["type"] == "KeyError"
+
+
 def test_closed_stdout_gives_no_traceback(files):
     read_end, write_end = os.pipe()
     os.close(read_end)  # every write to stdout now fails with EPIPE

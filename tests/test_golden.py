@@ -10,7 +10,11 @@ formulas became the one skeleton formula: ``picard-q8`` and
 ``picard-union`` (its cross-check), ``picard-q8-formula`` and
 ``picard-v4bundle-formula`` (method, and Out's bracketed coset names on
 the bundle), and ``picard-union-formula`` (a disjoint union with
-different isotropy, which the old formula refused).  The inputs exercise
+different isotropy, which the old formula refused).  ``validate-broken``
+(a Z4 table with one redirected composite, whose witnesses are in the
+digest) and ``tss-picard-ingredients-parallel5`` (S5 on five parallel
+edges) were recorded with the plain-loop ``validate`` and Cayley table,
+before both became array kernels.  The inputs exercise
 the searches whose first witness is part of the answer: orbit matching
 on a disjoint union, the TSS vertex and edge maps of a relabelled
 circulant graph, parallel-edge automorphisms and emitted Morita
@@ -51,6 +55,12 @@ def write_inputs():
     v4 = klein_four_group()
     save_groupoid(bundle_of_groups({"a": v4, "b": v4}), "v4bundle.json")
     save_groupoid(group_as_groupoid(cyclic_group(4)), "z4.json")
+    with open("z4.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["comp"][5] == ["c1", "c1", "c2"]
+    doc["comp"][5][2] = "c3"  # one redirected composite
+    with open("z4bad.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
     save_groupoid(group_as_groupoid(quaternion_group()), "q8.json")
     save_bibundle(identity_bibundle(pair_groupoid(3)), "ib.json")
     names = [f"v{i}" for i in range(8)]
@@ -59,6 +69,8 @@ def write_inputs():
     save_tss(circulant((1, 3), names), "c8b.json")
     save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1},
                                  [("n", "s", 1.0)] * 3), "par3.json")
+    save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1},
+                                 [("n", "s", 1.0)] * 5), "par5.json")
     grid = GridSpec(2, (0.0, 0.0), 0.25, (5, 5))
     save_field(SampledBivectorField.constant(grid, J2), "pi.field", "bivector")
     save_field(SampledTwoFormField.constant(grid, 0.5 * J2), "b.field", "two_form")
@@ -78,6 +90,7 @@ CASES = {
     "validate-bibundle": (["validate", "ib.json"], None),
     "validate-tss": (["validate", "c8.json"], None),
     "validate-field": (["validate", "pi.field"], None),
+    "validate-broken": (["validate", "z4bad.json"], None),
     "orbits": (["orbits", "du.json"], None),
     "isotropy": (["isotropy", "du.json", "--object", "u2:pt"], None),
     "aut-v4bundle": (["aut", "v4bundle.json"], None),
@@ -103,6 +116,8 @@ CASES = {
     "tss-iso-relabelled": (["tss-iso", "c8.json", "c8r.json"], None),
     "tss-iso-negative": (["tss-iso", "c8.json", "c8b.json"], None),
     "tss-picard-ingredients-parallel": (["tss-picard-ingredients", "par3.json"], None),
+    "tss-picard-ingredients-parallel5": (["tss-picard-ingredients", "par5.json"],
+                                         None),
     "tss-picard-ingredients-c8": (["tss-picard-ingredients", "c8.json"], None),
     "tss-genus": (["tss-genus", "c8.json"], None),
     "gauge-apply": (["gauge-apply", "pi.field", "b.field", "--out", "tau.field"],
@@ -160,6 +175,10 @@ GOLDEN = {
     "tss-picard-ingredients-c8": (0, "3001fca542d8a06e1aa82f5d80fa5c39d949a2ee0ecb32e704bd46a3b39a13b1",
         None),
     "tss-picard-ingredients-parallel": (0, "6754a63a4f60b10e4d9a9d893ae8910abf15cd13d15b54328740b2ab55517979",
+        None),
+    "tss-picard-ingredients-parallel5": (0, "d8b710db486eea6f31127e68e8ede4ad10a06c5da0a779dfb6cf313a7faab749",
+        None),
+    "validate-broken": (1, "eda3664e01995203f9535e86b4f08efaba5ec33d3f3634b80965847ea3928dd2",
         None),
     "validate-bibundle": (0, "2dc1f22f66eee0babc68df2c52c2664b2b218b12b7e899ca57e707ab3569c04f",
         None),

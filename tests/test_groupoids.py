@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,8 @@ from moritakit.groupoids import (FiniteGroupoid, GroupoidHom,
                                  validate)
 from moritakit.groups import validate_group
 
-from support import corpus_groupoids, gauge_over
+from support import (corpus_groupoids, gauge_over, reference_validate,
+                     with_composites)
 
 
 def swap_action(n_fixed=0):
@@ -253,3 +255,38 @@ def test_bundle_of_groups_has_equal_src_tgt():
     assert all(b.src[i] == b.tgt[i] for i in range(b.n_arrows))
     assert len(isotropy(b, "a")) == 2
     assert len(isotropy(b, "b")) == 3
+
+
+# ---------------------------------------------------------------------------
+# validate against the plain loop, on corrupted tables
+
+SMALL = {name: g for name, g in corpus_groupoids() if g.n_arrows <= 30}
+
+
+def corruptions(g, name):
+    """Every single-composite redirection to another arrow with the same
+    endpoints, then a seeded sample of deletions and of entries moved to
+    the transposed pair."""
+    for (i, j), k in sorted(g.comp.items()):
+        for k2 in g.hom(g.src[k], g.tgt[k]):
+            if k2 != k:
+                yield "redirect", {(i, j): k2}
+    rng = random.Random(name)
+    pairs = sorted(g.comp)
+    for pair in rng.sample(pairs, min(10, len(pairs))):
+        yield "delete", {pair: None}
+    off_diagonal = [(i, j) for i, j in pairs if i != j]
+    for i, j in rng.sample(off_diagonal, min(10, len(off_diagonal))):
+        yield "transpose", {(j, i): g.comp[(i, j)], (i, j): g.comp.get((j, i))}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_validate_matches_the_loop_on_corrupted_tables(name):
+    g = SMALL[name]
+    assert validate(g).as_dict() == reference_validate(g).as_dict()
+    for kind, changes in corruptions(g, name):
+        bad = with_composites(g, changes)
+        report = validate(bad)
+        assert report.as_dict() == reference_validate(bad).as_dict(), (kind, changes)
+        if kind == "redirect":  # one wrong composite is always caught
+            assert not report.ok, changes

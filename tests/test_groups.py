@@ -1,5 +1,9 @@
 from math import gcd
 
+import pytest
+
+from moritakit._search import _injective
+from moritakit.groupoids import GroupoidHom, groupoid_isomorphisms, isotropy
 from moritakit.groups import (FiniteGroup, automorphism_group, cyclic_group,
                               dihedral_group, direct_product, group_homomorphisms,
                               group_isomorphic, group_isomorphisms,
@@ -7,6 +11,10 @@ from moritakit.groups import (FiniteGroup, automorphism_group, cyclic_group,
                               outer_automorphism_group, quaternion_group,
                               quotient_group, subgroup, symmetric_group,
                               trivial_group, validate_group)
+from moritakit.picard import Bisection, automorphisms, bisections
+from moritakit.tss import LabeledSurfaceGraph, TssIsomorphism, graph_automorphisms
+
+from support import corpus_groupoids, reference_cayley
 
 
 def test_constructors_are_groups():
@@ -104,3 +112,44 @@ def test_center():
     assert len(symmetric_group(3).center()) == 1
     assert len(quaternion_group().center()) == 2
     assert len(klein_four_group().center()) == 4
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables against the loop route, key(mul(x, y)) cell by cell
+
+def same_group(new, ref):
+    assert new.elements == ref.elements
+    assert new.table == ref.table
+    assert new.payload == ref.payload
+
+
+@pytest.mark.parametrize("name,g", corpus_groupoids())
+def test_cayley_tables_match_the_loop_on_the_corpus(name, g):
+    isos = groupoid_isomorphisms(g, g)
+    same_group(automorphisms(g), reference_cayley(
+        isos, lambda a, b: b.then(a), GroupoidHom.key, "a"))
+
+    found = sorted(_injective([g.s_fiber(x) for x in range(g.n_objects)],
+                              lambda a: g.tgt[a]))
+
+    def product(n, m):
+        return Bisection(g, tuple(g.comp[(n.arrows[g.tgt[a]], a)] for a in m.arrows))
+
+    same_group(bisections(g), reference_cayley(
+        [Bisection(g, arrows) for arrows in found], product, lambda b: b.arrows, "b"))
+
+    for x in g.objects:
+        h = isotropy(g, x)
+        perms = sorted(group_isomorphisms(h, h))
+        same_group(automorphism_group(h), reference_cayley(
+            perms, lambda p, q: tuple(p[k] for k in q), lambda p: p, "a"))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cayley_tables_match_the_loop_on_parallel_edges(k):
+    g = LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1}, [("n", "s", 1.0)] * k)
+    aut = graph_automorphisms(g)
+    maps = [(a.vertex_map, a.edge_map) for a in aut.payload]
+    assert maps == sorted(set(maps))
+    same_group(aut, reference_cayley(aut.payload, TssIsomorphism.compose,
+                                     lambda a: (a.vertex_map, a.edge_map), "g"))

@@ -324,6 +324,16 @@ def test_verify_exact_sequences_examples():
     assert report.orders["aut"] == report.orders["inaut"]
 
 
+def test_verify_exact_builds_the_class_keys_once(monkeypatch):
+    # once for the enumeration, once for j over all 24 automorphisms of Q8
+    calls = []
+    key = picard._equivalence_key
+    monkeypatch.setattr(picard, "_equivalence_key",
+                        lambda g: calls.append(g) or key(g))
+    assert verify_exact_sequences(group_as_groupoid(quaternion_group())).ok
+    assert len(calls) <= 2
+
+
 def test_j_homomorphism_checked_on_every_automorphism_pair(monkeypatch):
     # Aut(Q8) has 24 elements; corrupt one Pic product whose factors are
     # hit by j only from automorphisms with index >= 8.
