@@ -1,11 +1,27 @@
 """Gauge transformations of sampled bivector fields by closed 2-forms.
 
-Fields are antisymmetric d x d matrices sampled on a regular grid.  The
-transform is pointwise dense linear algebra: pi -> pi (1 + B pi)^{-1},
-defined wherever det(1 + B pi) stays away from zero.  Residuals for the
-Jacobi identity and for closedness use order-2 central differences in the
-interior and order-2 one-sided differences on the boundary, so both decay
-like h^2 on sampled analytic fields.
+Fields are antisymmetric d x d matrices sampled on a regular grid.  A
+field is defined by its d(d-1)/2 entries above the diagonal, the ones the
+binary field format stores; an entry below the diagonal is the negated
+one above.  The transform is pointwise: pi -> pi (1 + B pi)^{-1}, defined
+wherever det(1 + B pi) stays above ``eps_sing``, which must be finite and
+>= 0.
+
+For d <= 3, 1 + B pi is (1 - s) I plus a term of rank at most one that
+pi kills, with s = sum_{i<j} B_ij pi_ij, and pi is zero or has exactly
+two nonzero singular values, both |w|, with w the upper entries of pi.
+So the kernels use
+
+    det(1 + B pi) = (1 - s)^2,   pi (1 + B pi)^{-1} = pi / (1 - s),
+    rank pi = 2 [|w| > eps_rank]
+
+and make no LAPACK call.  For d >= 4 no such closed form exists: they
+call LAPACK's det, inv and SVD at every point.
+
+Residuals for the Jacobi identity and for closedness differentiate the
+upper entries with order-2 central differences in the interior and
+order-2 one-sided differences on the boundary, so both decay like h^2 on
+sampled analytic fields.
 """
 from __future__ import annotations
 
@@ -158,6 +174,17 @@ def _require_same_grid(a: _SampledField, b: _SampledField):
         raise GridMismatch("fields live on different grids")
 
 
+def _upper(field: _SampledField) -> np.ndarray:
+    """The entries above the diagonal, shape (*grid.shape, d(d-1)/2)."""
+    iu, ju = np.triu_indices(field.grid.dimension, 1)
+    return field.values[..., iu, ju]
+
+
+def _pairing(pi: SampledBivectorField, b: SampledTwoFormField) -> np.ndarray:
+    """s = sum_{i<j} B_ij pi_ij at every point."""
+    return np.einsum("...k,...k->...", _upper(b), _upper(pi))
+
+
 def _endomorphism(pi: SampledBivectorField, b: SampledTwoFormField) -> np.ndarray:
     d = pi.grid.dimension
     return np.eye(d) + np.matmul(b.values, pi.values)
@@ -167,15 +194,20 @@ def invertibility_check(pi: SampledBivectorField, b: SampledTwoFormField,
                         eps_sing: float = EPS_SING) -> InvertibilityReport:
     """Pointwise determinant of 1 + B pi against the singularity threshold.
 
-    Raises ValueError naming the first grid point where either field is
-    not finite.
+    Raises ValueError when ``eps_sing`` is negative, infinite or NaN, and
+    when either field is not finite, naming the first such grid point.
     """
+    if not (np.isfinite(eps_sing) and eps_sing >= 0):
+        raise ValueError(f"eps_sing must be finite and >= 0, got {eps_sing}")
     _require_same_grid(pi, b)
     for name, field in (("bivector", pi), ("two-form", b)):
         point = field.nonfinite_point()
         if point is not None:
             raise ValueError(f"{name} field is not finite at grid point {point}")
-    dets = np.abs(np.linalg.det(_endomorphism(pi, b)))
+    if pi.grid.dimension <= 3:
+        dets = (1.0 - _pairing(pi, b)) ** 2
+    else:
+        dets = np.abs(np.linalg.det(_endomorphism(pi, b)))
     worst = np.unravel_index(np.argmin(dets), pi.grid.shape)
     min_det = float(dets[worst])
     return InvertibilityReport(min_det > eps_sing, min_det, tuple(int(i) for i in worst),
@@ -193,7 +225,10 @@ def apply_gauge(pi: SampledBivectorField, b: SampledTwoFormField,
     report = invertibility_check(pi, b, eps_sing)
     if not report.ok:
         raise SingularEndomorphism(report.worst_point, report.min_abs_det)
-    out = np.matmul(pi.values, np.linalg.inv(_endomorphism(pi, b)))
+    if pi.grid.dimension <= 3:
+        out = pi.values / (1.0 - _pairing(pi, b))[..., None, None]
+    else:
+        out = np.matmul(pi.values, np.linalg.inv(_endomorphism(pi, b)))
     defect = float(np.max(np.abs(out + np.swapaxes(out, -1, -2))))
     out = 0.5 * (out - np.swapaxes(out, -1, -2))
     result = SampledBivectorField(pi.grid, out)
@@ -202,13 +237,26 @@ def apply_gauge(pi: SampledBivectorField, b: SampledTwoFormField,
     return result
 
 
-def _partials(field: _SampledField) -> np.ndarray:
-    """All spatial partials; out[l] is d/dx_l of the matrix field."""
+def _partials(field: _SampledField):
+    """Spatial partials: ``partial(l, i, j)`` is d/dx_l of entry (i, j), i != j.
+
+    Only the upper entries are differentiated; a lower entry's partial is
+    the negated upper one, which is exact in floating point.
+    """
     grid = field.grid
     if any(n < 3 for n in grid.shape):
         raise GridTooSmall("need at least 3 points per axis for order-2 stencils")
-    return np.stack([np.gradient(field.values, grid.spacing, axis=l, edge_order=2)
-                     for l in range(grid.dimension)])
+    iu, ju = np.triu_indices(grid.dimension, 1)
+    slot = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(iu, ju))}
+    upper = _upper(field)
+    grads = [np.gradient(upper, grid.spacing, axis=l, edge_order=2)
+             for l in range(grid.dimension)]
+
+    def partial(l, i, j):
+        if i < j:
+            return grads[l][..., slot[i, j]]
+        return -grads[l][..., slot[j, i]]
+    return partial
 
 
 def closedness_residual(b: SampledTwoFormField) -> float:
@@ -219,7 +267,7 @@ def closedness_residual(b: SampledTwoFormField) -> float:
     partial = _partials(b)
     worst = 0.0
     for i, j, k in combinations(range(d), 3):
-        cyc = (partial[i][..., j, k] + partial[j][..., k, i] + partial[k][..., i, j])
+        cyc = partial(i, j, k) + partial(j, k, i) + partial(k, i, j)
         worst = max(worst, float(np.max(np.abs(cyc))))
     return worst
 
@@ -235,15 +283,22 @@ def jacobi_residual(pi: SampledBivectorField) -> float:
     for i, j, k in combinations(range(d), 3):
         cyc = np.zeros(pi.grid.shape)
         for l in range(d):
-            cyc = (cyc + v[..., i, l] * partial[l][..., j, k]
-                   + v[..., j, l] * partial[l][..., k, i]
-                   + v[..., k, l] * partial[l][..., i, j])
+            cyc = (cyc + v[..., i, l] * partial(l, j, k)
+                   + v[..., j, l] * partial(l, k, i)
+                   + v[..., k, l] * partial(l, i, j))
         worst = max(worst, float(np.max(np.abs(cyc))))
     return worst
 
 
 def rank_map(pi: SampledBivectorField, eps_rank: float = EPS_RANK) -> np.ndarray:
-    """Pointwise numerical rank from singular values."""
+    """Pointwise numerical rank: the singular values above ``eps_rank``.
+
+    For d <= 3 the nonzero singular values are |w| twice, with w the
+    upper entries, so the rank is 2 [|w| > eps_rank]; for d >= 4 they
+    come from an SVD per point.
+    """
+    if pi.grid.dimension <= 3:
+        return 2 * (np.linalg.norm(_upper(pi), axis=-1) > eps_rank)
     sv = np.linalg.svd(pi.values, compute_uv=False)
     return (sv > eps_rank).sum(axis=-1)
 

@@ -7,11 +7,15 @@ the labeled-graph oracle tries every genus-preserving vertex bijection.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
+
+import numpy as np
 
 from moritakit.bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, principality, tensor,
                                  validate_bibundle)
+from moritakit.gauge import EPS_RANK
 from moritakit.groups import (FiniteGroup, cyclic_group, dihedral_group,
                               klein_four_group, quaternion_group,
                               symmetric_group)
@@ -345,6 +349,66 @@ def with_composites(g: FiniteGroupoid, changes: dict) -> FiniteGroupoid:
         {x: A[g.unit[i]] for i, x in enumerate(O)},
         {a: A[g.inv[i]] for i, a in enumerate(A)},
         {(A[i], A[j]): A[k] for (i, j), k in comp.items()})
+
+
+# ---------------------------------------------------------------------------
+# LAPACK behind the closed-form gauge kernels, kept as an oracle
+
+def reference_gauge(pi, b, eps_rank: float = EPS_RANK) -> dict:
+    """The gauge kernels through LAPACK on the full d x d matrices.
+
+    det, inv and SVD at every point, and finite differences of all d^2
+    entries: what ``gauge`` computes by closed forms for d <= 3 and from
+    the upper entries.  Returns the pointwise ``det`` |det(1 + B pi)|,
+    the symmetrized transform ``tau`` with its ``asymmetry`` before
+    symmetrization, the ``rank`` map and both residuals.
+    """
+    d = pi.grid.dimension
+    endo = np.eye(d) + np.matmul(b.values, pi.values)
+    tau = np.matmul(pi.values, np.linalg.inv(endo))
+    asymmetry = float(np.max(np.abs(tau + np.swapaxes(tau, -1, -2))))
+    sv = np.linalg.svd(pi.values, compute_uv=False)
+    return {"det": np.abs(np.linalg.det(endo)),
+            "tau": 0.5 * (tau - np.swapaxes(tau, -1, -2)),
+            "asymmetry": asymmetry,
+            "rank": (sv > eps_rank).sum(axis=-1),
+            "jacobi": _reference_jacobi(pi),
+            "closedness": _reference_closedness(b)}
+
+
+def _reference_partials(field):
+    grid = field.grid
+    return np.stack([np.gradient(field.values, grid.spacing, axis=l, edge_order=2)
+                     for l in range(grid.dimension)])
+
+
+def _reference_closedness(b) -> float:
+    d = b.grid.dimension
+    if d < 3:
+        return 0.0
+    partial = _reference_partials(b)
+    worst = 0.0
+    for i, j, k in combinations(range(d), 3):
+        cyc = (partial[i][..., j, k] + partial[j][..., k, i] + partial[k][..., i, j])
+        worst = max(worst, float(np.max(np.abs(cyc))))
+    return worst
+
+
+def _reference_jacobi(pi) -> float:
+    d = pi.grid.dimension
+    if d < 3:
+        return 0.0
+    partial = _reference_partials(pi)
+    v = pi.values
+    worst = 0.0
+    for i, j, k in combinations(range(d), 3):
+        cyc = np.zeros(pi.grid.shape)
+        for l in range(d):
+            cyc = (cyc + v[..., i, l] * partial[l][..., j, k]
+                   + v[..., j, l] * partial[l][..., k, i]
+                   + v[..., k, l] * partial[l][..., i, j])
+        worst = max(worst, float(np.max(np.abs(cyc))))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,66 @@ def test_gauge_commands_reject_nonfinite_fields(files, capsys):
         assert point in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize("eps_sing", ["-1", "nan", "inf"])
+def test_gauge_commands_reject_bad_eps_sing(files, capsys, eps_sing):
+    out = files / "tau.field"
+    for two_form in ("b.field", "bsing.field"):
+        for argv in (["gauge-apply", "--out", out], ["gauge-check"]):
+            code, report = run(capsys, *argv, files / "pi.field", files / two_form,
+                               "--eps-sing", eps_sing, "--quiet")
+            assert code == 2, (argv, two_form)
+            assert report["error"]["type"] == "ValueError"
+            assert "eps_sing" in report["error"]["message"]
+    assert not out.exists()
+
+
+def analytic_spec(kind, d, shape, entries):
+    return {"analytic": {"kind": kind,
+                         "grid": {"dimension": d, "origin": [0.0] * d,
+                                  "spacing": 0.25, "shape": shape},
+                         "entries": entries}}
+
+
+class LapackCalled(Exception):
+    pass
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """np.linalg.det, inv and svd raise LapackCalled naming themselves."""
+    for name in ("det", "inv", "svd"):
+        def refuse(*args, name=name, **kwargs):
+            raise LapackCalled(name)
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gauge_commands_make_no_lapack_call_up_to_d3(files, capsys, no_lapack, d):
+    pi = [{"i": i, "j": j, "const": 0.5 + i, "linear": [0.25] * d}
+          for i in range(d) for j in range(i + 1, d)]
+    b = [{"i": i, "j": j, "const": 0.1 * (j - i)}
+         for i in range(d) for j in range(i + 1, d)]
+    (files / "pi3.json").write_text(json.dumps(analytic_spec("bivector", d, [4] * d, pi)))
+    (files / "b3.json").write_text(json.dumps(analytic_spec("two_form", d, [4] * d, b)))
+    code, report = run(capsys, "gauge-apply", files / "pi3.json", files / "b3.json",
+                       "--out", files / "tau3.field", "--quiet")
+    assert code == 0, report
+    code, report = run(capsys, "gauge-check", files / "pi3.json", files / "b3.json",
+                       "--quiet")
+    assert code == 0, report
+    assert report["result"]["rank_histogram"] == {"2" if d > 1 else "0": 4 ** d}
+
+
+def test_gauge_commands_reach_lapack_in_d4(files, capsys, no_lapack):
+    pi = [{"i": 0, "j": 1, "const": 1.0}, {"i": 2, "j": 3, "const": 1.0}]
+    b = [{"i": 0, "j": 2, "const": 0.1}]
+    (files / "pi4.json").write_text(json.dumps(analytic_spec("bivector", 4, [3] * 4, pi)))
+    (files / "b4.json").write_text(json.dumps(analytic_spec("two_form", 4, [3] * 4, b)))
+    for command in ("gauge-apply", "gauge-check"):
+        with pytest.raises(LapackCalled, match="det"):
+            main([command, str(files / "pi4.json"), str(files / "b4.json"), "--quiet"])
+
+
 def test_reports_are_byte_identical(files, capsys):
     code1 = main(["picard", str(files / "z4.json"), "--quiet"])
     out1 = capsys.readouterr().out

@@ -7,6 +7,7 @@ from moritakit.gauge import (GridSpec, SampledBivectorField,
                              SampledTwoFormField, apply_gauge,
                              closedness_residual, invertibility_check,
                              jacobi_residual, rank_map, verify_composition)
+from support import reference_gauge
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -250,3 +251,87 @@ def test_antisymmetry_preserved(seed):
         return
     out = apply_gauge(pi, b)
     assert out.antisymmetry_defect() <= 1e-12
+
+
+def from_upper(cls, grid, upper):
+    """A field from its upper entries, one row per point in row-major order."""
+    d = grid.dimension
+    iu, ju = np.triu_indices(d, 1)
+    upper = upper.reshape(*grid.shape, len(iu))
+    values = np.zeros((*grid.shape, d, d))
+    values[..., iu, ju] = upper
+    values[..., ju, iu] = -upper
+    return cls(grid, values)
+
+
+def random_gauge_pair(rng, d, n=5):
+    """Random pi and B on an n^d grid, with exact-zero and 1e-12-scaled
+    points of pi and points where 1 - s = 1 - <B, pi> is pushed down to 1e-6.
+
+    B is moved along pi to set s there, so |B| |pi| stays of order one:
+    LAPACK's relative error grows like |B|^2 |pi|^2 / |1 - s|, and it is
+    the oracle.  Returns the fields and s per point.
+    """
+    grid = GridSpec(d, (0.0,) * d, 0.25, (n,) * d)
+    m = d * (d - 1) // 2
+    pi = rng.standard_normal((grid.n_points(), m))
+    b = 0.5 * rng.standard_normal((grid.n_points(), m))
+    points = rng.permutation(grid.n_points())
+    pi[points[:3]] = 0.0
+    pi[points[3:6]] *= 1e-12
+    if m:
+        gaps = (1e-6, -1e-6, 1e-5, -1e-4, 1e-3, -1e-3, 1e-2)
+        for p, gap in zip(points[6:], gaps):
+            b[p] += (1.0 - gap - b[p] @ pi[p]) / (pi[p] @ pi[p]) * pi[p]
+    s = np.einsum("pk,pk->p", b, pi).reshape(grid.shape)
+    return (from_upper(SampledBivectorField, grid, pi),
+            from_upper(SampledTwoFormField, grid, b), s)
+
+
+def point_fields(pi, b, index):
+    """The two fields at one grid point, on a one-point grid."""
+    d = pi.grid.dimension
+    grid = GridSpec(d, (0.0,) * d, 1.0, (1,) * d)
+    shape = (1,) * d + (d, d)
+    return (SampledBivectorField(grid, pi.values[index].reshape(shape)),
+            SampledTwoFormField(grid, b.values[index].reshape(shape)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_forms_match_lapack(d, seed):
+    rng = np.random.default_rng(1000 * d + seed)
+    pi, b, s = random_gauge_pair(rng, d)
+    ref = reference_gauge(pi, b)
+    far = np.abs(1.0 - s) >= 1e-3
+    for index in map(tuple, np.argwhere(far)):
+        det = invertibility_check(*point_fields(pi, b, index), 0.0).min_abs_det
+        assert abs(det - ref["det"][index]) <= 1e-12 * ref["det"][index]
+    tau = apply_gauge(pi, b, 0.0).values
+    gap = np.max(np.abs(tau - ref["tau"]), axis=(-2, -1))
+    size = np.max(np.abs(ref["tau"]), axis=(-2, -1))
+    assert np.all(gap[far] <= 1e-12 * size[far])
+    assert np.array_equal(rank_map(pi), ref["rank"])
+    assert jacobi_residual(pi) == ref["jacobi"]
+    assert closedness_residual(b) == ref["closedness"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_d4_results_are_lapack_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(4, (0.0,) * 4, 0.5, (3, 3, 3, 4))
+    pi = from_upper(SampledBivectorField, grid,
+                    rng.standard_normal((grid.n_points(), 6)))
+    b = from_upper(SampledTwoFormField, grid,
+                   0.1 * rng.standard_normal((grid.n_points(), 6)))
+    ref = reference_gauge(pi, b)
+    report = invertibility_check(pi, b)
+    worst = np.unravel_index(np.argmin(ref["det"]), grid.shape)
+    assert report.min_abs_det == ref["det"][worst]
+    assert report.worst_point == tuple(int(i) for i in worst)
+    out = apply_gauge(pi, b)
+    assert np.array_equal(out.values, ref["tau"])
+    assert out.asymmetry_report == ref["asymmetry"]
+    assert np.array_equal(rank_map(pi), ref["rank"])
+    assert jacobi_residual(pi) == ref["jacobi"]
+    assert closedness_residual(b) == ref["closedness"]
