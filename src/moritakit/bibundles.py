@@ -4,16 +4,26 @@ A ``Bibundle`` is the generalized morphism between two finite groupoids:
 the left groupoid acts along the moment ``j1``, the right one along
 ``j2``.  Left-principal bibundles compose by the fibre-product-modulo-
 middle-action tensor, and biprincipal ones witness Morita equivalence.
+
+The actions are kept as id-addressed dicts and, built once on demand, as
+dense index tables (``_action_tables``): ``L[g, x]`` and ``R[x, g]``,
+with a sentinel where an action is undefined.  ``validate_bibundle``,
+``principality`` and ``tensor`` run as numpy gathers over these tables;
+their reports, witnesses and carriers are those of plain loops over the
+dicts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from ._search import _injective, _roots
 from .errors import MiddleMismatch, NotFunctor, NotLeftPrincipal
 from .groups import group_isomorphic
-from .groupoids import (FiniteGroupoid, GroupoidHom, isotropy, orbit_partition,
-                        orbits)
+from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, isotropy,
+                        orbit_partition, orbits)
 from .report import ValidationReport
 
 
@@ -50,6 +60,21 @@ class Bibundle:
                          for (g, x), y in left_act.items()}
         self.right_act = {(ci(x), right.arr_index[g]): ci(y)
                           for (x, g), y in right_act.items()}
+        self._tables = None
+
+    @classmethod
+    def _from_indices(cls, left, right, carrier, j1, j2, left_act, right_act):
+        """A bibundle from sorted, distinct carrier ids and index-level data.
+
+        ``j1``, ``j2``, ``left_act`` and ``right_act`` are in the index form
+        that the constructor builds from ids, and are taken as they are.
+        """
+        s = cls.__new__(cls)
+        s.left, s.right, s.carrier = left, right, carrier
+        s.car_index = {x: i for i, x in enumerate(carrier)}
+        s.j1, s.j2, s.left_act, s.right_act = j1, j2, left_act, right_act
+        s._tables = None
+        return s
 
     def __repr__(self):
         return f"Bibundle(carrier={len(self.carrier)})"
@@ -81,95 +106,220 @@ class PrincipalityReport:
         return self.left_principal and self.right_principal
 
 
+# ---------------------------------------------------------------------------
+# dense action tables
+
+def _action_tables(s: Bibundle) -> tuple[np.ndarray, np.ndarray]:
+    """The two actions as dense index arrays ``L[g, x]`` and ``R[x, g]``.
+
+    An entry is the index of g.x (of x.g), or the sentinel n, the carrier
+    size, where the action is undefined.  Each table has one more row and
+    column than arrows and points, all n, so a gather through an undefined
+    point or a sentinel arrow stays undefined, as in
+    ``groupoids._comp_table``.  Built once per bibundle.
+    """
+    if s._tables is None:
+        n = len(s.carrier)
+        left = np.full((s.left.n_arrows + 1, n + 1), n, dtype=np.intp)
+        right = np.full((n + 1, s.right.n_arrows + 1), n, dtype=np.intp)
+        for table, act in ((left, s.left_act), (right, s.right_act)):
+            i, j, image = _entries(act)
+            table[i, j] = image
+        s._tables = (left, right)
+    return s._tables
+
+
+def _entries(act: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two key columns and the values of an action dict, in insertion order."""
+    keys = np.fromiter(chain.from_iterable(act), dtype=np.intp,
+                       count=2 * len(act)).reshape(-1, 2)
+    return keys[:, 0], keys[:, 1], np.fromiter(act.values(), dtype=np.intp, count=len(act))
+
+
+def _grouped(labels: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """``[np.flatnonzero(labels == k) for k in range(n_groups)]``, in one sort."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(n_groups + 1))
+    return [order[bounds[k]:bounds[k + 1]] for k in range(n_groups)]
+
+
+def _loop_order(hits: list) -> list[tuple[int, int]]:
+    """(entry, arrow) pairs from per-arrow hits, sorted entry-major.
+
+    ``hits`` holds ``(entries, arrow)`` for each arrow whose gather found
+    violations; sorted, they come in the order of a loop over the entries
+    with the arrows inside.
+    """
+    if not hits:
+        return []
+    entries = np.concatenate([e for e, _ in hits])
+    arrows = np.concatenate([np.full(len(e), a) for e, a in hits])
+    order = np.lexsort((arrows, entries))
+    return list(zip(entries[order].tolist(), arrows[order].tolist()))
+
+
 def validate_bibundle(s: Bibundle) -> ValidationReport:
-    """Check moments, action domains, action axioms and commutation."""
+    """Check moments, action domains, action axioms and commutation.
+
+    The check is exhaustive and runs over the tables of
+    ``_action_tables``.  Action domains and moment equivariance are masks
+    over every (arrow, point) cell, the unit laws one gather per side.
+    Associativity and commutation take one gather per arrow over every
+    action entry it composes with.  Witnesses come in the order of plain
+    loops: cells arrow-major, then points; the associativity and
+    commutation witnesses follow the action dicts' insertion order, with
+    the arrows inside.
+    """
     report = ValidationReport()
-    L, R = s.left, s.right
+    lg, rg = s.left, s.right
     car = s.carrier
-    for g in range(L.n_arrows):
-        for x in range(len(car)):
-            defined = (g, x) in s.left_act
-            if defined != (L.src[g] == s.j1[x]):
-                report.add("left-action-domain", L.arrows[g], car[x])
-            if defined and L.src[g] == s.j1[x]:
-                y = s.left_act[(g, x)]
-                if s.j1[y] != L.tgt[g] or s.j2[y] != s.j2[x]:
-                    report.add("moment-equivariance-left", L.arrows[g], car[x])
-    for g in range(R.n_arrows):
-        for x in range(len(car)):
-            defined = (x, g) in s.right_act
-            if defined != (s.j2[x] == R.tgt[g]):
-                report.add("right-action-domain", car[x], R.arrows[g])
-            if defined and s.j2[x] == R.tgt[g]:
-                y = s.right_act[(x, g)]
-                if s.j1[y] != s.j1[x] or s.j2[y] != R.src[g]:
-                    report.add("moment-equivariance-right", car[x], R.arrows[g])
+    n = len(car)
+    left, right = _action_tables(s)
+    # moments, with -1 at the sentinel index n
+    j1 = np.array(s.j1 + (-1,), dtype=np.intp)
+    j2 = np.array(s.j2 + (-1,), dtype=np.intp)
+    l_src, l_tgt = np.array(lg.src, dtype=np.intp), np.array(lg.tgt, dtype=np.intp)
+    r_src, r_tgt = np.array(rg.src, dtype=np.intp), np.array(rg.tgt, dtype=np.intp)
+    gl, gr = left[:-1, :n], right[:n, :-1].T  # (arrow, point) -> image
+    sides = (
+        ("left-action-domain", "moment-equivariance-left", gl,
+         l_src[:, None] == j1[None, :n],
+         (j1[gl] != l_tgt[:, None]) | (j2[gl] != j2[None, :n]),
+         lambda g, x: (lg.arrows[g], car[x])),
+        ("right-action-domain", "moment-equivariance-right", gr,
+         r_tgt[:, None] == j2[None, :n],
+         (j1[gr] != j1[None, :n]) | (j2[gr] != r_src[:, None]),
+         lambda g, x: (car[x], rg.arrows[g])),
+    )
+    for domain_rule, moment_rule, act, domain, moved, witness in sides:
+        defined = act != n
+        bad_domain = defined != domain
+        bad_moment = defined & domain & moved
+        for g, x in np.argwhere(bad_domain | bad_moment).tolist():
+            report.add(domain_rule if bad_domain[g, x] else moment_rule,
+                       *witness(g, x))
     if report.violations:
         return report
-    for x in range(len(car)):
-        if s.left_act[(L.unit[s.j1[x]], x)] != x:
+    # Past this point each action is defined exactly on its domain.
+    points = np.arange(n)
+    bad_lu = left[np.array(lg.unit, dtype=np.intp)[j1[:n]], points] != points
+    bad_ru = right[points, np.array(rg.unit, dtype=np.intp)[j2[:n]]] != points
+    for x in np.flatnonzero(bad_lu | bad_ru).tolist():
+        if bad_lu[x]:
             report.add("left-unit-action", car[x])
-        if s.right_act[(x, R.unit[s.j2[x]])] != x:
+        if bad_ru[x]:
             report.add("right-unit-action", car[x])
-    for (h, x), hx in s.left_act.items():
-        for g in L.s_fiber(L.tgt[h]):
-            gh = L.comp.get((g, h))
-            if gh is None:
-                continue
-            if s.left_act[(g, hx)] != s.left_act[(gh, x)]:
-                report.add("left-action-associativity", L.arrows[g], L.arrows[h], car[x])
-    for (x, g), xg in s.right_act.items():
-        for h in R.t_fiber(R.src[g]):
-            gh = R.comp.get((g, h))
-            if gh is None:
-                continue
-            if s.right_act[(xg, h)] != s.right_act[(x, gh)]:
-                report.add("right-action-associativity", car[x], R.arrows[g], R.arrows[h])
-    for (g, x), gx in s.left_act.items():
-        for h in R.t_fiber(s.j2[x]):
-            if s.right_act[(gx, h)] != s.left_act[(g, s.right_act[(x, h)])]:
-                report.add("commutation", L.arrows[g], car[x], R.arrows[h])
+    cl, cr = _comp_table(lg), _comp_table(rg)
+    ml, mr = lg.n_arrows, rg.n_arrows
+    # left entries (h, x) -> hx and right entries (x, g) -> xg, in dict order;
+    # gathers go through flat tables and the right table's columns
+    lh, lx, lhx = _entries(s.left_act)
+    rx, rgg, rxg = _entries(s.right_act)
+    flat_l, flat_r, cols_r = left.ravel(), right.ravel(), right.T.copy()
+    wl, wr = n + 1, mr + 1
+
+    hits = []  # g.(h.x) against (gh).x, for each g over entries with t(h) = s(g)
+    groups = [(e, lh[e], lx[e], lhx[e]) for e in _grouped(l_tgt[lh], lg.n_objects)]
+    for g in range(ml):
+        e, h, x, hx = groups[lg.src[g]]
+        gh = cl[g].take(h)
+        bad = (gh != ml) & (left[g].take(hx) != flat_l.take(gh * wl + x))
+        if bad.any():
+            hits.append((e[bad], g))
+    for e, g in _loop_order(hits):
+        report.add("left-action-associativity", lg.arrows[g], lg.arrows[lh[e]], car[lx[e]])
+
+    hits = []  # (x.g).h against x.(gh), for each h over entries with s(g) = t(h)
+    groups = [(e, rx[e], rgg[e], rxg[e]) for e in _grouped(r_src[rgg], rg.n_objects)]
+    for h in range(mr):
+        e, x, g, xg = groups[rg.tgt[h]]
+        gh = cr[:, h].take(g)
+        bad = (gh != mr) & (cols_r[h].take(xg) != flat_r.take(x * wr + gh))
+        if bad.any():
+            hits.append((e[bad], h))
+    for e, h in _loop_order(hits):
+        report.add("right-action-associativity", car[rx[e]], rg.arrows[rgg[e]], rg.arrows[h])
+
+    hits = []  # (g.x).h against g.(x.h), for each h over left entries with j2(x) = t(h)
+    groups = [(e, lh[e], lx[e], lhx[e]) for e in _grouped(j2[lx], rg.n_objects)]
+    for h in range(mr):
+        e, g, x, gx = groups[rg.tgt[h]]
+        bad = cols_r[h].take(gx) != flat_l.take(g * wl + cols_r[h].take(x))
+        if bad.any():
+            hits.append((e[bad], h))
+    for e, h in _loop_order(hits):
+        report.add("commutation", lg.arrows[lh[e]], car[lx[e]], rg.arrows[h])
     return report
 
 
+def _free_transitive(act, domain, units, fibre, n_fibres):
+    """First witnesses against a free action, transitive on each fibre.
+
+    ``act[x, g]`` is the point arrow g moves x to, for the arrows with
+    ``domain[x, g]``; ``units[x]`` is the unit arrow at x and ``fibre``
+    labels the points by the other moment.  Returns the first object with
+    an empty fibre, the first (x, g) with a non-unit g fixing x, and the
+    first (x, y) in one fibre with no arrow moving x to y, each None if
+    there is none.  Transitivity counts the distinct images of each point
+    inside its fibre against the fibre's size, so no pair is tested; only
+    the first short point's fibre is scanned for its y.
+    """
+    n, m = act.shape
+    sizes = np.bincount(fibre, minlength=n_fibres)
+    empty = np.flatnonzero(sizes == 0)
+    points = np.arange(n)
+    fixed = domain & (act == points[:, None]) & (np.arange(m)[None, :] != units[:, None])
+    first_fixed = np.flatnonzero(fixed.ravel())
+    image = np.where(domain, act, n)
+    inside = np.append(fibre, -1)[image] == fibre[:, None]
+    # distinct images inside the fibre: the new values along each sorted row
+    ordered = np.sort(np.where(inside, image, -1), axis=1)
+    fresh = ordered >= 0
+    fresh[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+    short = np.flatnonzero(fresh.sum(axis=1) < sizes[fibre])
+    gap = None
+    if short.size:
+        x = int(short[np.argmin(fibre[short])])
+        same = np.flatnonzero(fibre == fibre[x])
+        gap = (x, int(same[~np.isin(same, image[x])][0]))
+    return (int(empty[0]) if empty.size else None,
+            divmod(int(first_fixed[0]), m) if first_fixed.size else None, gap)
+
+
 def principality(s: Bibundle) -> PrincipalityReport:
-    """Freeness/transitivity of each action on the other moment's fibres."""
-    witnesses = {}
-    left_ok = True
-    missing = [p for p in range(s.right.n_objects) if not s.j2_fiber(p)]
-    if missing:
-        left_ok = False
-        witnesses["left-surjectivity"] = s.right.objects[missing[0]]
-    for x in range(len(s.carrier)):
-        for g in s.left.s_fiber(s.j1[x]):
-            if s.left_act.get((g, x)) == x and g != s.left.unit[s.j1[x]]:
-                left_ok = False
-                witnesses.setdefault("left-freeness", (s.left.arrows[g], s.carrier[x]))
-    for p in range(s.right.n_objects):
-        fiber = s.j2_fiber(p)
-        for x in fiber:
-            for y in fiber:
-                if not any(s.left_act.get((g, x)) == y for g in s.left.s_fiber(s.j1[x])):
-                    left_ok = False
-                    witnesses.setdefault("left-transitivity", (s.carrier[x], s.carrier[y]))
-    right_ok = True
-    missing = [p for p in range(s.left.n_objects) if not s.j1_fiber(p)]
-    if missing:
-        right_ok = False
-        witnesses["right-surjectivity"] = s.left.objects[missing[0]]
-    for x in range(len(s.carrier)):
-        for g in s.right.t_fiber(s.j2[x]):
-            if s.right_act.get((x, g)) == x and g != s.right.unit[s.j2[x]]:
-                right_ok = False
-                witnesses.setdefault("right-freeness", (s.carrier[x], s.right.arrows[g]))
-    for p in range(s.left.n_objects):
-        fiber = s.j1_fiber(p)
-        for x in fiber:
-            for y in fiber:
-                if not any(s.right_act.get((x, g)) == y for g in s.right.t_fiber(s.j2[x])):
-                    right_ok = False
-                    witnesses.setdefault("right-transitivity", (s.carrier[x], s.carrier[y]))
-    return PrincipalityReport(left_ok, right_ok, witnesses)
+    """Freeness/transitivity of each action on the other moment's fibres.
+
+    Runs over the tables of ``_action_tables`` (see ``_free_transitive``):
+    freeness is a mask of the points a non-unit arrow fixes, and
+    transitivity compares image sets with fibres, with no scan over pairs
+    of points.  The witnesses are those of a plain loop: objects, then
+    points and arrows in order, fibres by object.
+    """
+    n = len(s.carrier)
+    lg, rg, car = s.left, s.right, s.carrier
+    left, right = _action_tables(s)
+    j1 = np.array(s.j1, dtype=np.intp)
+    j2 = np.array(s.j2, dtype=np.intp)
+    sides = (
+        ("left", rg.objects, lambda x, g: (lg.arrows[g], car[x]),
+         _free_transitive(left[:-1, :n].T,
+                          j1[:, None] == np.array(lg.src, dtype=np.intp)[None, :],
+                          np.array(lg.unit, dtype=np.intp)[j1], j2, rg.n_objects)),
+        ("right", lg.objects, lambda x, g: (car[x], rg.arrows[g]),
+         _free_transitive(right[:n, :-1],
+                          j2[:, None] == np.array(rg.tgt, dtype=np.intp)[None, :],
+                          np.array(rg.unit, dtype=np.intp)[j2], j1, lg.n_objects)),
+    )
+    witnesses, ok = {}, []
+    for side, objects, freeness, (empty, fixed, gap) in sides:
+        if empty is not None:
+            witnesses[f"{side}-surjectivity"] = objects[empty]
+        if fixed is not None:
+            witnesses[f"{side}-freeness"] = freeness(*fixed)
+        if gap is not None:
+            witnesses[f"{side}-transitivity"] = (car[gap[0]], car[gap[1]])
+        ok.append(empty is None and fixed is None and gap is None)
+    return PrincipalityReport(ok[0], ok[1], witnesses)
 
 
 def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
@@ -212,12 +362,48 @@ def from_homomorphism(hom: GroupoidHom) -> Bibundle:
     return Bibundle(tgt_g, src_g, carrier, j1, j2, left_act, right_act)
 
 
+def _smallest_members(n: int, edges) -> np.ndarray:
+    """Label each of ``range(n)`` by the smallest member of its block.
+
+    The blocks are the connected components of the edges i -- j that
+    ``edges()`` yields as pairs of index arrays, one batch at a time.  A
+    sweep lowers, for every edge, the label of each end's label to the
+    smaller of the two ends' labels; pointer jumping then replaces every
+    label by its own label until that is stable.  Labels only fall and
+    always name a member of the block, so sweeps repeat until one changes
+    nothing, and then each block carries its smallest member: the
+    ``_roots`` union-find's answer, for any edges.
+    """
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        for i, j in edges():
+            ends = label.take(i), label.take(j)
+            lower = np.minimum(*ends)
+            for end in ends:
+                np.minimum.at(label, end, lower)
+        while True:
+            jumped = label.take(label)
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            return label
+
+
 def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     """Tensor product over the middle groupoid.
 
     Carrier classes are pairs (x, y) with matching middle moments, modulo
     (x.g, y) ~ (x, g.y); class representatives are the lexicographically
     smallest pairs and the id spells the representative.
+
+    The pairs are enumerated x-major with numpy, and the classes are the
+    blocks of ``_smallest_members`` over the moves (x, y) -> (x.g, g^-1.y),
+    which it takes one middle arrow g at a time, so only one arrow's
+    moves are held at once.  The product actions are gathers over the
+    class representatives.  A lookup that a plain loop over the action
+    dicts would miss raises that loop's ``KeyError``.
     """
     if s.right != s2.left:
         raise MiddleMismatch("middle groupoids differ")
@@ -226,33 +412,92 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     if not principality(s2).left_principal:
         raise NotLeftPrincipal("second factor is not left principal")
     mid = s.right
-    pairs = [(x, y) for x in range(len(s.carrier)) for y in range(len(s2.carrier))
-             if s.j2[x] == s2.j1[y]]
-    pos = {p: i for i, p in enumerate(pairs)}
-    moves = ((pos[(x, y)], pos[(s.right_act[(x, g)], s2.left_act[(mid.inv[g], y)])])
-             for (x, y) in pairs for g in mid.t_fiber(s.j2[x]))
-    roots = _roots(len(pairs), moves)
+    n1, n2 = len(s.carrier), len(s2.carrier)
+    left1, right1 = _action_tables(s)
+    left2, right2 = _action_tables(s2)
+    # middle moments; -1 and -2 at the sentinels, so they never match
+    a = np.array(s.j2 + (-1,), dtype=np.intp)
+    b = np.array(s2.j1 + (-2,), dtype=np.intp)
+    # pair (x, y) has index first[x] + rank[y]: y runs over b's fibre at a[x]
+    fibre_of = np.argsort(b[:n2], kind="stable")
+    count = np.bincount(b[:n2], minlength=mid.n_objects)
+    start = np.cumsum(count) - count
+    rank = np.zeros(n2 + 1, dtype=np.intp)
+    rank[fibre_of] = np.arange(n2) - start[b[fibre_of]]
+    width = count[a[:n1]]
+    first = np.append(np.cumsum(width) - width, 0)
+    n_pairs = int(width.sum())
+    px = np.repeat(np.arange(n1), width)
+    py = fibre_of[np.repeat(start[a[:n1]] - first[:n1], width) + np.arange(n_pairs)]
 
-    def rep(x, y):
-        return pairs[roots[pos[(x, y)]]]
+    def pair_index(xs, ys):
+        # index of each pair (xs[k], ys[k]), and where it is a pair at all
+        ok = a.take(xs) == b.take(ys)
+        return np.where(ok, first.take(xs) + rank.take(ys), 0), ok
 
-    classes = sorted({rep(x, y) for (x, y) in pairs})
+    columns = right1.T.copy()  # columns[g, x] = x.g
+    groups = [(idx, px[idx], py[idx]) for idx in _grouped(a[px], mid.n_objects)]
 
-    def name(p):
-        x, y = p
-        return f"[{s.carrier[x]}*{s2.carrier[y]}]"
+    def moves():
+        # per middle arrow g: the pairs (x, y) over t(g), and x.g, g^-1.y
+        for g in range(mid.n_arrows):
+            idx, xs, ys = groups[mid.tgt[g]]
+            yield g, idx, columns[g].take(xs), left2[mid.inv[g]].take(ys)
 
-    carrier = [name(p) for p in classes]
-    j1 = {name(p): s.left.objects[s.j1[p[0]]] for p in classes}
-    j2 = {name(p): s2.right.objects[s2.j2[p[1]]] for p in classes}
-    left_act, right_act = {}, {}
-    for p in classes:
-        x, y = p
-        for g in s.left.s_fiber(s.j1[x]):
-            left_act[(s.left.arrows[g], name(p))] = name(rep(s.left_act[(g, x)], y))
-        for g in s2.right.t_fiber(s2.j2[y]):
-            right_act[(name(p), s2.right.arrows[g])] = name(rep(x, s2.right_act[(y, g)]))
-    return Bibundle(s.left, s2.right, carrier, j1, j2, left_act, right_act)
+    misses = []  # the first missed lookup of a loop over pairs, then arrows
+    for g, idx, xs, ys in moves():
+        bad = np.flatnonzero(~pair_index(xs, ys)[1])
+        if bad.size:
+            k = bad[0]
+            x, y, x2, y2 = int(px[idx[k]]), int(py[idx[k]]), int(xs[k]), int(ys[k])
+            misses.append((int(idx[k]), g, (x, g) if x2 == n1 else
+                           (mid.inv[g], y) if y2 == n2 else (x2, y2)))
+    if misses:
+        raise KeyError(min(misses)[2])
+    label = _smallest_members(n_pairs, lambda: (
+        (idx, pair_index(xs, ys)[0]) for _, idx, xs, ys in moves()))
+    reps = np.flatnonzero(label == np.arange(n_pairs))
+    cls = np.searchsorted(reps, label)
+    rx, ry = px[reps], py[reps]
+    names = [f"[{s.carrier[x]}*{s2.carrier[y]}]"
+             for x, y in zip(rx.tolist(), ry.tolist())]
+
+    # product actions, class-major: g.(x, y) = (g.x, y) and (x, y).g = (x, y.g)
+    fibres = [s.left.s_fiber(s.j1[x]) for x in rx.tolist()]
+    lg = np.array([g for f in fibres for g in f], dtype=np.intp)
+    lc = np.repeat(np.arange(len(reps)), [len(f) for f in fibres])
+    lx = left1[lg, rx[lc]]
+    l_target, l_ok = pair_index(lx, ry[lc])
+    fibres = [s2.right.t_fiber(s2.j2[y]) for y in ry.tolist()]
+    rg = np.array([g for f in fibres for g in f], dtype=np.intp)
+    rc = np.repeat(np.arange(len(reps)), [len(f) for f in fibres])
+    ry2 = right2[ry[rc], rg]
+    r_target, r_ok = pair_index(rx[rc], ry2)
+    if not (l_ok.all() and r_ok.all()):
+        # the first miss of a loop over classes, left arrows before right
+        misses = []
+        if not l_ok.all():
+            k = int(np.flatnonzero(~l_ok)[0])
+            c, g, x2 = int(lc[k]), int(lg[k]), int(lx[k])
+            misses.append((c, 0, (g, int(rx[c])) if x2 == n1 else (x2, int(ry[c]))))
+        if not r_ok.all():
+            k = int(np.flatnonzero(~r_ok)[0])
+            c, g, y2 = int(rc[k]), int(rg[k]), int(ry2[k])
+            misses.append((c, 1, (int(ry[c]), g) if y2 == n2 else (int(rx[c]), y2)))
+        raise KeyError(min(misses)[2])
+    # the carrier is sorted by id, the actions keep the class-major order
+    order = sorted(range(len(names)), key=names.__getitem__)
+    carrier = tuple(names[c] for c in order)
+    if any(u == v for u, v in zip(carrier, carrier[1:])):
+        raise ValueError("duplicate carrier ids")
+    at = np.empty(len(order), dtype=np.intp)
+    at[order] = np.arange(len(order))
+    j1 = np.array(s.j1, dtype=np.intp)[rx[order]]
+    j2 = np.array(s2.j2, dtype=np.intp)[ry[order]]
+    left_act = dict(zip(zip(lg.tolist(), at[lc].tolist()), at[cls[l_target]].tolist()))
+    right_act = dict(zip(zip(at[rc].tolist(), rg.tolist()), at[cls[r_target]].tolist()))
+    return Bibundle._from_indices(s.left, s2.right, carrier, tuple(j1.tolist()),
+                                  tuple(j2.tolist()), left_act, right_act)
 
 
 def bibundle_isomorphic(s1: Bibundle, s2: Bibundle):

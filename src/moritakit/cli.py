@@ -187,13 +187,24 @@ def _verify_exact(args):
 
 
 def _compose(args):
-    prod = tensor(load_bibundle(args.first), load_bibundle(args.second))
+    paths = (args.first, args.second)
+    factors = [load_bibundle(path) for path in paths]
+    for path, factor in zip(paths, factors):
+        report = validate_bibundle(factor)
+        if not report.ok:
+            payload = {"input": path, "kind": "bibundle", **report.as_dict()}
+            return payload, EXIT_INVALID, f"{path}: bibundle INVALID"
+    prod = tensor(*factors)
+    # The inputs, and the product's action tables that principality
+    # builds, are not held while the product is written.
+    del factors, factor
+    if args.emit:
+        save_bibundle(prod, args.emit)
     pr = principality(prod)
     payload = {"carrier_size": len(prod.carrier),
                "left_principal": pr.left_principal,
                "right_principal": pr.right_principal}
     if args.emit:
-        save_bibundle(prod, args.emit)
         payload["witness"] = args.emit
     return payload, EXIT_OK, f"tensor carrier has {len(prod.carrier)} point(s)"
 

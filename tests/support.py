@@ -12,9 +12,12 @@ from itertools import (combinations, combinations_with_replacement,
 
 import numpy as np
 
-from moritakit.bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
-                                 identity_bibundle, principality, tensor,
-                                 validate_bibundle)
+from moritakit._search import _roots
+from moritakit.bibundles import (Bibundle, PrincipalityReport,
+                                 bibundle_isomorphic, from_homomorphism,
+                                 identity_bibundle, morita_equivalent,
+                                 principality, tensor, validate_bibundle)
+from moritakit.errors import MiddleMismatch, NotLeftPrincipal
 from moritakit.gauge import EPS_RANK
 from moritakit.groups import (FiniteGroup, cyclic_group, dihedral_group,
                               klein_four_group, quaternion_group,
@@ -22,7 +25,7 @@ from moritakit.groups import (FiniteGroup, cyclic_group, dihedral_group,
 from moritakit.groupoids import (FiniteGroupoid, PrincipalBundleData,
                                  bundle_of_groups, disjoint_union,
                                  gauge_groupoid, group_as_groupoid,
-                                 pair_groupoid)
+                                 groupoid_isomorphisms, pair_groupoid)
 from moritakit.report import ValidationReport
 from moritakit.tss import LabeledSurfaceGraph
 
@@ -78,6 +81,36 @@ def corpus_groupoids() -> list[tuple[str, FiniteGroupoid]]:
 def small_corpus() -> list[tuple[str, FiniteGroupoid]]:
     """Corpus entries small enough for the raw bibundle oracle."""
     return [(name, g) for name, g in corpus_groupoids() if g.n_arrows <= 6]
+
+
+def corpus_factors() -> list[tuple[str, Bibundle]]:
+    """Bibundles over the corpus groupoids.
+
+    For each groupoid: its identity bibundle and the bibundles of up to
+    two automorphisms; for each Morita-equivalent ordered pair: the
+    witness of ``morita_equivalent``.
+    """
+    groupoids = corpus_groupoids()
+    factors = []
+    for name, g in groupoids:
+        factors.append((f"id {name}", identity_bibundle(g)))
+        isos = groupoid_isomorphisms(g, g)
+        for k in sorted({len(isos) // 2, len(isos) - 1} - {0}):
+            factors.append((f"aut{k} {name}", from_homomorphism(isos[k])))
+    for a, g in groupoids:
+        for b, h in groupoids:
+            w = morita_equivalent(g, h)
+            if w is not None:
+                factors.append((f"morita {a}~{b}", w))
+    return factors
+
+
+def composable_pairs(factors):
+    """Every ``(name, s, t)`` with ``s.right`` the middle of ``t`` and s or t a witness."""
+    for sname, s in factors:
+        for tname, t in factors:
+            if s.right is t.left and "morita" in sname + tname:
+                yield f"{sname} * {tname}", s, t
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +352,135 @@ def reference_validate(g: FiniteGroupoid) -> ValidationReport:
                 or g.comp.get((i, j)) != g.unit[g.tgt[i]]):
             report.add("inverse-law", A[i], A[j])
     return report
+
+
+def reference_validate_bibundle(s: Bibundle) -> ValidationReport:
+    """``validate_bibundle`` as plain loops over the action dicts."""
+    report = ValidationReport()
+    L, R = s.left, s.right
+    car = s.carrier
+    for g in range(L.n_arrows):
+        for x in range(len(car)):
+            defined = (g, x) in s.left_act
+            if defined != (L.src[g] == s.j1[x]):
+                report.add("left-action-domain", L.arrows[g], car[x])
+            if defined and L.src[g] == s.j1[x]:
+                y = s.left_act[(g, x)]
+                if s.j1[y] != L.tgt[g] or s.j2[y] != s.j2[x]:
+                    report.add("moment-equivariance-left", L.arrows[g], car[x])
+    for g in range(R.n_arrows):
+        for x in range(len(car)):
+            defined = (x, g) in s.right_act
+            if defined != (s.j2[x] == R.tgt[g]):
+                report.add("right-action-domain", car[x], R.arrows[g])
+            if defined and s.j2[x] == R.tgt[g]:
+                y = s.right_act[(x, g)]
+                if s.j1[y] != s.j1[x] or s.j2[y] != R.src[g]:
+                    report.add("moment-equivariance-right", car[x], R.arrows[g])
+    if report.violations:
+        return report
+    for x in range(len(car)):
+        if s.left_act[(L.unit[s.j1[x]], x)] != x:
+            report.add("left-unit-action", car[x])
+        if s.right_act[(x, R.unit[s.j2[x]])] != x:
+            report.add("right-unit-action", car[x])
+    for (h, x), hx in s.left_act.items():
+        for g in L.s_fiber(L.tgt[h]):
+            gh = L.comp.get((g, h))
+            if gh is None:
+                continue
+            if s.left_act[(g, hx)] != s.left_act[(gh, x)]:
+                report.add("left-action-associativity", L.arrows[g], L.arrows[h], car[x])
+    for (x, g), xg in s.right_act.items():
+        for h in R.t_fiber(R.src[g]):
+            gh = R.comp.get((g, h))
+            if gh is None:
+                continue
+            if s.right_act[(xg, h)] != s.right_act[(x, gh)]:
+                report.add("right-action-associativity", car[x], R.arrows[g], R.arrows[h])
+    for (g, x), gx in s.left_act.items():
+        for h in R.t_fiber(s.j2[x]):
+            if s.right_act[(gx, h)] != s.left_act[(g, s.right_act[(x, h)])]:
+                report.add("commutation", L.arrows[g], car[x], R.arrows[h])
+    return report
+
+
+def reference_principality(s: Bibundle) -> PrincipalityReport:
+    """``principality`` as plain loops: every pair of each fibre, every arrow."""
+    witnesses = {}
+    left_ok = True
+    missing = [p for p in range(s.right.n_objects) if not s.j2_fiber(p)]
+    if missing:
+        left_ok = False
+        witnesses["left-surjectivity"] = s.right.objects[missing[0]]
+    for x in range(len(s.carrier)):
+        for g in s.left.s_fiber(s.j1[x]):
+            if s.left_act.get((g, x)) == x and g != s.left.unit[s.j1[x]]:
+                left_ok = False
+                witnesses.setdefault("left-freeness", (s.left.arrows[g], s.carrier[x]))
+    for p in range(s.right.n_objects):
+        fiber = s.j2_fiber(p)
+        for x in fiber:
+            for y in fiber:
+                if not any(s.left_act.get((g, x)) == y for g in s.left.s_fiber(s.j1[x])):
+                    left_ok = False
+                    witnesses.setdefault("left-transitivity", (s.carrier[x], s.carrier[y]))
+    right_ok = True
+    missing = [p for p in range(s.left.n_objects) if not s.j1_fiber(p)]
+    if missing:
+        right_ok = False
+        witnesses["right-surjectivity"] = s.left.objects[missing[0]]
+    for x in range(len(s.carrier)):
+        for g in s.right.t_fiber(s.j2[x]):
+            if s.right_act.get((x, g)) == x and g != s.right.unit[s.j2[x]]:
+                right_ok = False
+                witnesses.setdefault("right-freeness", (s.carrier[x], s.right.arrows[g]))
+    for p in range(s.left.n_objects):
+        fiber = s.j1_fiber(p)
+        for x in fiber:
+            for y in fiber:
+                if not any(s.right_act.get((x, g)) == y for g in s.right.t_fiber(s.j2[x])):
+                    right_ok = False
+                    witnesses.setdefault("right-transitivity", (s.carrier[x], s.carrier[y]))
+    return PrincipalityReport(left_ok, right_ok, witnesses)
+
+
+def reference_tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
+    """``tensor`` through the action dicts and the ``_roots`` union-find."""
+    if s.right != s2.left:
+        raise MiddleMismatch("middle groupoids differ")
+    if not reference_principality(s).left_principal:
+        raise NotLeftPrincipal("first factor is not left principal")
+    if not reference_principality(s2).left_principal:
+        raise NotLeftPrincipal("second factor is not left principal")
+    mid = s.right
+    pairs = [(x, y) for x in range(len(s.carrier)) for y in range(len(s2.carrier))
+             if s.j2[x] == s2.j1[y]]
+    pos = {p: i for i, p in enumerate(pairs)}
+    moves = ((pos[(x, y)], pos[(s.right_act[(x, g)], s2.left_act[(mid.inv[g], y)])])
+             for (x, y) in pairs for g in mid.t_fiber(s.j2[x]))
+    roots = _roots(len(pairs), moves)
+
+    def rep(x, y):
+        return pairs[roots[pos[(x, y)]]]
+
+    classes = sorted({rep(x, y) for (x, y) in pairs})
+
+    def name(p):
+        x, y = p
+        return f"[{s.carrier[x]}*{s2.carrier[y]}]"
+
+    carrier = [name(p) for p in classes]
+    j1 = {name(p): s.left.objects[s.j1[p[0]]] for p in classes}
+    j2 = {name(p): s2.right.objects[s2.j2[p[1]]] for p in classes}
+    left_act, right_act = {}, {}
+    for p in classes:
+        x, y = p
+        for g in s.left.s_fiber(s.j1[x]):
+            left_act[(s.left.arrows[g], name(p))] = name(rep(s.left_act[(g, x)], y))
+        for g in s2.right.t_fiber(s2.j2[y]):
+            right_act[(name(p), s2.right.arrows[g])] = name(rep(x, s2.right_act[(y, g)]))
+    return Bibundle(s.left, s2.right, carrier, j1, j2, left_act, right_act)
 
 
 def reference_cayley(items, mul, key, prefix: str) -> FiniteGroup:

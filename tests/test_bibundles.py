@@ -2,18 +2,21 @@ import random
 
 import pytest
 
-from moritakit.bibundles import (bibundle_isomorphic, from_homomorphism,
+from moritakit.bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, induced_orbit_map,
                                  morita_equivalent, principality, tensor,
                                  validate_bibundle)
 from moritakit.errors import MiddleMismatch, NotFunctor, NotLeftPrincipal
-from moritakit.groups import cyclic_group, klein_four_group, trivial_group
+from moritakit.groups import (cyclic_group, klein_four_group, symmetric_group,
+                              trivial_group)
 from moritakit.groupoids import (GroupoidHom, disjoint_union,
                                  group_as_groupoid, isotropy, orbits,
                                  pair_groupoid)
 
-from support import (corpus_groupoids, gauge_over, raw_morita_exists,
-                     random_functor)
+from support import (composable_pairs, corpus_factors, corpus_groupoids,
+                     gauge_over, raw_morita_exists, random_functor,
+                     reference_principality, reference_tensor,
+                     reference_validate_bibundle, with_composites)
 
 
 def z_groupoid(n):
@@ -296,3 +299,162 @@ def test_tensor_associativity_sampled():
         left = tensor(tensor(s, t), u)
         right = tensor(s, tensor(t, u))
         assert bibundle_isomorphic(left, right) is not None
+
+
+# ---------------------------------------------------------------------------
+# array kernels against the plain loops
+
+def loop_form(s):
+    """Everything that defines a bibundle, actions in insertion order."""
+    return (s.left, s.right, s.carrier, s.car_index, s.j1, s.j2,
+            list(s.left_act.items()), list(s.right_act.items()))
+
+
+def same_principality(s):
+    got, want = principality(s), reference_principality(s)
+    return got == want and list(got.witnesses.items()) == list(want.witnesses.items())
+
+
+def outcome(f, *args):
+    """The value of f(*args) in loop form, or its exception's type and args."""
+    try:
+        return loop_form(f(*args))
+    except Exception as exc:  # compared between the kernel and the loop
+        return type(exc), exc.args
+
+
+@pytest.fixture(scope="module")
+def factors():
+    return corpus_factors()
+
+
+def test_validate_and_principality_match_the_loops(factors):
+    products = [(name, tensor(s, t)) for name, s, t in composable_pairs(factors)]
+    assert len(factors) > 80 and len(products) > 250
+    for name, s in factors + products:
+        report = validate_bibundle(s)
+        assert report.as_dict() == reference_validate_bibundle(s).as_dict(), name
+        assert report.ok, name
+        assert same_principality(s), name
+
+
+def test_tensor_matches_the_loop(factors):
+    for name, s, t in composable_pairs(factors):
+        assert loop_form(tensor(s, t)) == loop_form(reference_tensor(s, t)), name
+
+
+def test_tensor_sorts_the_carrier_by_id():
+    # ids "p", "p)", ..., "p)))))": "[p*p)]" sorts before "[p*p]", so the
+    # carrier order is not the order of the representative pairs
+    g = group_as_groupoid(symmetric_group(3))
+    s = identity_bibundle(g)
+    rename = {x: "p" + ")" * i for i, x in enumerate(s.carrier)}
+    j1, j2, left_act, right_act = s.as_dicts()
+    r = Bibundle(g, g, rename.values(), {rename[x]: o for x, o in j1.items()},
+                 {rename[x]: o for x, o in j2.items()},
+                 {(a, rename[x]): rename[y] for (a, x), y in left_act.items()},
+                 {(rename[x], a): rename[y] for (x, a), y in right_act.items()})
+    for pair in ((r, s), (s, r), (r, r)):
+        product = tensor(*pair)
+        assert loop_form(product) == loop_form(reference_tensor(*pair))
+    assert product.carrier[0] == "[p*p)))))]"
+
+
+def test_principality_matches_the_loop_on_functor_bibundles():
+    # bibundles of arbitrary functors: left principal, and right principal
+    # only for equivalences, with failures in several fibres at once
+    rng = random.Random(9)
+    pool = [g for _, g in corpus_groupoids() if g.n_arrows <= 9]
+    for _ in range(40):
+        source, target = rng.choice(pool), rng.choice(pool)
+        s = from_homomorphism(random_functor(rng, source, target))
+        assert same_principality(s)
+        assert validate_bibundle(s).as_dict() == reference_validate_bibundle(s).as_dict()
+
+
+def with_action(s, *changes):
+    """A copy of s with action entries (index form) sent to other points.
+
+    Each change is ``(side, key, image)``.
+    """
+    j1, j2, left_act, right_act = s.as_dicts()
+    for side, key, image in changes:
+        if side == "left":
+            left_act[(s.left.arrows[key[0]], s.carrier[key[1]])] = s.carrier[image]
+        else:
+            right_act[(s.carrier[key[0]], s.right.arrows[key[1]])] = s.carrier[image]
+    return Bibundle(s.left, s.right, s.carrier, j1, j2, left_act, right_act)
+
+
+def redirections(s):
+    """Every action entry sent to each other point with the moments of its
+    image, or to the next point where there is none."""
+    n = len(s.carrier)
+    for side, act in (("left", s.left_act), ("right", s.right_act)):
+        for key, y in act.items():
+            same = [z for z in range(n) if z != y
+                    and (s.j1[z], s.j2[z]) == (s.j1[y], s.j2[y])]
+            for z in same or [(y + 1) % n]:
+                yield side, key, z
+
+
+SMALL = {name: g for name, g in corpus_groupoids() if g.n_arrows <= 30}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_redirected_actions_match_the_loops(name):
+    s = identity_bibundle(SMALL[name])
+    faults = list(redirections(s)) if len(s.carrier) > 1 else []
+    assert len(faults) >= len(s.left_act) + len(s.right_act) or len(s.carrier) == 1
+    for fault in faults:
+        bad = with_action(s, fault)
+        report = validate_bibundle(bad)
+        assert report.as_dict() == reference_validate_bibundle(bad).as_dict(), fault
+        assert not report.ok, fault  # one wrong entry is always caught
+        assert same_principality(bad), fault
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_tensor_of_redirected_actions_matches_the_loop(name):
+    # malformed factors, with one or two wrong entries: the classes still
+    # equal the union-find blocks, and a lookup the loop misses raises the
+    # same KeyError
+    s = identity_bibundle(SMALL[name])
+    faults = list(redirections(s)) if len(s.carrier) > 1 else []
+    sample = random.Random(name).sample(faults, min(12, len(faults)))
+    for changes in [(f,) for f in sample] + list(zip(sample, sample[1:])):
+        bad = with_action(s, *changes)
+        for pair in ((bad, s), (s, bad)):
+            assert outcome(tensor, *pair) == outcome(reference_tensor, *pair), changes
+
+
+def test_tensor_raises_the_first_key_error_of_the_loop():
+    # Z3 on {x, y}, c1 and c2 both swapping, (c2, x) undefined: still left
+    # principal.  The second factor lacks its only right action entry, so
+    # the class (x, u) misses a left and a right entry; the loop meets the
+    # left one first.
+    z3, pt = group_as_groupoid(cyclic_group(3)), pair_groupoid(1)
+    (o,), (u,) = pt.objects, pt.arrows
+    s = Bibundle(z3, pt, ["x", "y"], {"x": "pt", "y": "pt"}, {"x": o, "y": o},
+                 {("c0", "x"): "x", ("c0", "y"): "y", ("c1", "x"): "y",
+                  ("c1", "y"): "x", ("c2", "y"): "x"},
+                 {("x", u): "x", ("y", u): "y"})
+    s2 = Bibundle(pt, pt, ["u"], {"u": o}, {"u": o}, {(u, "u"): "u"}, {})
+    assert principality(s).left_principal and principality(s2).left_principal
+    assert outcome(tensor, s, s2) == outcome(reference_tensor, s, s2) == (KeyError, ((2, 0),))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_kernels_match_the_loops_over_a_deleted_composite(name):
+    # the identity bibundle's actions over a copy of the groupoid that lacks
+    # one composite: associativity skips the missing composite, as the loop does
+    g = SMALL[name]
+    s = identity_bibundle(g)
+    j1, j2, left_act, right_act = s.as_dicts()
+    for pair in random.Random(name).sample(sorted(g.comp), min(8, len(g.comp))):
+        broken = with_composites(g, {pair: None})
+        for left, right in ((broken, g), (g, broken)):
+            bad = Bibundle(left, right, s.carrier, j1, j2, left_act, right_act)
+            assert (validate_bibundle(bad).as_dict()
+                    == reference_validate_bibundle(bad).as_dict()), pair
+            assert same_principality(bad), pair

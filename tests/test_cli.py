@@ -206,6 +206,29 @@ def test_compose_command(files, capsys):
     assert out.exists()
 
 
+def test_compose_rejects_an_invalid_input(files, capsys):
+    # the identity bibundle of Z4 with the Klein-four Latin square
+    # c_i . c_j = c_(i XOR j) as its left action: compose used to take it
+    from moritakit.bibundles import identity_bibundle
+    from moritakit.io import save_bibundle
+    save_bibundle(identity_bibundle(group_as_groupoid(cyclic_group(4))), files / "id.json")
+    data = json.loads((files / "id.json").read_text())
+    data["leftAct"] = [[f"c{i}", f"c{j}", f"c{i ^ j}"] for i in range(4) for j in range(4)]
+    (files / "bad.json").write_text(json.dumps(data))
+    code, validated = run(capsys, "validate", files / "bad.json", "--quiet")
+    assert code == 1
+    assert {v["rule"] for v in validated["result"]["violations"]} == {
+        "left-action-associativity", "commutation"}
+    out = files / "composed.json"
+    for first, second in (("bad.json", "id.json"), ("id.json", "bad.json")):
+        code, report = run(capsys, "compose", files / first, files / second,
+                           "--emit-witness", out, "--quiet")
+        assert code == 1, (first, second)
+        assert report["result"] == {"input": str(files / "bad.json"),
+                                    **validated["result"]}
+        assert not out.exists()
+
+
 def test_tss_commands(files, capsys):
     code, report = run(capsys, "tss-iso", files / "sphere.json",
                        files / "sphere2.json", "--quiet")

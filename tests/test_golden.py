@@ -14,7 +14,15 @@ different isotropy, which the old formula refused).  ``validate-broken``
 (a Z4 table with one redirected composite, whose witnesses are in the
 digest) and ``tss-picard-ingredients-parallel5`` (S5 on five parallel
 edges) were recorded with the plain-loop ``validate`` and Cayley table,
-before both became array kernels.  The inputs exercise
+before both became array kernels.  ``compose-witness`` (an emitted
+``morita`` witness of S3 over 2 points against S3, composed with the
+bibundle of the automorphism that swaps the two points) was recorded
+with the plain-loop bibundle kernels, before ``validate_bibundle``,
+``principality`` and ``tensor`` became array kernels.
+``compose-invalid`` (the identity bibundle of Z4 with the Klein-four
+Latin square as its left action) was recorded after ``compose`` began
+to validate its inputs: before, it exited 0 with a biprincipal product
+of an invalid bibundle.  The inputs exercise
 the searches whose first witness is part of the answer: orbit matching
 on a disjoint union, the TSS vertex and edge maps of a relabelled
 circulant graph, parallel-edge automorphisms and emitted Morita
@@ -26,14 +34,19 @@ import json
 import numpy as np
 import pytest
 
-from moritakit.bibundles import identity_bibundle
+from moritakit.bibundles import (from_homomorphism, identity_bibundle,
+                                 morita_equivalent)
 from moritakit.cli import main
 from moritakit.gauge import GridSpec, SampledBivectorField, SampledTwoFormField
 from moritakit.groupoids import (bundle_of_groups, disjoint_union,
-                                 group_as_groupoid, pair_groupoid)
-from moritakit.groups import cyclic_group, klein_four_group, quaternion_group
+                                 group_as_groupoid, groupoid_isomorphisms,
+                                 pair_groupoid)
+from moritakit.groups import (cyclic_group, klein_four_group, quaternion_group,
+                              symmetric_group)
 from moritakit.io import save_bibundle, save_field, save_groupoid, save_tss
 from moritakit.tss import LabeledSurfaceGraph
+
+from support import gauge_over
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 RELABEL = [5, 2, 7, 0, 3, 6, 1, 4]
@@ -63,6 +76,22 @@ def write_inputs():
         json.dump(doc, fh)
     save_groupoid(group_as_groupoid(quaternion_group()), "q8.json")
     save_bibundle(identity_bibundle(pair_groupoid(3)), "ib.json")
+    # the Morita witness of S3 over 2 points against S3, as `morita` emits
+    # it, and the bibundle of the automorphism that swaps the two points
+    s3 = symmetric_group(3)
+    s3x2 = gauge_over(s3, 2)
+    save_bibundle(morita_equivalent(s3x2, group_as_groupoid(s3)), "ws3.json")
+    swap = next(h for h in groupoid_isomorphisms(s3x2, s3x2) if h.obj_map == (1, 0))
+    save_bibundle(from_homomorphism(swap), "swap.json")
+    # the identity bibundle of Z4 with the Klein-four Latin square
+    # c_i . c_j = c_(i XOR j) as its left action
+    save_bibundle(identity_bibundle(group_as_groupoid(cyclic_group(4))), "idz4.json")
+    with open("idz4.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["leftAct"] = [[f"c{i}", f"c{j}", f"c{i ^ j}"]
+                      for i in range(4) for j in range(4)]
+    with open("z4latin.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
     names = [f"v{i}" for i in range(8)]
     save_tss(circulant((1, 2), names), "c8.json")
     save_tss(circulant((1, 2), [f"x{RELABEL[i]}" for i in range(8)]), "c8r.json")
@@ -110,6 +139,9 @@ CASES = {
     "verify-exact-union": (["verify-exact", "du.json"], None),
     "compose": (["compose", "ib.json", "ib.json", "--emit-witness", "comp.json"],
                 "comp.json"),
+    "compose-witness": (["compose", "swap.json", "ws3.json",
+                         "--emit-witness", "cw.json"], "cw.json"),
+    "compose-invalid": (["compose", "z4latin.json", "idz4.json"], None),
     "morita-union": (["morita", "du.json", "du2.json", "--emit-witness", "w.json"],
                      "w.json"),
     "morita-negative": (["morita", "du.json", "v4bundle.json"], None),
@@ -138,6 +170,10 @@ GOLDEN = {
         None),
     "compose": (0, "e5644eed1db4075d4747f8be073c84c742dc36347ff334f0bc68d1888dd140ad",
         "7953fbe96bd101aa95522a57e2eff0d8d762b1788cb79aebadacc6575bd814bb"),
+    "compose-invalid": (1, "0066cb3a58e91297fbf894e2e3618b075e24010cb58ebb84328f38c643033698",
+        None),
+    "compose-witness": (0, "a5463b5d7c7eb63429b0ca748d8b0763fc065da3d6b64cc701b60663478bdc07",
+        "439989ac85d274c1c8d3633bb79d3e2aaaa3d6bb01e681b39d81e54fa7a3c92e"),
     "gauge-apply": (0, "da5c245a2c00b1ef0fb696a60ab5406232be571b5ecbf9c43d4aeb727ad1646a",
         "3030823012c88c9561ba27927ec14fcd2540d642d4ecd0a4d1650b315234fdf2"),
     "gauge-apply-singular": (3, "b096297bd2e2837447909e52588f7eb11b645983e039980bce6545a4ebc54ca5",
