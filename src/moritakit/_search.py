@@ -1,9 +1,7 @@
 """The two finite-search kernels every module shares.
 
 * ``_roots`` is the union-find behind orbit partitions, graph
-  connectivity and two-sided bibundle components.  ``bibundles.tensor``
-  finds its classes, the same smallest-member blocks, by min-label
-  propagation over numpy arrays instead.
+  connectivity and two-sided bibundle components.
 * ``_injective`` is the backtracking search for injective assignments:
   orbit matchings, bisections, sections, vertex maps and bijections.
 

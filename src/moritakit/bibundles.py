@@ -10,7 +10,10 @@ dense index tables (``_action_tables``): ``L[g, x]`` and ``R[x, g]``,
 with a sentinel where an action is undefined.  ``validate_bibundle``,
 ``principality`` and ``tensor`` run as numpy gathers over these tables;
 their reports, witnesses and carriers are those of plain loops over the
-dicts.
+dicts.  ``tensor`` refuses a factor that ``validate_bibundle`` rejects
+(``InvalidBibundle``); on valid left-principal factors its classes have
+a closed form, one representative pair per fibre point of the middle
+action.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ from itertools import chain
 import numpy as np
 
 from ._search import _injective, _roots
-from .errors import MiddleMismatch, NotFunctor, NotLeftPrincipal
+from .errors import (InvalidBibundle, MiddleMismatch, NotFunctor,
+                     NotLeftPrincipal)
 from .groups import group_isomorphic
 from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, isotropy,
                         orbit_partition, orbits)
@@ -56,10 +60,13 @@ class Bibundle:
             self.j2 = tuple(right.obj_index[j2[x]] for x in self.carrier)
         except KeyError as exc:
             raise ValueError(f"moment missing entry: {exc}") from None
-        self.left_act = {(left.arr_index[g], ci(x)): ci(y)
-                         for (g, x), y in left_act.items()}
-        self.right_act = {(ci(x), right.arr_index[g]): ci(y)
-                          for (x, g), y in right_act.items()}
+        try:  # ci raises ValueError, so a KeyError is an arrow lookup
+            self.left_act = {(left.arr_index[g], ci(x)): ci(y)
+                             for (g, x), y in left_act.items()}
+            self.right_act = {(ci(x), right.arr_index[g]): ci(y)
+                              for (x, g), y in right_act.items()}
+        except KeyError as exc:
+            raise ValueError(f"unknown arrow id {exc.args[0]!r}") from None
         self._tables = None
 
     @classmethod
@@ -362,35 +369,6 @@ def from_homomorphism(hom: GroupoidHom) -> Bibundle:
     return Bibundle(tgt_g, src_g, carrier, j1, j2, left_act, right_act)
 
 
-def _smallest_members(n: int, edges) -> np.ndarray:
-    """Label each of ``range(n)`` by the smallest member of its block.
-
-    The blocks are the connected components of the edges i -- j that
-    ``edges()`` yields as pairs of index arrays, one batch at a time.  A
-    sweep lowers, for every edge, the label of each end's label to the
-    smaller of the two ends' labels; pointer jumping then replaces every
-    label by its own label until that is stable.  Labels only fall and
-    always name a member of the block, so sweeps repeat until one changes
-    nothing, and then each block carries its smallest member: the
-    ``_roots`` union-find's answer, for any edges.
-    """
-    label = np.arange(n)
-    while True:
-        before = label.copy()
-        for i, j in edges():
-            ends = label.take(i), label.take(j)
-            lower = np.minimum(*ends)
-            for end in ends:
-                np.minimum.at(label, end, lower)
-        while True:
-            jumped = label.take(label)
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        if np.array_equal(label, before):
-            return label
-
-
 def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     """Tensor product over the middle groupoid.
 
@@ -398,66 +376,54 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     (x.g, y) ~ (x, g.y); class representatives are the lexicographically
     smallest pairs and the id spells the representative.
 
-    The pairs are enumerated x-major with numpy, and the classes are the
-    blocks of ``_smallest_members`` over the moves (x, y) -> (x.g, g^-1.y),
-    which it takes one middle arrow g at a time, so only one arrow's
-    moves are held at once.  The product actions are gathers over the
-    class representatives.  A lookup that a plain loop over the action
-    dicts would miss raises that loop's ``KeyError``.
+    Each factor must pass ``validate_bibundle`` (``InvalidBibundle`` with
+    its report and position otherwise), the middle groupoids must agree
+    and both factors must be left principal.  The classes then have a
+    closed form: the middle acts freely and transitively on each
+    ``j2``-fibre of the second factor, so with ``base[p]`` the smallest
+    point over p and ``to[y]`` the one arrow with ``to[y].base[j2(y)] =
+    y``, the class of (x, y) is keyed by ``(x.to[y], j2(y))``.  The pairs
+    are enumerated x-major with numpy and each key keeps its first pair;
+    the product actions look up the keys of (g.x, y) and (x, y.h).
     """
+    for k, factor in enumerate((s, s2)):
+        report = validate_bibundle(factor)
+        if not report.ok:
+            raise InvalidBibundle(report, k)
     if s.right != s2.left:
         raise MiddleMismatch("middle groupoids differ")
     if not principality(s).left_principal:
         raise NotLeftPrincipal("first factor is not left principal")
     if not principality(s2).left_principal:
         raise NotLeftPrincipal("second factor is not left principal")
-    mid = s.right
+    mid, n_ends = s.right, s2.right.n_objects
     n1, n2 = len(s.carrier), len(s2.carrier)
     left1, right1 = _action_tables(s)
     left2, right2 = _action_tables(s2)
-    # middle moments; -1 and -2 at the sentinels, so they never match
-    a = np.array(s.j2 + (-1,), dtype=np.intp)
-    b = np.array(s2.j1 + (-2,), dtype=np.intp)
-    # pair (x, y) has index first[x] + rank[y]: y runs over b's fibre at a[x]
-    fibre_of = np.argsort(b[:n2], kind="stable")
-    count = np.bincount(b[:n2], minlength=mid.n_objects)
-    start = np.cumsum(count) - count
-    rank = np.zeros(n2 + 1, dtype=np.intp)
-    rank[fibre_of] = np.arange(n2) - start[b[fibre_of]]
-    width = count[a[:n1]]
-    first = np.append(np.cumsum(width) - width, 0)
+    end = np.array(s2.j2, dtype=np.intp)
+    bases = np.unique(end, return_index=True)[1]  # the smallest point over each p
+    # to[y]: the one middle arrow moving y's base to y; sentinels land on n2
+    moved = left2[:, bases]
+    to = np.empty(n2 + 1, dtype=np.intp)
+    to[moved] = np.arange(len(moved))[:, None]
+
+    def key(xs, ys):
+        return right1[xs, to[ys]] * n_ends + end[ys]
+
+    # pairs (x, y) with a[x] == b[y], x-major, y ascending in b's fibre at a[x]
+    a = np.array(s.j2, dtype=np.intp)
+    b = np.array(s2.j1, dtype=np.intp)
+    fibre_of = np.argsort(b, kind="stable")
+    count = np.bincount(b, minlength=mid.n_objects)
+    width = count[a]
     n_pairs = int(width.sum())
+    start, first = np.cumsum(count) - count, np.cumsum(width) - width
     px = np.repeat(np.arange(n1), width)
-    py = fibre_of[np.repeat(start[a[:n1]] - first[:n1], width) + np.arange(n_pairs)]
-
-    def pair_index(xs, ys):
-        # index of each pair (xs[k], ys[k]), and where it is a pair at all
-        ok = a.take(xs) == b.take(ys)
-        return np.where(ok, first.take(xs) + rank.take(ys), 0), ok
-
-    columns = right1.T.copy()  # columns[g, x] = x.g
-    groups = [(idx, px[idx], py[idx]) for idx in _grouped(a[px], mid.n_objects)]
-
-    def moves():
-        # per middle arrow g: the pairs (x, y) over t(g), and x.g, g^-1.y
-        for g in range(mid.n_arrows):
-            idx, xs, ys = groups[mid.tgt[g]]
-            yield g, idx, columns[g].take(xs), left2[mid.inv[g]].take(ys)
-
-    misses = []  # the first missed lookup of a loop over pairs, then arrows
-    for g, idx, xs, ys in moves():
-        bad = np.flatnonzero(~pair_index(xs, ys)[1])
-        if bad.size:
-            k = bad[0]
-            x, y, x2, y2 = int(px[idx[k]]), int(py[idx[k]]), int(xs[k]), int(ys[k])
-            misses.append((int(idx[k]), g, (x, g) if x2 == n1 else
-                           (mid.inv[g], y) if y2 == n2 else (x2, y2)))
-    if misses:
-        raise KeyError(min(misses)[2])
-    label = _smallest_members(n_pairs, lambda: (
-        (idx, pair_index(xs, ys)[0]) for _, idx, xs, ys in moves()))
-    reps = np.flatnonzero(label == np.arange(n_pairs))
-    cls = np.searchsorted(reps, label)
+    py = fibre_of[np.repeat(start[a] - first, width) + np.arange(n_pairs)]
+    keys = key(px, py)
+    reps = np.sort(np.unique(keys, return_index=True)[1])
+    cls = np.empty(n1 * n_ends, dtype=np.intp)
+    cls[keys[reps]] = np.arange(len(reps))
     rx, ry = px[reps], py[reps]
     names = [f"[{s.carrier[x]}*{s2.carrier[y]}]"
              for x, y in zip(rx.tolist(), ry.tolist())]
@@ -466,25 +432,11 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     fibres = [s.left.s_fiber(s.j1[x]) for x in rx.tolist()]
     lg = np.array([g for f in fibres for g in f], dtype=np.intp)
     lc = np.repeat(np.arange(len(reps)), [len(f) for f in fibres])
-    lx = left1[lg, rx[lc]]
-    l_target, l_ok = pair_index(lx, ry[lc])
+    l_target = cls[key(left1[lg, rx[lc]], ry[lc])]
     fibres = [s2.right.t_fiber(s2.j2[y]) for y in ry.tolist()]
     rg = np.array([g for f in fibres for g in f], dtype=np.intp)
     rc = np.repeat(np.arange(len(reps)), [len(f) for f in fibres])
-    ry2 = right2[ry[rc], rg]
-    r_target, r_ok = pair_index(rx[rc], ry2)
-    if not (l_ok.all() and r_ok.all()):
-        # the first miss of a loop over classes, left arrows before right
-        misses = []
-        if not l_ok.all():
-            k = int(np.flatnonzero(~l_ok)[0])
-            c, g, x2 = int(lc[k]), int(lg[k]), int(lx[k])
-            misses.append((c, 0, (g, int(rx[c])) if x2 == n1 else (x2, int(ry[c]))))
-        if not r_ok.all():
-            k = int(np.flatnonzero(~r_ok)[0])
-            c, g, y2 = int(rc[k]), int(rg[k]), int(ry2[k])
-            misses.append((c, 1, (int(ry[c]), g) if y2 == n2 else (int(rx[c]), y2)))
-        raise KeyError(min(misses)[2])
+    r_target = cls[key(rx[rc], right2[ry[rc], rg])]
     # the carrier is sorted by id, the actions keep the class-major order
     order = sorted(range(len(names)), key=names.__getitem__)
     carrier = tuple(names[c] for c in order)
@@ -493,9 +445,9 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     at = np.empty(len(order), dtype=np.intp)
     at[order] = np.arange(len(order))
     j1 = np.array(s.j1, dtype=np.intp)[rx[order]]
-    j2 = np.array(s2.j2, dtype=np.intp)[ry[order]]
-    left_act = dict(zip(zip(lg.tolist(), at[lc].tolist()), at[cls[l_target]].tolist()))
-    right_act = dict(zip(zip(at[rc].tolist(), rg.tolist()), at[cls[r_target]].tolist()))
+    j2 = end[ry[order]]
+    left_act = dict(zip(zip(lg.tolist(), at[lc].tolist()), at[l_target].tolist()))
+    right_act = dict(zip(zip(at[rc].tolist(), rg.tolist()), at[r_target].tolist()))
     return Bibundle._from_indices(s.left, s2.right, carrier, tuple(j1.tolist()),
                                   tuple(j2.tolist()), left_act, right_act)
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bibundles import (morita_equivalent, principality, tensor,
                         validate_bibundle)
-from .errors import MoritaKitError, SingularEndomorphism
+from .errors import InvalidBibundle, MoritaKitError, SingularEndomorphism
 from .gauge import (apply_gauge, closedness_residual, invertibility_check,
                     jacobi_residual, rank_map)
 from .groupoids import isotropy, orbit_partition, orbits, validate
@@ -189,15 +189,15 @@ def _verify_exact(args):
 def _compose(args):
     paths = (args.first, args.second)
     factors = [load_bibundle(path) for path in paths]
-    for path, factor in zip(paths, factors):
-        report = validate_bibundle(factor)
-        if not report.ok:
-            payload = {"input": path, "kind": "bibundle", **report.as_dict()}
-            return payload, EXIT_INVALID, f"{path}: bibundle INVALID"
-    prod = tensor(*factors)
+    try:
+        prod = tensor(*factors)
+    except InvalidBibundle as exc:
+        path = paths[exc.factor]
+        payload = {"input": path, "kind": "bibundle", **exc.report.as_dict()}
+        return payload, EXIT_INVALID, f"{path}: bibundle INVALID"
     # The inputs, and the product's action tables that principality
     # builds, are not held while the product is written.
-    del factors, factor
+    del factors
     if args.emit:
         save_bibundle(prod, args.emit)
     pr = principality(prod)

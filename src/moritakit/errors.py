@@ -25,6 +25,19 @@ class NotLeftPrincipal(MoritaKitError):
     """Tensor factors must be left principal."""
 
 
+class InvalidBibundle(MoritaKitError):
+    """A tensor factor fails ``validate_bibundle``.
+
+    Carries the factor's validation report and its position, 0 or 1.
+    """
+
+    def __init__(self, report, factor: int):
+        self.report = report
+        self.factor = factor
+        super().__init__(f"tensor factor {factor} is not a valid bibundle "
+                         f"({len(report.violations)} violation(s))")
+
+
 class MissingVolume(MoritaKitError):
     """Poisson isomorphism test needs the volume invariant on both graphs."""
 

@@ -6,7 +6,8 @@ from moritakit.bibundles import (Bibundle, bibundle_isomorphic, from_homomorphis
                                  identity_bibundle, induced_orbit_map,
                                  morita_equivalent, principality, tensor,
                                  validate_bibundle)
-from moritakit.errors import MiddleMismatch, NotFunctor, NotLeftPrincipal
+from moritakit.errors import (InvalidBibundle, MiddleMismatch, NotFunctor,
+                              NotLeftPrincipal)
 from moritakit.groups import (cyclic_group, klein_four_group, symmetric_group,
                               trivial_group)
 from moritakit.groupoids import (GroupoidHom, disjoint_union,
@@ -341,6 +342,11 @@ def test_validate_and_principality_match_the_loops(factors):
 def test_tensor_matches_the_loop(factors):
     for name, s, t in composable_pairs(factors):
         assert loop_form(tensor(s, t)) == loop_form(reference_tensor(s, t)), name
+    # a 96-point witness between gauge_over(S4, 4) and S4, then S4's identity
+    s4 = group_as_groupoid(symmetric_group(4))
+    w, i = morita_equivalent(gauge_over(symmetric_group(4), 4), s4), identity_bibundle(s4)
+    assert len(w.carrier) == 96
+    assert loop_form(tensor(w, i)) == loop_form(reference_tensor(w, i))
 
 
 def test_tensor_sorts_the_carrier_by_id():
@@ -416,23 +422,30 @@ def test_redirected_actions_match_the_loops(name):
 
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_tensor_of_redirected_actions_matches_the_loop(name):
-    # malformed factors, with one or two wrong entries: the classes still
-    # equal the union-find blocks, and a lookup the loop misses raises the
-    # same KeyError
+    # malformed factors, with one or two wrong entries, in either position:
+    # tensor refuses the factor with its position and the loop's report.
+    # Two redirections can make a valid action (Z2's generator acting
+    # trivially); then the outcome is the loop's.
     s = identity_bibundle(SMALL[name])
     faults = list(redirections(s)) if len(s.carrier) > 1 else []
     sample = random.Random(name).sample(faults, min(12, len(faults)))
     for changes in [(f,) for f in sample] + list(zip(sample, sample[1:])):
         bad = with_action(s, *changes)
-        for pair in ((bad, s), (s, bad)):
-            assert outcome(tensor, *pair) == outcome(reference_tensor, *pair), changes
+        want = reference_validate_bibundle(bad).as_dict()
+        for factor, pair in enumerate(((bad, s), (s, bad))):
+            if want["ok"]:
+                assert outcome(tensor, *pair) == outcome(reference_tensor, *pair), changes
+                continue
+            with pytest.raises(InvalidBibundle) as caught:
+                tensor(*pair)
+            assert caught.value.factor == factor, changes
+            assert caught.value.report.as_dict() == want, changes
 
 
-def test_tensor_raises_the_first_key_error_of_the_loop():
+def test_tensor_refuses_a_partial_action():
     # Z3 on {x, y}, c1 and c2 both swapping, (c2, x) undefined: still left
-    # principal.  The second factor lacks its only right action entry, so
-    # the class (x, u) misses a left and a right entry; the loop meets the
-    # left one first.
+    # principal.  The second factor lacks its only right action entry.  The
+    # loop meets a missing key; tensor refuses the first factor.
     z3, pt = group_as_groupoid(cyclic_group(3)), pair_groupoid(1)
     (o,), (u,) = pt.objects, pt.arrows
     s = Bibundle(z3, pt, ["x", "y"], {"x": "pt", "y": "pt"}, {"x": o, "y": o},
@@ -441,7 +454,11 @@ def test_tensor_raises_the_first_key_error_of_the_loop():
                  {("x", u): "x", ("y", u): "y"})
     s2 = Bibundle(pt, pt, ["u"], {"u": o}, {"u": o}, {(u, "u"): "u"}, {})
     assert principality(s).left_principal and principality(s2).left_principal
-    assert outcome(tensor, s, s2) == outcome(reference_tensor, s, s2) == (KeyError, ((2, 0),))
+    assert outcome(reference_tensor, s, s2) == (KeyError, ((2, 0),))
+    with pytest.raises(InvalidBibundle) as caught:
+        tensor(s, s2)
+    assert caught.value.factor == 0
+    assert caught.value.report.as_dict() == reference_validate_bibundle(s).as_dict()
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))

@@ -229,6 +229,39 @@ def test_compose_rejects_an_invalid_input(files, capsys):
         assert not out.exists()
 
 
+def test_compose_validates_each_input_once(files, capsys, monkeypatch):
+    # counted wherever compose could call it: in tensor or in the CLI
+    from moritakit import bibundles, cli
+    from moritakit.bibundles import identity_bibundle
+    from moritakit.io import save_bibundle
+    save_bibundle(identity_bibundle(pair_groupoid(3)), files / "ib.json")
+    calls = []
+    validate_bibundle = bibundles.validate_bibundle
+
+    def counted(s):
+        calls.append(s)
+        return validate_bibundle(s)
+
+    monkeypatch.setattr(bibundles, "validate_bibundle", counted)
+    monkeypatch.setattr(cli, "validate_bibundle", counted)
+    code, _ = run(capsys, "compose", files / "ib.json", files / "ib.json", "--quiet")
+    assert code == 0 and len(calls) == 2
+
+
+@pytest.mark.parametrize("side", ["leftAct", "rightAct"])
+def test_unknown_action_arrow_is_a_precondition_failure(files, capsys, side):
+    from moritakit.bibundles import identity_bibundle
+    from moritakit.io import save_bibundle
+    save_bibundle(identity_bibundle(group_as_groupoid(cyclic_group(2))), files / "id.json")
+    data = json.loads((files / "id.json").read_text())
+    k = 0 if side == "leftAct" else 1  # the arrow's place in an entry
+    data[side][0][k] = "zz"
+    (files / "bad.json").write_text(json.dumps(data))
+    code, report = run(capsys, "validate", files / "bad.json", "--quiet")
+    assert code == 2
+    assert report["error"] == {"type": "ValueError", "message": "unknown arrow id 'zz'"}
+
+
 def test_tss_commands(files, capsys):
     code, report = run(capsys, "tss-iso", files / "sphere.json",
                        files / "sphere2.json", "--quiet")
