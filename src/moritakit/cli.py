@@ -20,10 +20,10 @@ payload, the exit code and the summary line.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -34,11 +34,12 @@ from .errors import InvalidBibundle, MoritaKitError, SingularEndomorphism
 from .gauge import (apply_gauge, closedness_residual, invertibility_check,
                     jacobi_residual, rank_map)
 from .groupoids import isotropy, orbit_partition, orbits, validate
-from .io import (detect_kind, load_bibundle, load_field, load_groupoid,
-                 load_tss, save_bibundle, save_field, sha256_digest)
+from .io import (bibundle_from_dict, detect_kind, groupoid_from_dict,
+                 load_bibundle, load_field, load_groupoid, load_tss,
+                 save_bibundle, save_field, sha256_digest, tss_from_dict)
 from .picard import (automorphisms, bisections, inaut, outaut, picard_group,
                      verify_exact_sequences)
-from .report import ValidationReport
+from .report import ValidationReport, write_json
 from .tss import (morita_equivalent_tss, picard_ingredients,
                   poisson_isomorphic_tss, surface_genus, validate_tss)
 
@@ -122,13 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
 # handlers: each returns (result payload, exit code, summary line)
 
 def _validate(args):
-    kind = detect_kind(args.path)
+    kind, data = detect_kind(args.path)
     if kind == "groupoid":
-        report = validate(load_groupoid(args.path))
+        report = validate(groupoid_from_dict(data))
     elif kind == "bibundle":
-        report = validate_bibundle(load_bibundle(args.path))
+        report = validate_bibundle(
+            bibundle_from_dict(data, base_dir=Path(args.path).parent))
     elif kind == "tss":
-        report = validate_tss(load_tss(args.path))
+        report = validate_tss(tss_from_dict(data))
     else:
         field, _ = load_field(args.path)
         report = ValidationReport()
@@ -341,7 +343,9 @@ def main(argv=None) -> int:
     if args.timing:
         report["timing_ms"] = int((time.monotonic() - started) * 1000)
     try:
-        print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+        write_json(report, sys.stdout, 2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
         # so the interpreter's final flush cannot fail again.

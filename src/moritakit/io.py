@@ -20,11 +20,17 @@ from .gauge import (GridSpec, SampledBivectorField, SampledTwoFormField)
 from .groups import FiniteGroup
 from .groupoids import (FiniteGroupoid, PrincipalBundleData, action_groupoid,
                         gauge_groupoid, group_as_groupoid, pair_groupoid)
+from .report import write_json
 from .tss import LabeledSurfaceGraph
 
 
 def sha256_digest(path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _save_json(data, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(data, fh, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +93,7 @@ def load_groupoid(path) -> FiniteGroupoid:
 
 
 def save_groupoid(g: FiniteGroupoid, path) -> None:
-    Path(path).write_text(json.dumps(groupoid_to_dict(g), sort_keys=True, indent=1),
-                          encoding="utf-8")
+    _save_json(groupoid_to_dict(g), path)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +133,7 @@ def load_bibundle(path) -> Bibundle:
 
 
 def save_bibundle(s: Bibundle, path) -> None:
-    Path(path).write_text(json.dumps(bibundle_to_dict(s), sort_keys=True, indent=1),
-                          encoding="utf-8")
+    _save_json(bibundle_to_dict(s), path)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +164,7 @@ def load_tss(path) -> LabeledSurfaceGraph:
 
 
 def save_tss(g: LabeledSurfaceGraph, path) -> None:
-    Path(path).write_text(json.dumps(tss_to_dict(g), sort_keys=True, indent=1),
-                          encoding="utf-8")
+    _save_json(tss_to_dict(g), path)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +199,7 @@ def save_field(field, path, kind: str) -> None:
         "shape": list(grid.shape),
         "kind": kind,
     }
-    _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=1),
-                                   encoding="utf-8")
+    _save_json(sidecar, _sidecar_path(path))
 
 
 def _field_from_analytic(spec):
@@ -250,23 +252,28 @@ def load_field(path):
 # ---------------------------------------------------------------------------
 # kind detection for ``validate``
 
-def detect_kind(path) -> str:
+def detect_kind(path):
+    """Return ``(kind, document)``: the kind of file and its parsed JSON.
+
+    The document is ``None`` for a binary field payload, which is
+    recognised by its sidecar.
+    """
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError):
         if _sidecar_path(path).exists():
-            return "field"
+            return "field", None
         raise ValueError(f"cannot determine the kind of {path}") from None
     if not isinstance(data, dict):
         raise ValueError(f"cannot determine the kind of {path}")
     if "vertices" in data:
-        return "tss"
+        return "tss", data
     if "carrier" in data:
-        return "bibundle"
+        return "bibundle", data
     if {"objects", "pair", "group", "action", "gauge"} & set(data):
-        return "groupoid"
+        return "groupoid", data
     if "analytic" in data or {"dimension", "shape", "spacing"} <= set(data):
-        return "field"
+        return "field", data
     raise ValueError(f"cannot determine the kind of {path}")

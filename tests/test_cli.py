@@ -186,6 +186,27 @@ def test_closed_stdout_gives_no_traceback(files):
     assert "groupoid: valid" in proc.stderr
 
 
+def test_reader_closing_mid_report_gives_no_traceback(files):
+    # six parallel edges: |Aut| = 720 and a 7.7 MB report, streamed
+    save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1},
+                                 [("n", "s", 1.0)] * 6), files / "par6.json")
+    with subprocess.Popen(
+            [sys.executable, "-m", "moritakit", "tss-picard-ingredients",
+             str(files / "par6.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}) as proc:
+        head = [proc.stdout.readline() for _ in range(5)]
+        proc.stdout.close()
+        try:
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+    assert head[0] == "{\n"
+    assert proc.returncode == 0
+    assert "Traceback" not in stderr
+    assert "|Aut| = 720" in stderr
+
+
 def test_missing_file_is_a_precondition_failure(files, capsys):
     code, report = run(capsys, "orbits", files / "nope.json", "--quiet")
     assert code == 2

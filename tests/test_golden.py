@@ -1,6 +1,8 @@
 """Golden CLI results: exit code and SHA-256 of every subcommand's answer.
 
-Each case runs one subcommand through ``cli.main`` on fixed inputs and
+Each case runs one subcommand through ``cli.main`` on fixed inputs,
+checks that stdout is the report as ``json.dumps(sort_keys=True,
+indent=2)`` plus a newline, and
 compares the exit code, the SHA-256 of the sorted ``result`` (and
 ``error``) JSON and, for commands that write a file, the SHA-256 of that
 file with digests recorded before the searches were merged into the
@@ -240,7 +242,10 @@ def sha256(data: bytes) -> str:
 def run_case(name, capsys):
     argv, emitted = CASES[name]
     code = main(argv + ["--quiet"])
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    # the raw layout: sorted keys, two-space indent, one trailing newline
+    assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
     answer = {key: report.get(key) for key in ("result", "error")}
     digest = sha256(json.dumps(answer, sort_keys=True).encode())
     file_digest = None

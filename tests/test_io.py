@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from moritakit.io import (bibundle_to_dict, detect_kind, groupoid_to_dict,
                           sha256_digest, tss_to_dict)
 from moritakit.tss import LabeledSurfaceGraph
 
-from support import corpus_groupoids
+from support import corpus_groupoids, random_tss
 
 
 def test_groupoid_roundtrip(tmp_path):
@@ -125,16 +126,43 @@ def test_analytic_field_spec(tmp_path):
 
 def test_detect_kind(tmp_path):
     save_groupoid(pair_groupoid(2), tmp_path / "g.json")
-    assert detect_kind(tmp_path / "g.json") == "groupoid"
+    kind, data = detect_kind(tmp_path / "g.json")
+    assert kind == "groupoid" and data == groupoid_to_dict(pair_groupoid(2))
     save_bibundle(identity_bibundle(pair_groupoid(2)), tmp_path / "s.json")
-    assert detect_kind(tmp_path / "s.json") == "bibundle"
+    assert detect_kind(tmp_path / "s.json")[0] == "bibundle"
     save_tss(LabeledSurfaceGraph(["v"], {"v": 1}, []), tmp_path / "t.json")
-    assert detect_kind(tmp_path / "t.json") == "tss"
+    assert detect_kind(tmp_path / "t.json")[0] == "tss"
     grid = GridSpec(2, (0.0, 0.0), 0.5, (3, 3))
     save_field(SampledBivectorField.constant(grid, np.zeros((2, 2))),
                tmp_path / "f.field", "bivector")
-    assert detect_kind(tmp_path / "f.field") == "field"
-    assert detect_kind(tmp_path / "f.field.json") == "field"
+    assert detect_kind(tmp_path / "f.field") == ("field", None)
+    assert detect_kind(tmp_path / "f.field.json")[0] == "field"
+
+
+def test_saved_files_are_sorted_json_with_indent_1(tmp_path):
+    def assert_layout(path, data):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        assert raw == json.dumps(data, sort_keys=True, indent=1).encode(), path
+
+    for i, (name, g) in enumerate(corpus_groupoids()):
+        save_groupoid(g, tmp_path / f"g{i}.json")
+        assert_layout(tmp_path / f"g{i}.json", groupoid_to_dict(g))
+        save_bibundle(identity_bibundle(g), tmp_path / f"s{i}.json")
+        assert_layout(tmp_path / f"s{i}.json", bibundle_to_dict(identity_bibundle(g)))
+    rng = random.Random(11)
+    for i in range(20):
+        t = random_tss(rng) if i else LabeledSurfaceGraph(
+            ["n", "s"], {"n": 0, "s": 1}, [("n", "s", 1.5)] * 6, 2.5)
+        save_tss(t, tmp_path / f"t{i}.json")
+        assert_layout(tmp_path / f"t{i}.json", tss_to_dict(t))
+    for d, shape in ((2, (5, 5)), (3, (2, 3, 4))):
+        grid = GridSpec(d, (0.0,) * d, 0.25, shape)
+        save_field(SampledBivectorField.constant(grid, np.zeros((d, d))),
+                   tmp_path / f"f{d}.field", "bivector")
+        assert_layout(tmp_path / f"f{d}.field.json",
+                      {"dimension": d, "origin": [0.0] * d, "spacing": 0.25,
+                       "shape": list(shape), "kind": "bivector"})
 
 
 def test_digest_is_stable(tmp_path):
