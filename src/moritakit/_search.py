@@ -3,10 +3,18 @@
 * ``_roots`` is the union-find behind orbit partitions, graph
   connectivity and two-sided bibundle components.
 * ``_injective`` is the backtracking search for injective assignments:
-  orbit matchings, bisections, sections, vertex maps and bijections.
+  orbit matchings, bisections, sections, vertex maps, bijections and
+  bibundle isomorphisms.
 
 Both are deterministic, so the first witness a caller takes from them is
 fixed by the order of its inputs.
+
+``_injective`` takes an optional ``accept(k, chosen)`` hook, called when
+slot k is filled, ``chosen[:k + 1]`` being the partial assignment; a
+false answer prunes all its extensions.  A hook that rejects only partial
+assignments without a wanted completion leaves the wanted assignments and
+their order unchanged.  Calls come in depth-first order, so a call for
+slot k abandons whatever the hook kept for slots k and later.
 """
 from __future__ import annotations
 
@@ -32,12 +40,12 @@ def _roots(n: int, pairs) -> list[int]:
     return parent
 
 
-def _injective(options, key):
+def _injective(options, key, accept=None):
     """Yield one option per slot, the options' keys pairwise distinct.
 
     ``options[k]`` lists the candidates for slot k.  Assignments come in
     depth-first order over the slots and, within a slot, over its
-    candidates, both as given; each is a fresh tuple.
+    candidates, both as given; each is a fresh tuple.  ``accept`` prunes.
     """
     n = len(options)
     if n == 0:
@@ -59,6 +67,8 @@ def _injective(options, key):
                 used.discard(keys[k - 1])
             continue
         chosen[k] = option
+        if accept is not None and not accept(k, chosen):
+            continue
         if k + 1 == n:
             yield tuple(chosen)
         else:

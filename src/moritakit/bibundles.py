@@ -18,7 +18,7 @@ action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -455,96 +455,69 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
 def bibundle_isomorphic(s1: Bibundle, s2: Bibundle):
     """An equivariant moment-preserving bijection of carriers, or None.
 
-    Backtracks over the two-sided orbits of the carrier, seeded by moment
-    fibre profiles and propagated through both actions.
+    A ``_injective`` search with one slot per two-sided orbit of s1's
+    carrier, in order of its smallest point, the pivot.  The candidates
+    are the points of s2 with the pivot's moments, in carrier order.
+    Filling a slot propagates the pivot's image through both actions over
+    the orbit; a disagreeing action of s2, an image already used or a
+    point left unreached rejects it.  So every completed assignment is an
+    isomorphism, and the first one is returned.
     """
     if s1.left != s2.left or s1.right != s2.right:
         raise ValueError("bibundles live over different groupoid pairs")
     n = len(s1.carrier)
     if n != len(s2.carrier):
         return None
-    prof1 = sorted(zip(s1.j1, s1.j2))
-    prof2 = sorted(zip(s2.j1, s2.j2))
-    if prof1 != prof2:
+    if sorted(zip(s1.j1, s1.j2)) != sorted(zip(s2.j1, s2.j2)):
         return None
     if len(s1.left_act) != len(s2.left_act) or len(s1.right_act) != len(s2.right_act):
         return None
 
-    # two-sided components of s1
-    moves = [(x, y) for (g, x), y in s1.left_act.items()]
-    moves += [(x, y) for (x, g), y in s1.right_act.items()]
-    comp_of = {}
-    for x, root in enumerate(_roots(n, moves)):
-        comp_of.setdefault(root, []).append(x)
-    components = [comp_of[r] for r in sorted(comp_of)]
+    # the moves of x as (side, arrow, g.x or x.g); s2's under the same keys
+    moves = [[] for _ in range(n)]
+    for (g, x), y in s1.left_act.items():
+        moves[x].append((0, g, y))
+    for (x, g), y in s1.right_act.items():
+        moves[x].append((1, g, y))
+    act2 = {(0, g, x): y for (g, x), y in s2.left_act.items()}
+    act2.update(((1, g, x), y) for (x, g), y in s2.right_act.items())
+    roots = _roots(n, [(x, y) for (_, x), y in s1.left_act.items()]
+                   + [(x, y) for (x, _), y in s1.right_act.items()])
+    pivots = sorted(set(roots))
+    candidates = [[y for y in range(n) if (s2.j1[y], s2.j2[y]) == (s1.j1[r], s1.j2[r])]
+                  for r in pivots]
+    image, preimage = [None] * n, [None] * n
+    filled, marks = [], []  # mapped points, in order; where slot k's begin
 
-    def propagate(pivot, image, mapping):
-        # BFS through both actions; returns the extended mapping or None
-        stack = [pivot]
-        mapping = dict(mapping)
-        if s1.j1[pivot] != s2.j1[image] or s1.j2[pivot] != s2.j2[image]:
-            return None
-        mapping[pivot] = image
-        while stack:
-            x = stack.pop()
-            fx = mapping[x]
-            for g in s1.left.s_fiber(s1.j1[x]):
-                y = s1.left_act[(g, x)]
-                fy = s2.left_act.get((g, fx))
-                if fy is None:
-                    return None
-                if y in mapping:
-                    if mapping[y] != fy:
-                        return None
-                else:
-                    mapping[y] = fy
-                    stack.append(y)
-            for g in s1.right.t_fiber(s1.j2[x]):
-                y = s1.right_act[(x, g)]
-                fy = s2.right_act.get((fx, g))
-                if fy is None:
-                    return None
-                if y in mapping:
-                    if mapping[y] != fy:
-                        return None
-                else:
-                    mapping[y] = fy
-                    stack.append(y)
-        return mapping
-
-    def verify(mapping):
-        if len(set(mapping.values())) != n:
+    def accept(k, chosen):
+        if k < len(marks):  # forget the abandoned branch from slot k on
+            for x in filled[marks[k]:]:
+                preimage[image[x]] = image[x] = None
+            del filled[marks[k]:], marks[k:]
+        marks.append(len(filled))
+        x, fx = pivots[k], chosen[k]
+        if preimage[fx] is not None:
             return False
-        for (g, x), y in s1.left_act.items():
-            if s2.left_act.get((g, mapping[x])) != mapping[y]:
-                return False
-        for (x, g), y in s1.right_act.items():
-            if s2.right_act.get((mapping[x], g)) != mapping[y]:
-                return False
-        return True
+        image[x], preimage[fx] = fx, x
+        filled.append(x)
+        for x in islice(filled, marks[k], None):  # filled grows: a BFS queue
+            fx = image[x]
+            for side, g, y in moves[x]:
+                fy = act2.get((side, g, fx))
+                if image[y] is None:
+                    if fy is None or preimage[fy] is not None:
+                        return False
+                    image[y], preimage[fy] = fy, y
+                    filled.append(y)
+                elif image[y] != fy:
+                    return False
+        # an orbit that propagation cannot cover (invalid actions) is never
+        # mapped by a later slot, so the last slot sees it
+        return k + 1 < len(pivots) or len(filled) == n
 
-    def search(k, mapping):
-        if k == len(components):
-            if verify(mapping):
-                return mapping
-            return None
-        pivot = components[k][0]
-        used = set(mapping.values())
-        for image in range(n):
-            if image in used:
-                continue
-            extended = propagate(pivot, image, mapping)
-            if extended is None:
-                continue
-            result = search(k + 1, extended)
-            if result is not None:
-                return result
+    if next(_injective(candidates, lambda y: y, accept), None) is None:
         return None
-
-    mapping = search(0, {})
-    if mapping is None:
-        return None
-    return {s1.carrier[x]: s2.carrier[y] for x, y in mapping.items()}
+    return {s1.carrier[x]: s2.carrier[image[x]] for x in range(n)}
 
 
 def induced_orbit_map(s: Bibundle) -> dict:

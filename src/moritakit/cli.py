@@ -34,9 +34,10 @@ from .errors import InvalidBibundle, MoritaKitError, SingularEndomorphism
 from .gauge import (apply_gauge, closedness_residual, invertibility_check,
                     jacobi_residual, rank_map)
 from .groupoids import isotropy, orbit_partition, orbits, validate
-from .io import (bibundle_from_dict, detect_kind, groupoid_from_dict,
-                 load_bibundle, load_field, load_groupoid, load_tss,
-                 save_bibundle, save_field, sha256_digest, tss_from_dict)
+from .io import (_field_from_json, bibundle_from_dict, detect_kind,
+                 groupoid_from_dict, load_bibundle, load_field, load_groupoid,
+                 load_tss, save_bibundle, save_field, sha256_digest,
+                 tss_from_dict)
 from .picard import (automorphisms, bisections, inaut, outaut, picard_group,
                      verify_exact_sequences)
 from .report import ValidationReport, write_json
@@ -132,7 +133,11 @@ def _validate(args):
     elif kind == "tss":
         report = validate_tss(tss_from_dict(data))
     else:
-        field, _ = load_field(args.path)
+        # load_field reads the document itself only under a .json name
+        if data is not None and Path(args.path).suffix == ".json":
+            field, _ = _field_from_json(data, args.path)
+        else:
+            field, _ = load_field(args.path)
         report = ValidationReport()
         point, defect = field.nonfinite_point(), field.antisymmetry_defect()
         if point is not None:

@@ -218,26 +218,25 @@ def load_field(path):
 
     Returns ``(field, kind)``.
     """
-    path = Path(path)
-    if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if "analytic" in data:
-            return _field_from_analytic(data["analytic"])
-        sidecar = data
-        data_path = _data_path(path)
-    else:
-        with open(_sidecar_path(path), encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        data_path = path
-    grid = GridSpec(int(sidecar["dimension"]),
-                    tuple(float(v) for v in sidecar["origin"]),
-                    float(sidecar["spacing"]),
-                    tuple(int(v) for v in sidecar["shape"]))
-    kind = sidecar.get("kind", "bivector")
+    with open(_sidecar_path(path), encoding="utf-8") as fh:
+        return _field_from_json(json.load(fh), path)
+
+
+def _field_from_json(data, path):
+    """``(field, kind)`` from the parsed analytic spec or sidecar of ``path``.
+
+    ``path`` names the binary payload or its sidecar, as for ``load_field``.
+    """
+    if "analytic" in data:
+        return _field_from_analytic(data["analytic"])
+    grid = GridSpec(int(data["dimension"]),
+                    tuple(float(v) for v in data["origin"]),
+                    float(data["spacing"]),
+                    tuple(int(v) for v in data["shape"]))
+    kind = data.get("kind", "bivector")
     d = grid.dimension
     n_upper = d * (d - 1) // 2
-    flat = np.frombuffer(data_path.read_bytes(), dtype="<f8")
+    flat = np.frombuffer(_data_path(path).read_bytes(), dtype="<f8")
     expected = grid.n_points() * n_upper
     if flat.size != expected:
         raise ValueError(f"field payload has {flat.size} floats, expected {expected}")

@@ -171,7 +171,14 @@ def _edge_bijection(g1, g2, groups1, groups2, vmap, tol):
 
 
 def _isomorphisms(g1, g2, tol):
-    """Yield the label-preserving isomorphisms g1 -> g2, in search order."""
+    """Yield the label-preserving isomorphisms g1 -> g2, in search order.
+
+    Vertices with the fewest candidates are mapped first.  A newly mapped
+    vertex must have, to and from each vertex mapped before it and in its
+    loops, as many edges as its image, with sorted periods within ``tol``.
+    Every completion of a mismatch fails ``_edge_bijection``, so pruning
+    changes neither what is yielded nor its order.
+    """
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
         return
     exact = tol == 0
@@ -183,8 +190,20 @@ def _isomorphisms(g1, g2, tol):
                   for v in range(g1.n_vertices)]
     order = sorted(range(g1.n_vertices), key=lambda v: len(candidates[v]))
     groups1, groups2 = _edge_groups(g1), _edge_groups(g2)
+    periods1 = {pair: [g1.edges[i][2] for i in idxs] for pair, idxs in groups1.items()}
+    periods2 = {pair: [g2.edges[i][2] for i in idxs] for pair, idxs in groups2.items()}
+
+    def same(pair1, pair2):
+        p1, p2 = periods1.get(pair1, ()), periods2.get(pair2, ())
+        return len(p1) == len(p2) and not any(abs(a - b) > tol for a, b in zip(p1, p2))
+
+    def accept(k, images):
+        v, w = order[k], images[k]
+        return all(same((v, order[j]), (w, images[j]))
+                   and same((order[j], v), (images[j], w)) for j in range(k + 1))
+
     vmap = [None] * g1.n_vertices
-    for images in _injective([candidates[v] for v in order], lambda w: w):
+    for images in _injective([candidates[v] for v in order], lambda w: w, accept):
         for v, w in zip(order, images):
             vmap[v] = w
         emap = _edge_bijection(g1, g2, groups1, groups2, tuple(vmap), tol)

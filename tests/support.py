@@ -12,7 +12,7 @@ from itertools import (combinations, combinations_with_replacement,
 
 import numpy as np
 
-from moritakit._search import _roots
+from moritakit._search import _injective, _roots
 from moritakit.bibundles import (Bibundle, PrincipalityReport,
                                  bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, morita_equivalent,
@@ -27,7 +27,8 @@ from moritakit.groupoids import (FiniteGroupoid, PrincipalBundleData,
                                  gauge_groupoid, group_as_groupoid,
                                  groupoid_isomorphisms, pair_groupoid)
 from moritakit.report import ValidationReport
-from moritakit.tss import LabeledSurfaceGraph
+from moritakit.tss import (LabeledSurfaceGraph, TssIsomorphism, _edge_bijection,
+                           _edge_groups, _vertex_signature)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +587,104 @@ def random_functor(rng: random.Random, source: FiniteGroupoid,
 
 
 # ---------------------------------------------------------------------------
+# bibundle isomorphism as a hand-written matcher
+
+def reference_bibundle_isomorphic(s1: Bibundle, s2: Bibundle):
+    """``bibundle_isomorphic`` as a hand-written matcher, for differential tests.
+
+    Backtracks over the two-sided orbits of the carrier, seeded by moment
+    fibre profiles and propagated through both actions.
+    """
+    if s1.left != s2.left or s1.right != s2.right:
+        raise ValueError("bibundles live over different groupoid pairs")
+    n = len(s1.carrier)
+    if n != len(s2.carrier):
+        return None
+    prof1 = sorted(zip(s1.j1, s1.j2))
+    prof2 = sorted(zip(s2.j1, s2.j2))
+    if prof1 != prof2:
+        return None
+    if len(s1.left_act) != len(s2.left_act) or len(s1.right_act) != len(s2.right_act):
+        return None
+
+    # two-sided components of s1
+    moves = [(x, y) for (g, x), y in s1.left_act.items()]
+    moves += [(x, y) for (x, g), y in s1.right_act.items()]
+    comp_of = {}
+    for x, root in enumerate(_roots(n, moves)):
+        comp_of.setdefault(root, []).append(x)
+    components = [comp_of[r] for r in sorted(comp_of)]
+
+    def propagate(pivot, image, mapping):
+        # BFS through both actions; returns the extended mapping or None
+        stack = [pivot]
+        mapping = dict(mapping)
+        if s1.j1[pivot] != s2.j1[image] or s1.j2[pivot] != s2.j2[image]:
+            return None
+        mapping[pivot] = image
+        while stack:
+            x = stack.pop()
+            fx = mapping[x]
+            for g in s1.left.s_fiber(s1.j1[x]):
+                y = s1.left_act[(g, x)]
+                fy = s2.left_act.get((g, fx))
+                if fy is None:
+                    return None
+                if y in mapping:
+                    if mapping[y] != fy:
+                        return None
+                else:
+                    mapping[y] = fy
+                    stack.append(y)
+            for g in s1.right.t_fiber(s1.j2[x]):
+                y = s1.right_act[(x, g)]
+                fy = s2.right_act.get((fx, g))
+                if fy is None:
+                    return None
+                if y in mapping:
+                    if mapping[y] != fy:
+                        return None
+                else:
+                    mapping[y] = fy
+                    stack.append(y)
+        return mapping
+
+    def verify(mapping):
+        if len(set(mapping.values())) != n:
+            return False
+        for (g, x), y in s1.left_act.items():
+            if s2.left_act.get((g, mapping[x])) != mapping[y]:
+                return False
+        for (x, g), y in s1.right_act.items():
+            if s2.right_act.get((mapping[x], g)) != mapping[y]:
+                return False
+        return True
+
+    def search(k, mapping):
+        if k == len(components):
+            if verify(mapping):
+                return mapping
+            return None
+        pivot = components[k][0]
+        used = set(mapping.values())
+        for image in range(n):
+            if image in used:
+                continue
+            extended = propagate(pivot, image, mapping)
+            if extended is None:
+                continue
+            result = search(k + 1, extended)
+            if result is not None:
+                return result
+        return None
+
+    mapping = search(0, {})
+    if mapping is None:
+        return None
+    return {s1.carrier[x]: s2.carrier[y] for x, y in mapping.items()}
+
+
+# ---------------------------------------------------------------------------
 # labeled-graph oracle and random graphs
 
 def tss_isomorphic_oracle(a: LabeledSurfaceGraph, b: LabeledSurfaceGraph,
@@ -599,6 +698,30 @@ def tss_isomorphic_oracle(a: LabeledSurfaceGraph, b: LabeledSurfaceGraph,
         if _edges_match(a, b, perm, tol):
             return True
     return False
+
+
+def reference_tss_isomorphisms(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
+                               tol: float):
+    """``tss._isomorphisms`` without pruning: every signature-respecting
+    vertex bijection, checked at the leaf by ``_edge_bijection``."""
+    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+        return
+    exact = tol == 0
+    sig1 = [_vertex_signature(g1, v, exact) for v in range(g1.n_vertices)]
+    sig2 = [_vertex_signature(g2, v, exact) for v in range(g2.n_vertices)]
+    if sorted(sig1) != sorted(sig2):
+        return
+    candidates = [[w for w in range(g2.n_vertices) if sig2[w] == sig1[v]]
+                  for v in range(g1.n_vertices)]
+    order = sorted(range(g1.n_vertices), key=lambda v: len(candidates[v]))
+    groups1, groups2 = _edge_groups(g1), _edge_groups(g2)
+    vmap = [None] * g1.n_vertices
+    for images in _injective([candidates[v] for v in order], lambda w: w):
+        for v, w in zip(order, images):
+            vmap[v] = w
+        emap = _edge_bijection(g1, g2, groups1, groups2, tuple(vmap), tol)
+        if emap is not None:
+            yield TssIsomorphism(tuple(vmap), emap)
 
 
 def _edges_match(a, b, perm, tol):

@@ -16,7 +16,8 @@ from moritakit.groupoids import (GroupoidHom, disjoint_union,
 
 from support import (composable_pairs, corpus_factors, corpus_groupoids,
                      gauge_over, raw_morita_exists, random_functor,
-                     reference_principality, reference_tensor,
+                     reference_bibundle_isomorphic, reference_principality,
+                     reference_tensor,
                      reference_validate_bibundle, with_composites)
 
 
@@ -349,6 +350,7 @@ def test_tensor_matches_the_loop(factors):
     assert loop_form(tensor(w, i)) == loop_form(reference_tensor(w, i))
 
 
+
 def test_tensor_sorts_the_carrier_by_id():
     # ids "p", "p)", ..., "p)))))": "[p*p)]" sorts before "[p*p]", so the
     # carrier order is not the order of the representative pairs
@@ -441,6 +443,55 @@ def test_tensor_of_redirected_actions_matches_the_loop(name):
             assert caught.value.factor == factor, changes
             assert caught.value.report.as_dict() == want, changes
 
+
+def relabelled(s, rng):
+    """s with its carrier ids permuted at random: isomorphic, not equal."""
+    ids = list(s.carrier)
+    rng.shuffle(ids)
+    rename = dict(zip(s.carrier, ids))
+    j1, j2, left_act, right_act = s.as_dicts()
+    return Bibundle(s.left, s.right, ids, {rename[x]: o for x, o in j1.items()},
+                    {rename[x]: o for x, o in j2.items()},
+                    {(a, rename[x]): rename[y] for (a, x), y in left_act.items()},
+                    {(rename[x], a): rename[y] for (x, a), y in right_act.items()})
+
+
+def test_bibundle_isomorphic_matches_the_matcher(factors):
+    # corpus pairs over the same groupoids (None and mappings), relabelled
+    # copies (a mapping other than the identity), and identity bibundles
+    # against copies with one action entry redirected (non-isomorphic)
+    rng = random.Random(12)
+    pairs = [(f"{a} ~ {b}", s, t) for a, s in factors for b, t in factors
+             if s.left == t.left and s.right == t.right]
+    pairs += [(f"{a} ~ relabelled", s, relabelled(s, rng)) for a, s in factors]
+    for name, g in sorted(SMALL.items()):
+        s = identity_bibundle(g)
+        faults = list(redirections(s)) if len(s.carrier) > 1 else []
+        for fault in rng.sample(faults, min(3, len(faults))):
+            pairs += [(f"{name} {fault}", s, with_action(s, fault)),
+                      (f"{fault} {name}", with_action(s, fault), s)]
+    # Z2 on two points, freely and trivially: an equivariant map exists only
+    # by sending both points to one.  Then an action whose point b is
+    # reached from a by no arrow, against itself: not an isomorphism to
+    # the matcher, which maps what propagation from a reaches.
+    z2, pt = group_as_groupoid(cyclic_group(2)), pair_groupoid(1)
+    (o,), (u,) = pt.objects, pt.arrows
+    (e, g), (x,) = z2.arrows, z2.objects
+
+    def z2_set(act):
+        return Bibundle(z2, pt, ["a", "b"], {"a": x, "b": x}, {"a": o, "b": o},
+                        act, {("a", u): "a", ("b", u): "b"})
+
+    free = z2_set({(e, "a"): "a", (e, "b"): "b", (g, "a"): "b", (g, "b"): "a"})
+    trivial = z2_set({(e, "a"): "a", (e, "b"): "b", (g, "a"): "a", (g, "b"): "b"})
+    one_way = z2_set({(e, "a"): "a", (e, "b"): "b", (g, "a"): "a", (g, "b"): "a"})
+    pairs += [("free ~ trivial", free, trivial), ("trivial ~ free", trivial, free),
+              ("one way", one_way, one_way)]
+    found = [bibundle_isomorphic(s, t) for _, s, t in pairs]
+    assert found == [reference_bibundle_isomorphic(s, t) for _, s, t in pairs]
+    assert found[-3:] == [None, None, None]
+    assert sum(m is None for m in found) > 100
+    assert sum(m is not None and any(x != y for x, y in m.items()) for m in found) > 80
 
 def test_tensor_refuses_a_partial_action():
     # Z3 on {x, y}, c1 and c2 both swapping, (c2, x) undefined: still left

@@ -371,6 +371,26 @@ def test_validate_rejects_nonfinite_field(files, capsys):
                                                "witness": [2, 3]}]
 
 
+
+@pytest.mark.parametrize("name", ["pi.field.json", "spec.json"])
+def test_validate_parses_a_json_field_once(files, capsys, monkeypatch, name):
+    (files / "spec.json").write_text(json.dumps({"analytic": {
+        "kind": "bivector",
+        "grid": {"dimension": 2, "origin": [0, 0], "spacing": 0.5, "shape": [3, 3]},
+        "entries": [{"i": 0, "j": 1, "const": 1.0}]}}))
+    calls = []
+    load = json.load
+
+    def counted(fh, **kwargs):
+        calls.append(fh.name)
+        return load(fh, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted)
+    code, report = run(capsys, "validate", files / name, "--quiet")
+    assert code == 0 and report["result"] == {"kind": "field", "ok": True,
+                                              "violations": []}
+    assert calls == [str(files / name)]
+
 def test_gauge_commands_reject_nonfinite_fields(files, capsys):
     pinan = save_with_nonfinite(files, "pinan.field", SampledBivectorField,
                                 "bivector", J2, (2, 3), np.nan)

@@ -1,5 +1,7 @@
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +12,8 @@ from moritakit.tss import (LabeledSurfaceGraph, graph_automorphisms,
                            morita_equivalent_tss, picard_ingredients,
                            poisson_isomorphic_tss, surface_genus, validate_tss)
 
-from support import (perturb_one_period, random_tss, shuffled_copy,
-                     tss_isomorphic_oracle)
+from support import (perturb_one_period, random_tss, reference_tss_isomorphisms,
+                     shuffled_copy, tss_isomorphic_oracle)
 
 
 def sphere(period=1.0, volume=None):
@@ -21,6 +23,13 @@ def sphere(period=1.0, volume=None):
 
 def torus_loop():
     return LabeledSurfaceGraph(["v"], {"v": 0}, [("v", "v", 2.0)])
+
+
+def circulant(n, steps):
+    """Directed circulant C_n(steps): an edge i -> i + s for every step s."""
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = [(names[i], names[(i + s) % n], 1.0) for i in range(n) for s in steps]
+    return LabeledSurfaceGraph(names, {v: 0 for v in names}, edges)
 
 
 def test_validate_examples():
@@ -99,13 +108,9 @@ def test_search_builds_edge_groups_once_per_graph(monkeypatch):
     edge_groups = tss._edge_groups
     monkeypatch.setattr(tss, "_edge_groups", counted)
 
-    def circulant(steps):
-        names = [f"v{i}" for i in range(6)]
-        edges = [(names[i], names[(i + s) % 6], 1.0) for i in range(6) for s in steps]
-        return LabeledSurfaceGraph(names, {v: 0 for v in names}, edges)
-
-    # every vertex has the same signature, so all 6! vertex maps are tried
-    assert morita_equivalent_tss(circulant((1, 2)), circulant((1, 3))) is None
+    # every vertex has the same signature: the edge groups are built once
+    # per graph, however many vertex maps the search visits
+    assert morita_equivalent_tss(circulant(6, (1, 2)), circulant(6, (1, 3))) is None
     assert len(calls) == 2
 
 
@@ -242,3 +247,81 @@ def test_random_graphs_are_valid_and_self_equivalent(seed):
     g = random_tss(rng)
     assert validate_tss(g).ok
     assert morita_equivalent_tss(g, g) is not None
+
+
+@st.composite
+def multigraphs(draw, max_vertices=7, max_edges=9, periods=(1.0, 1.5, 2.0)):
+    """Labelled multigraphs with loops, parallel edges and tied periods,
+    plus a second graph: a relabelled copy, maybe with periods nudged
+    by less than 0.6, or an unrelated graph of the same size."""
+    n = draw(st.integers(1, max_vertices))
+    names = [f"v{i}" for i in range(n)]
+    genus = {v: draw(st.integers(0, 1)) for v in names}
+    vertex = st.integers(0, n - 1)
+    period = st.sampled_from(periods)
+    edges = draw(st.lists(st.tuples(vertex, vertex, period), max_size=max_edges))
+    g = LabeledSurfaceGraph(names, genus, [(names[t], names[hd], p) for t, hd, p in edges])
+    kind = draw(st.sampled_from(["copy", "nudged", "other"]))
+    if kind == "other":
+        other = draw(st.lists(st.tuples(vertex, vertex, period),
+                              min_size=len(edges), max_size=len(edges)))
+        genus2 = {v: draw(st.integers(0, 1)) for v in names}
+        h = LabeledSurfaceGraph(names, genus2,
+                                [(names[t], names[hd], p) for t, hd, p in other])
+        return g, h
+    perm = draw(st.permutations(range(n)))
+    renamed = [f"w{perm[i]}" for i in range(n)]
+    nudge = st.sampled_from([0.0, 0.25, -0.5]) if kind == "nudged" else st.just(0.0)
+    h = LabeledSurfaceGraph(renamed, {renamed[i]: g.genus[i] for i in range(n)},
+                            [(renamed[t], renamed[hd], p + draw(nudge))
+                             for t, hd, p in g.edges])
+    return g, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(periods=(1.0, 1.5, 2.0, float("nan"))),
+       st.sampled_from([0.0, 0.3, 1.5, float("nan")]))
+def test_pruned_search_yields_the_unpruned_sequence(pair, tol):
+    # a NaN period or tolerance is compared as _edge_bijection compares it
+    g, h = pair
+    for a, b in ((g, h), (h, g), (g, g)):
+        assert (list(tss._isomorphisms(a, b, tol))
+                == list(reference_tss_isomorphisms(a, b, tol)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=5))
+def test_graph_automorphisms_match_the_unpruned_search(pair):
+    g, _ = pair
+    aut = graph_automorphisms(g)
+    with mock.patch.object(tss, "_isomorphisms", reference_tss_isomorphisms):
+        reference = graph_automorphisms(g)
+    assert aut.elements == reference.elements
+    assert aut.payload == reference.payload
+    assert np.array_equal(aut.table, reference.table)
+
+
+@pytest.fixture
+def accept_calls(monkeypatch):
+    """Counts the pruning hook's calls in ``tss`` searches."""
+    calls = []
+    injective = tss._injective
+
+    def counting(options, key, accept=None):
+        def counted(k, chosen):
+            calls.append(k)
+            return accept(k, chosen)
+        return injective(options, key, counted if accept else None)
+
+    monkeypatch.setattr(tss, "_injective", counting)
+    return calls
+
+
+def test_search_work_on_twelve_vertex_circulants(accept_calls):
+    # all 12 vertices share one signature, so unpruned these are 12! leaves;
+    # the pruned searches make 384 and 924 hook calls
+    assert morita_equivalent_tss(circulant(12, (1, 2)), circulant(12, (1, 3))) is None
+    assert 0 < len(accept_calls) <= 500
+    accept_calls.clear()
+    assert len(graph_automorphisms(circulant(12, (1, 2)))) == 12
+    assert 0 < len(accept_calls) <= 1000
