@@ -428,28 +428,41 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
     names = [f"[{s.carrier[x]}*{s2.carrier[y]}]"
              for x, y in zip(rx.tolist(), ry.tolist())]
 
-    # product actions, class-major: g.(x, y) = (g.x, y) and (x, y).g = (x, y.g)
-    fibres = [s.left.s_fiber(s.j1[x]) for x in rx.tolist()]
-    lg = np.array([g for f in fibres for g in f], dtype=np.intp)
-    lc = np.repeat(np.arange(len(reps)), [len(f) for f in fibres])
+    # product actions: g.(x, y) = (g.x, y) and (x, y).g = (x, y.g)
+    lg, lc = _fibre_entries([s.left.s_fiber(s.j1[x]) for x in rx.tolist()])
     l_target = cls[key(left1[lg, rx[lc]], ry[lc])]
-    fibres = [s2.right.t_fiber(s2.j2[y]) for y in ry.tolist()]
-    rg = np.array([g for f in fibres for g in f], dtype=np.intp)
-    rc = np.repeat(np.arange(len(reps)), [len(f) for f in fibres])
+    rg, rc = _fibre_entries([s2.right.t_fiber(s2.j2[y]) for y in ry.tolist()])
     r_target = cls[key(rx[rc], right2[ry[rc], rg])]
-    # the carrier is sorted by id, the actions keep the class-major order
+    return _from_classes(s.left, s2.right, names, np.array(s.j1, dtype=np.intp)[rx],
+                         end[ry], (lg, lc, l_target), (rg, rc, r_target))
+
+
+def _fibre_entries(fibres: list) -> tuple[np.ndarray, np.ndarray]:
+    """The arrows of each class's fibre, class-major, and the class of each."""
+    arrows = np.array([g for f in fibres for g in f], dtype=np.intp)
+    return arrows, np.repeat(np.arange(len(fibres)), [len(f) for f in fibres])
+
+
+def _from_classes(left, right, names, j1, j2, left_entries, right_entries):
+    """The bibundle whose points are the classes ``names``, sorted by id.
+
+    ``j1``, ``j2`` are the moments of the classes as index arrays.  Each
+    action is given as three columns, (arrow, class, image class) for the
+    left and (class, arrow, image class) for the right one, with the arrow
+    and class columns in that order; the action dicts keep the row order.
+    """
     order = sorted(range(len(names)), key=names.__getitem__)
     carrier = tuple(names[c] for c in order)
     if any(u == v for u, v in zip(carrier, carrier[1:])):
         raise ValueError("duplicate carrier ids")
     at = np.empty(len(order), dtype=np.intp)
     at[order] = np.arange(len(order))
-    j1 = np.array(s.j1, dtype=np.intp)[rx[order]]
-    j2 = end[ry[order]]
+    lg, lc, l_target = left_entries
+    rg, rc, r_target = right_entries
     left_act = dict(zip(zip(lg.tolist(), at[lc].tolist()), at[l_target].tolist()))
     right_act = dict(zip(zip(at[rc].tolist(), rg.tolist()), at[r_target].tolist()))
-    return Bibundle._from_indices(s.left, s2.right, carrier, tuple(j1.tolist()),
-                                  tuple(j2.tolist()), left_act, right_act)
+    return Bibundle._from_indices(left, right, carrier, tuple(j1[order].tolist()),
+                                  tuple(j2[order].tolist()), left_act, right_act)
 
 
 def bibundle_isomorphic(s1: Bibundle, s2: Bibundle):
@@ -556,7 +569,9 @@ def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None
 
     Decision: match orbits bijectively so that corresponding isotropy
     groups are isomorphic; the witness is assembled orbitwise from source
-    fibres at basepoints, glued along a chosen isotropy isomorphism.
+    fibres at basepoints, glued along a chosen isotropy isomorphism (see
+    ``_glue_orbit_pair``).  Its points are named by their representative
+    pairs, and its actions are gathers through the class table.
     """
     blocks1, blocks2 = orbit_partition(g1), orbit_partition(g2)
     if len(blocks1) != len(blocks2):
@@ -579,50 +594,57 @@ def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None
     if matching is None:
         return None
 
-    carrier, j1, j2, left_act, right_act = [], {}, {}, {}, {}
+    c1, c2 = _comp_table(g1), _comp_table(g2)
+    m2 = g2.n_arrows
+    # cls[e1, e2]: the class of the pair, -1 off the glued fibres
+    cls = np.full((g1.n_arrows + 1, m2 + 1), -1, dtype=np.intp)
+    reps = [np.empty(0, dtype=np.intp)]
     for i, (j, theta) in enumerate(matching):
-        _glue_orbit_pair(g1, blocks1[i], g2, blocks2[j], iso1[i], iso2[j], theta,
-                         carrier, j1, j2, left_act, right_act)
-    return Bibundle(g1, g2, carrier, j1, j2, left_act, right_act)
+        e1, e2, local, rep = _glue_orbit_pair(g1, blocks1[i][0], g2, blocks2[j][0],
+                                              iso1[i], iso2[j], theta)
+        cls[e1[:, None], e2[None, :]] = local + sum(map(len, reps))
+        reps.append(rep)
+    r1, r2 = np.divmod(np.concatenate(reps), m2 + 1)
+    j1, j2 = np.array(g1.tgt, dtype=np.intp)[r1], np.array(g2.tgt, dtype=np.intp)[r2]
+    # g.[e1*e2] = [g e1 * e2] and [e1*e2].g = [e1 * g^-1 e2]
+    lg, lc = _fibre_entries([g1.s_fiber(x) for x in j1.tolist()])
+    l_target = cls[c1[lg, r1[lc]], r2[lc]]
+    rg, rc = _fibre_entries([g2.t_fiber(x) for x in j2.tolist()])
+    r_target = cls[r1[rc], c2[np.array(g2.inv, dtype=np.intp)[rg], r2[rc]]]
+    if (l_target < 0).any() or (r_target < 0).any():
+        raise ValueError(_NOT_CLOSED)
+    names = [f"[{g1.arrows[a]}*{g2.arrows[b]}]"
+             for a, b in zip(r1.tolist(), r2.tolist())]
+    return _from_classes(g1, g2, names, j1, j2, (lg, lc, l_target), (rg, rc, r_target))
 
 
-def _glue_orbit_pair(g1, block1, g2, block2, h1, h2, theta,
-                     carrier, j1, j2, left_act, right_act):
-    """One orbit pair of the Morita witness: (E1 x E2)/H2, H2 glued by theta.
+_NOT_CLOSED = ("composition is not closed on the glued source fibres; "
+               "validate the groupoids")
 
-    E1, E2 are the source fibres at the basepoints; the diagonal action is
-    (e1, e2) . h = (e1 theta(h), e2 h) and classes keep the smallest pair.
+
+def _glue_orbit_pair(g1, x1, g2, x2, h1, h2, theta):
+    """The classes of one orbit pair of the Morita witness: (E1 x E2)/H2.
+
+    E1, E2 are the source fibres at the basepoints x1, x2, and H2 acts
+    diagonally through theta: (e1, e2).h = (e1 theta(h), e2 h).  A class
+    is represented by its smallest pair, which is the smallest key
+    ``e1 theta(h) * (m2 + 1) + e2 h`` over h.  Returns E1 and E2 as index
+    arrays, the class of each pair as an |E1| x |E2| array, and the
+    sorted representatives as keys.  An empty H2 or a composite undefined
+    on the fibres (an invalid groupoid) raises ValueError.
     """
-    x1, x2 = block1[0], block2[0]
-    e1_arrows = g1.s_fiber(x1)
-    e2_arrows = g2.s_fiber(x2)
-    h2_arrows = [g2.arr_index[e] for e in h2.elements]
-    theta_arrow = {h2_arrows[k]: g1.arr_index[h1.elements[theta[k]]]
-                   for k in range(len(h2))}
-
-    def rep(e1, e2):
-        return min((g1.comp[(e1, theta_arrow[h])], g2.comp[(e2, h)])
-                   for h in h2_arrows)
-
-    classes = {}
-    for e1 in e1_arrows:
-        for e2 in e2_arrows:
-            classes[(e1, e2)] = rep(e1, e2)
-    reps = sorted(set(classes.values()))
-
-    def name(p):
-        return f"[{g1.arrows[p[0]]}*{g2.arrows[p[1]]}]"
-
-    for p in reps:
-        e1, e2 = p
-        carrier.append(name(p))
-        j1[name(p)] = g1.objects[g1.tgt[e1]]
-        j2[name(p)] = g2.objects[g2.tgt[e2]]
-    for p in reps:
-        e1, e2 = p
-        for g in g1.s_fiber(g1.tgt[e1]):
-            left_act[(g1.arrows[g], name(p))] = name(classes[(g1.comp[(g, e1)], e2)])
-        for g in g2.t_fiber(g2.tgt[e2]):
-            moved = g2.comp[(g2.inv[g], e2)]
-            right_act[(name(p), g2.arrows[g])] = name(classes[(e1, moved)])
-    return carrier
+    m1, m2 = g1.n_arrows, g2.n_arrows
+    e1 = np.array(g1.s_fiber(x1), dtype=np.intp)
+    e2 = np.array(g2.s_fiber(x2), dtype=np.intp)
+    h = np.array([g2.arr_index[a] for a in h2.elements], dtype=np.intp)
+    th = np.array([g1.arr_index[h1.elements[k]] for k in theta], dtype=np.intp)
+    k1 = _comp_table(g1)[e1[:, None], th[None, :]]
+    k2 = _comp_table(g2)[e2[:, None], h[None, :]]
+    if not len(h) or (k1 == m1).any() or (k2 == m2).any():
+        raise ValueError(_NOT_CLOSED)
+    k1 *= m2 + 1
+    keys = k1[:, :1] + k2[:, 0]
+    for t in range(1, len(h)):  # one |E1| x |E2| slab per h, not a cube
+        np.minimum(keys, k1[:, t:t + 1] + k2[:, t], out=keys)
+    rep, local = np.unique(keys, return_inverse=True)
+    return e1, e2, local.reshape(keys.shape), rep

@@ -20,6 +20,8 @@ payload, the exit code and the summary line.
 from __future__ import annotations
 
 import argparse
+import gc
+import math
 import os
 import sys
 import time
@@ -133,11 +135,15 @@ def _validate(args):
     elif kind == "tss":
         report = validate_tss(tss_from_dict(data))
     else:
-        # load_field reads the document itself only under a .json name
-        if data is not None and Path(args.path).suffix == ".json":
+        # a binary payload is read through its sidecar; an analytic spec
+        # stands alone under any name, a sidecar only under a .json name
+        if data is None:
+            field, _ = load_field(args.path)
+        elif "analytic" in data or Path(args.path).suffix == ".json":
             field, _ = _field_from_json(data, args.path)
         else:
-            field, _ = load_field(args.path)
+            raise ValueError(f"{args.path} is a field sidecar; a sidecar is read "
+                             f"only as <payload>.json, here {args.path}.json")
         report = ValidationReport()
         point, defect = field.nonfinite_point(), field.antisymmetry_defect()
         if point is not None:
@@ -232,6 +238,8 @@ def _morita(args):
 
 
 def _tss_iso(args):
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     a = load_tss(args.first)
     b = load_tss(args.second)
     if args.reversed_:
@@ -330,36 +338,48 @@ def _inputs_of(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    echo = list(argv) if argv is not None else sys.argv[1:]
-    started = time.monotonic()
-    report = {"command": echo, "version": __version__, "timing_ms": None}
+    """Run one command; the cyclic collector is paused while it runs.
+
+    Commands build large acyclic trees (a parsed 384-arrow groupoid is
+    about 46k lists), and the collector's passes over them find nothing
+    to free.  The caller's collector state is restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        report["inputs"] = _inputs_of(args)
-        result, code, summary = args.handler(args)
-        report["result"] = result
-    except SingularEndomorphism as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc),
-                           "worst_point": list(exc.point), "det": exc.det}
-        code, summary = EXIT_SINGULAR, f"singular: {exc}"
-    except _PRECONDITION_ERRORS as exc:
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code, summary = EXIT_PRECONDITION, f"precondition failed: {exc}"
-    if args.timing:
-        report["timing_ms"] = int((time.monotonic() - started) * 1000)
-    try:
-        write_json(report, sys.stdout, 2)
-        sys.stdout.write("\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
-        # so the interpreter's final flush cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    if not args.quiet:
-        print(summary, file=sys.stderr)
-    return code
+        args = build_parser().parse_args(argv)
+        echo = list(argv) if argv is not None else sys.argv[1:]
+        started = time.monotonic()
+        report = {"command": echo, "version": __version__, "timing_ms": None}
+        try:
+            report["inputs"] = _inputs_of(args)
+            result, code, summary = args.handler(args)
+            report["result"] = result
+        except SingularEndomorphism as exc:
+            report["error"] = {"type": type(exc).__name__, "message": str(exc),
+                               "worst_point": list(exc.point), "det": exc.det}
+            code, summary = EXIT_SINGULAR, f"singular: {exc}"
+        except _PRECONDITION_ERRORS as exc:
+            report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            code, summary = EXIT_PRECONDITION, f"precondition failed: {exc}"
+        if args.timing:
+            report["timing_ms"] = int((time.monotonic() - started) * 1000)
+        try:
+            write_json(report, sys.stdout, 2)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed stdout (e.g. `| head`).  Point stdout at
+            # devnull so the interpreter's final flush cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if not args.quiet:
+            print(summary, file=sys.stderr)
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

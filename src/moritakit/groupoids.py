@@ -95,19 +95,16 @@ class FiniteGroupoid:
     def isotropy_arrows(self, x: int) -> list[int]:
         return self.hom(x, x)
 
-    def _key(self):
-        return (self.objects, self.arrows, self.src, self.tgt, self.unit,
-                self.inv, tuple(sorted(self.comp.items())))
-
     def __eq__(self, other):
         if other is self:
             return True
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        # dict equality ignores insertion order, so nothing is sorted
+        return ((self.objects, self.arrows, self.src, self.tgt, self.unit, self.inv)
+                == (other.objects, other.arrows, other.src, other.tgt, other.unit,
+                    other.inv)
+                and self.comp == other.comp)
 
     def __repr__(self):
         return f"FiniteGroupoid(objects={self.n_objects}, arrows={self.n_arrows})"

@@ -72,14 +72,20 @@ class FiniteGroup:
     def _locate_inverses(self):
         if self.identity is None:
             return None
-        n = len(self.elements)
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == self.identity == self.table[b][a]:
-                    inv[a] = b
-                    break
-        return None if any(v is None for v in inv) else tuple(inv)
+        e, table = self.identity, self.table
+        inv = []
+        for a, row in enumerate(table):
+            # the first b with ab = e = ba: scan past one-sided hits
+            b = -1
+            try:
+                while True:
+                    b = row.index(e, b + 1)
+                    if table[b][a] == e:
+                        break
+            except ValueError:
+                return None
+            inv.append(b)
+        return tuple(inv)
 
     def element_order(self, i: int) -> int:
         """Least k with i^k the identity; ValueError if none is at most |G|."""

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bibundles import Bibundle
+from .bibundles import Bibundle, _action_tables
 from .gauge import (GridSpec, SampledBivectorField, SampledTwoFormField)
 from .groups import FiniteGroup
-from .groupoids import (FiniteGroupoid, PrincipalBundleData, action_groupoid,
-                        gauge_groupoid, group_as_groupoid, pair_groupoid)
+from .groupoids import (FiniteGroupoid, PrincipalBundleData, _comp_table,
+                        action_groupoid, gauge_groupoid, group_as_groupoid,
+                        pair_groupoid)
 from .report import write_json
 from .tss import LabeledSurfaceGraph
 
@@ -75,13 +76,26 @@ def groupoid_from_dict(data) -> FiniteGroupoid:
                           data["units"], data["inv"], comp)
 
 
+def _table_rows(table, sentinel, rows, cols, values) -> list[list[str]]:
+    """``[rows[i], cols[j], values[table[i, j]]]`` per defined cell, row-major.
+
+    ``table`` is a dense index table without its sentinel row and column,
+    and ``rows``, ``cols`` and ``values`` are id tuples.  The constructors
+    index ids in sorted order, so row-major order is the order of the
+    sorted id pairs.
+    """
+    rows, cols, values = (np.array(ids, dtype=object) for ids in (rows, cols, values))
+    i, j = np.nonzero(table != sentinel)
+    return np.stack((rows[i], cols[j], values[table[i, j]]), axis=1).tolist()
+
+
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
+    m, arrows = g.n_arrows, g.arrows
     return {
         "objects": list(g.objects),
         "arrows": [{"id": a, "src": g.objects[g.src[i]], "tgt": g.objects[g.tgt[i]]}
                    for i, a in enumerate(g.arrows)],
-        "comp": [[g.arrows[i], g.arrows[j], g.arrows[k]]
-                 for (i, j), k in sorted(g.comp.items())],
+        "comp": _table_rows(_comp_table(g)[:m, :m], m, arrows, arrows, arrows),
         "units": {x: g.arrows[g.unit[i]] for i, x in enumerate(g.objects)},
         "inv": {a: g.arrows[g.inv[i]] for i, a in enumerate(g.arrows)},
     }
@@ -114,15 +128,16 @@ def bibundle_from_dict(data, base_dir=".") -> Bibundle:
 
 
 def bibundle_to_dict(s: Bibundle) -> dict:
-    j1, j2, left_act, right_act = s.as_dicts()
+    n, carrier = len(s.carrier), s.carrier
+    left, right = _action_tables(s)
     return {
         "left": groupoid_to_dict(s.left),
         "right": groupoid_to_dict(s.right),
         "carrier": list(s.carrier),
-        "J1": j1,
-        "J2": j2,
-        "leftAct": [[g, x, y] for (g, x), y in sorted(left_act.items())],
-        "rightAct": [[x, g, y] for (x, g), y in sorted(right_act.items())],
+        "J1": {x: s.left.objects[p] for x, p in zip(s.carrier, s.j1)},
+        "J2": {x: s.right.objects[p] for x, p in zip(s.carrier, s.j2)},
+        "leftAct": _table_rows(left[:-1, :n], n, s.left.arrows, carrier, carrier),
+        "rightAct": _table_rows(right[:n, :-1], n, carrier, s.right.arrows, carrier),
     }
 
 

@@ -20,12 +20,13 @@ from moritakit.bibundles import (Bibundle, PrincipalityReport,
 from moritakit.errors import MiddleMismatch, NotLeftPrincipal
 from moritakit.gauge import EPS_RANK
 from moritakit.groups import (FiniteGroup, cyclic_group, dihedral_group,
-                              klein_four_group, quaternion_group,
-                              symmetric_group)
+                              group_isomorphic, klein_four_group,
+                              quaternion_group, symmetric_group)
 from moritakit.groupoids import (FiniteGroupoid, PrincipalBundleData,
                                  bundle_of_groups, disjoint_union,
                                  gauge_groupoid, group_as_groupoid,
-                                 groupoid_isomorphisms, pair_groupoid)
+                                 groupoid_isomorphisms, isotropy,
+                                 orbit_partition, pair_groupoid)
 from moritakit.report import ValidationReport
 from moritakit.tss import (LabeledSurfaceGraph, TssIsomorphism, _edge_bijection,
                            _edge_groups, _vertex_signature)
@@ -785,3 +786,121 @@ def perturb_one_period(g: LabeledSurfaceGraph, factor: float = 1.001,
         period = p * factor if i == which else p
         edges.append((g.vertices[t], g.vertices[h], period))
     return LabeledSurfaceGraph(g.vertices, genus, edges, g.volume)
+
+
+# ---------------------------------------------------------------------------
+# the witness path as plain loops over the id dicts, kept as oracles
+
+def reference_groupoid_to_dict(g: FiniteGroupoid) -> dict:
+    """``io.groupoid_to_dict`` through the sorted composition dict."""
+    return {
+        "objects": list(g.objects),
+        "arrows": [{"id": a, "src": g.objects[g.src[i]], "tgt": g.objects[g.tgt[i]]}
+                   for i, a in enumerate(g.arrows)],
+        "comp": [[g.arrows[i], g.arrows[j], g.arrows[k]]
+                 for (i, j), k in sorted(g.comp.items())],
+        "units": {x: g.arrows[g.unit[i]] for i, x in enumerate(g.objects)},
+        "inv": {a: g.arrows[g.inv[i]] for i, a in enumerate(g.arrows)},
+    }
+
+
+def reference_bibundle_to_dict(s: Bibundle) -> dict:
+    """``io.bibundle_to_dict`` through ``as_dicts`` and sorted actions."""
+    j1, j2, left_act, right_act = s.as_dicts()
+    return {
+        "left": reference_groupoid_to_dict(s.left),
+        "right": reference_groupoid_to_dict(s.right),
+        "carrier": list(s.carrier),
+        "J1": j1,
+        "J2": j2,
+        "leftAct": [[g, x, y] for (g, x), y in sorted(left_act.items())],
+        "rightAct": [[x, g, y] for (x, g), y in sorted(right_act.items())],
+    }
+
+
+def reference_morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid):
+    """``morita_equivalent`` with each orbit pair glued by a loop over pairs."""
+    blocks1, blocks2 = orbit_partition(g1), orbit_partition(g2)
+    if len(blocks1) != len(blocks2):
+        return None
+    iso1 = [isotropy(g1, g1.objects[b[0]]) for b in blocks1]
+    iso2 = [isotropy(g2, g2.objects[b[0]]) for b in blocks2]
+    candidates = []
+    for h1 in iso1:
+        row = [(j, theta) for j, h2 in enumerate(iso2)
+               if (theta := group_isomorphic(h2, h1)) is not None]
+        if not row:
+            return None
+        candidates.append(row)
+    matching = next(_injective(candidates, lambda c: c[0]), None)
+    if matching is None:
+        return None
+    carrier, j1, j2, left_act, right_act = [], {}, {}, {}, {}
+    for i, (j, theta) in enumerate(matching):
+        _reference_glue_orbit_pair(g1, blocks1[i], g2, blocks2[j], iso1[i], iso2[j],
+                                   theta, carrier, j1, j2, left_act, right_act)
+    return Bibundle(g1, g2, carrier, j1, j2, left_act, right_act)
+
+
+def _reference_glue_orbit_pair(g1, block1, g2, block2, h1, h2, theta,
+                               carrier, j1, j2, left_act, right_act):
+    """One orbit pair of the Morita witness: (E1 x E2)/H2, H2 glued by theta.
+
+    E1, E2 are the source fibres at the basepoints; the diagonal action is
+    (e1, e2) . h = (e1 theta(h), e2 h) and classes keep the smallest pair.
+    """
+    x1, x2 = block1[0], block2[0]
+    e1_arrows = g1.s_fiber(x1)
+    e2_arrows = g2.s_fiber(x2)
+    h2_arrows = [g2.arr_index[e] for e in h2.elements]
+    theta_arrow = {h2_arrows[k]: g1.arr_index[h1.elements[theta[k]]]
+                   for k in range(len(h2))}
+
+    def rep(e1, e2):
+        return min((g1.comp[(e1, theta_arrow[h])], g2.comp[(e2, h)])
+                   for h in h2_arrows)
+
+    classes = {}
+    for e1 in e1_arrows:
+        for e2 in e2_arrows:
+            classes[(e1, e2)] = rep(e1, e2)
+    reps = sorted(set(classes.values()))
+
+    def name(p):
+        return f"[{g1.arrows[p[0]]}*{g2.arrows[p[1]]}]"
+
+    for p in reps:
+        e1, e2 = p
+        carrier.append(name(p))
+        j1[name(p)] = g1.objects[g1.tgt[e1]]
+        j2[name(p)] = g2.objects[g2.tgt[e2]]
+    for p in reps:
+        e1, e2 = p
+        for g in g1.s_fiber(g1.tgt[e1]):
+            left_act[(g1.arrows[g], name(p))] = name(classes[(g1.comp[(g, e1)], e2)])
+        for g in g2.t_fiber(g2.tgt[e2]):
+            moved = g2.comp[(g2.inv[g], e2)]
+            right_act[(name(p), g2.arrows[g])] = name(classes[(e1, moved)])
+
+
+def equiv_morita_pairs() -> list[tuple[str, FiniteGroupoid, FiniteGroupoid]]:
+    """The two Morita-equivalent pairs of the benchmark's equiv workload."""
+    s3, s4, z4 = symmetric_group(3), symmetric_group(4), cyclic_group(4)
+    return [("S4 on 4 points ~ S4 on 2 points", gauge_over(s4, 4), gauge_over(s4, 2)),
+            ("S3/3 + Z4/2 ~ Z4/4 + S3/2",
+             disjoint_union(gauge_over(s3, 3), gauge_over(z4, 2)),
+             disjoint_union(gauge_over(z4, 4), gauge_over(s3, 2)))]
+
+
+def reference_locate_inverses(group: FiniteGroup):
+    """``FiniteGroup._locate_inverses`` as a loop over all pairs."""
+    if group.identity is None:
+        return None
+    n = len(group.elements)
+    inv = [None] * n
+    for a in range(n):
+        for b in range(n):
+            if group.table[a][b] == group.identity == group.table[b][a]:
+                inv[a] = b
+                break
+    return None if any(v is None for v in inv) else tuple(inv)

@@ -10,15 +10,16 @@ from moritakit.errors import (InvalidBibundle, MiddleMismatch, NotFunctor,
                               NotLeftPrincipal)
 from moritakit.groups import (cyclic_group, klein_four_group, symmetric_group,
                               trivial_group)
-from moritakit.groupoids import (GroupoidHom, disjoint_union,
+from moritakit.groupoids import (FiniteGroupoid, GroupoidHom, disjoint_union,
                                  group_as_groupoid, isotropy, orbits,
                                  pair_groupoid)
 
 from support import (composable_pairs, corpus_factors, corpus_groupoids,
-                     gauge_over, raw_morita_exists, random_functor,
-                     reference_bibundle_isomorphic, reference_principality,
-                     reference_tensor,
-                     reference_validate_bibundle, with_composites)
+                     equiv_morita_pairs, gauge_over, raw_morita_exists,
+                     random_functor, reference_bibundle_isomorphic,
+                     reference_morita_equivalent, reference_principality,
+                     reference_tensor, reference_validate_bibundle,
+                     with_composites)
 
 
 def z_groupoid(n):
@@ -526,3 +527,44 @@ def test_kernels_match_the_loops_over_a_deleted_composite(name):
             assert (validate_bibundle(bad).as_dict()
                     == reference_validate_bibundle(bad).as_dict()), pair
             assert same_principality(bad), pair
+
+
+def same_bibundle(s, t):
+    """Equal carriers, moments and actions, the actions in the same order."""
+    return (s.left is t.left and s.right is t.right and s.carrier == t.carrier
+            and s.j1 == t.j1 and s.j2 == t.j2
+            and list(s.left_act.items()) == list(t.left_act.items())
+            and list(s.right_act.items()) == list(t.right_act.items()))
+
+
+def test_morita_witness_matches_the_orbit_loop():
+    empty = FiniteGroupoid([], [], {}, {}, {}, {}, {})
+    pairs = [(f"{a}~{b}", g, h) for a, g in corpus_groupoids()
+             for b, h in corpus_groupoids()] + equiv_morita_pairs()
+    pairs.append(("empty", empty, empty))
+    found = 0
+    for name, g, h in pairs:
+        w, ref = morita_equivalent(g, h), reference_morita_equivalent(g, h)
+        assert (w is None) == (ref is None), name
+        if w is not None:
+            assert same_bibundle(w, ref), name
+            found += 1
+    assert found == 42
+
+
+def test_morita_witness_on_an_open_composition_is_a_value_error():
+    # a composite deleted from the source fibre at the basepoint, outside
+    # its isotropy
+    g = gauge_over(cyclic_group(3), 2)
+    e1 = next(e for e in g.s_fiber(0) if g.tgt[e] != 0)
+    bad = with_composites(g, {(e1, g.unit[0]): None})
+    with pytest.raises(KeyError):
+        reference_morita_equivalent(bad, z_groupoid(3))
+    with pytest.raises(ValueError, match="not closed"):
+        morita_equivalent(bad, z_groupoid(3))
+    # the same composite redirected to an arrow out of the other object,
+    # off the glued fibres
+    other = next(e for e in g.s_fiber(1) if g.tgt[e] == g.tgt[e1])
+    bad = with_composites(g, {(e1, g.unit[0]): other})
+    with pytest.raises(ValueError, match="not closed"):
+        morita_equivalent(bad, z_groupoid(3))

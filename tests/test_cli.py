@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -483,3 +484,74 @@ def test_report_carries_inputs_and_version(files, capsys):
     code, report = run(capsys, "orbits", files / "pair3.json", "--quiet",
                        "--timing")
     assert report["timing_ms"] is not None
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-12"])
+def test_tss_iso_rejects_bad_tol(files, capsys, tol):
+    for volume in ([], ["--volume"]):
+        # with --tol nan, periods 1.0 and 2.0 used to compare as equal
+        code, report = run(capsys, "tss-iso", files / "sphere.json",
+                           files / "sphere2.json", f"--tol={tol}", *volume, "--quiet")
+        assert code == 2, volume
+        assert report["error"]["type"] == "ValueError"
+        assert "--tol" in report["error"]["message"]
+    for tol, code in (("0", 0), ("0.5", 0), ("1e300", 0)):
+        assert run(capsys, "tss-iso", files / "sphere.json", files / "sphere.json",
+                   "--tol", tol, "--quiet")[0] == code
+
+
+def test_validate_reads_an_analytic_spec_under_any_name(files, capsys):
+    spec = {"analytic": {
+        "kind": "bivector",
+        "grid": {"dimension": 2, "origin": [0, 0], "spacing": 0.5, "shape": [3, 3]},
+        "entries": [{"i": 0, "j": 1, "const": 1.0}]}}
+    (files / "spec.txt").write_text(json.dumps(spec))
+    code, report = run(capsys, "validate", files / "spec.txt", "--quiet")
+    assert code == 0 and report["result"] == {"kind": "field", "ok": True,
+                                              "violations": []}
+    spec["analytic"]["entries"][0]["const"] = float("nan")
+    (files / "nan").write_text(json.dumps(spec))
+    code, report = run(capsys, "validate", files / "nan", "--quiet")
+    assert code == 1 and report["result"]["violations"][0]["rule"] == "finite"
+
+
+def test_validate_names_the_sidecar_a_json_document_needs(files, capsys):
+    sidecar = files / "pi.field.json"
+    (files / "pi.txt").write_text(sidecar.read_text())
+    code, report = run(capsys, "validate", files / "pi.txt", "--quiet")
+    assert code == 2
+    assert report["error"]["type"] == "ValueError"
+    assert str(files / "pi.txt.json") in report["error"]["message"]
+    # the sidecar under its own name still validates
+    assert run(capsys, "validate", sidecar, "--quiet")[0] == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(files, capsys, monkeypatch, enabled):
+    import moritakit.cli as cli
+
+    z4bad = json.loads((files / "z4.json").read_text())
+    z4bad["comp"][5][2] = "c3"  # one redirected composite
+    (files / "z4bad.json").write_text(json.dumps(z4bad))
+    during = []
+    validate = cli.validate
+
+    def probe(g):
+        during.append(gc.isenabled())
+        return validate(g)
+
+    monkeypatch.setattr(cli, "validate", probe)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for code, path in ((0, "z4.json"), (1, "z4bad.json"), (2, "nope.json")):
+            assert run(capsys, "validate", files / path, "--quiet")[0] == code
+            assert gc.isenabled() == enabled, code
+        assert during == [False, False]  # paused while the command ran
+        for argv in (["no-such-command"], ["--version"], ["orbits"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert gc.isenabled() == enabled, argv
+        capsys.readouterr()
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -290,3 +290,26 @@ def test_validate_matches_the_loop_on_corrupted_tables(name):
         assert report.as_dict() == reference_validate(bad).as_dict(), (kind, changes)
         if kind == "redirect":  # one wrong composite is always caught
             assert not report.ok, changes
+
+
+def test_equality_of_loaded_copies(tmp_path):
+    from moritakit.io import load_groupoid, save_groupoid
+
+    for name, g in corpus_groupoids():
+        path = tmp_path / f"{name.replace('/', '_')}.json"
+        save_groupoid(g, path)
+        a, b = load_groupoid(path), load_groupoid(path)
+        assert a == b and a == g and not (a != b), name
+        (i, j), k = next(iter(a.comp.items()))
+        for k2 in range(a.n_arrows):
+            if k2 != k:  # one composite differs
+                changed = with_composites(a, {(i, j): k2})
+                assert changed != a and a != changed, name
+                break
+    # the same composites inserted in another order
+    g = pair_groupoid(3)
+    shuffled = list(g.comp.items())
+    random.Random(3).shuffle(shuffled)
+    copy = with_composites(g, {})
+    copy.comp = dict(shuffled)
+    assert copy == g and list(copy.comp) != list(g.comp)

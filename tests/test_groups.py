@@ -1,6 +1,7 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moritakit._search import _injective
 from moritakit.groupoids import GroupoidHom, groupoid_isomorphisms, isotropy
@@ -14,7 +15,7 @@ from moritakit.groups import (FiniteGroup, automorphism_group, cyclic_group,
 from moritakit.picard import Bisection, automorphisms, bisections
 from moritakit.tss import LabeledSurfaceGraph, TssIsomorphism, graph_automorphisms
 
-from support import corpus_groupoids, reference_cayley
+from support import corpus_groupoids, reference_cayley, reference_locate_inverses
 
 
 def test_constructors_are_groups():
@@ -153,3 +154,31 @@ def test_cayley_tables_match_the_loop_on_parallel_edges(k):
     assert maps == sorted(set(maps))
     same_group(aut, reference_cayley(aut.payload, TssIsomorphism.compose,
                                      lambda a: (a.vertex_map, a.edge_map), "g"))
+
+
+@st.composite
+def tables_with_identity(draw):
+    """Square tables with a two-sided identity e; other cells are arbitrary,
+    so an element may have one-sided, several or no inverses."""
+    n = draw(st.integers(1, 6))
+    e = draw(st.integers(0, n - 1))
+    table = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+             for _ in range(n)]
+    for x in range(n):
+        table[e][x] = table[x][e] = x
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_identity())
+def test_inverses_match_the_pair_loop(table):
+    group = FiniteGroup([f"g{i}" for i in range(len(table))], table)
+    assert group.identity is not None
+    assert group.inverse == reference_locate_inverses(group)
+
+
+def test_inverses_match_the_pair_loop_on_groups():
+    for g in [trivial_group(), cyclic_group(6), symmetric_group(4),
+              dihedral_group(5), quaternion_group(),
+              FiniteGroup(["a", "b"], [[0, 1], [1, 1]])]:
+        assert g.inverse == reference_locate_inverses(g), g

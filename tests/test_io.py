@@ -4,16 +4,21 @@ import random
 import numpy as np
 import pytest
 
-from moritakit.bibundles import identity_bibundle, validate_bibundle
+from moritakit.bibundles import (Bibundle, identity_bibundle, morita_equivalent,
+                                 validate_bibundle)
 from moritakit.gauge import GridSpec, SampledBivectorField
-from moritakit.groupoids import groupoid_isomorphic, pair_groupoid, validate
+from moritakit.groups import cyclic_group
+from moritakit.groupoids import (group_as_groupoid, groupoid_isomorphic,
+                                 pair_groupoid, validate)
 from moritakit.io import (bibundle_to_dict, detect_kind, groupoid_to_dict,
                           load_bibundle, load_field, load_groupoid, load_tss,
                           save_bibundle, save_field, save_groupoid, save_tss,
                           sha256_digest, tss_to_dict)
 from moritakit.tss import LabeledSurfaceGraph
 
-from support import corpus_groupoids, random_tss
+from support import (corpus_factors, corpus_groupoids, equiv_morita_pairs,
+                     random_tss, reference_bibundle_to_dict,
+                     reference_groupoid_to_dict, with_composites)
 
 
 def test_groupoid_roundtrip(tmp_path):
@@ -185,3 +190,47 @@ def load_groupoid_roundtrip(g):
         path = Path(d) / "g.json"
         save_groupoid(g, path)
         return load_groupoid(path)
+
+
+def invalid_groupoids():
+    """Z4 with one redirected composite (as z4bad.json), and pair(2) with a
+    composite on a non-composable pair."""
+    z4 = group_as_groupoid(cyclic_group(4))
+    c = z4.arr_index
+    pair2 = pair_groupoid(2)
+    a = pair2.arr_index
+    return [("z4bad", with_composites(z4, {(c["c1"], c["c1"]): c["c3"]})),
+            ("non-composable", with_composites(
+                pair2, {(a["(1,2)"], a["(1,2)"]): a["(1,1)"]}))]
+
+
+def test_groupoid_emission_matches_the_sorted_loop():
+    for name, g in corpus_groupoids() + invalid_groupoids():
+        data = groupoid_to_dict(g)
+        assert data == reference_groupoid_to_dict(g), name
+        # plain str ids, so the writer's C-encoder path takes every row
+        assert {type(v) for row in data["comp"] for v in row} <= {str}, name
+    bad = dict(invalid_groupoids())
+    assert ["(1,2)", "(1,2)", "(1,1)"] in groupoid_to_dict(bad["non-composable"])["comp"]
+    assert not validate(bad["z4bad"]).ok
+
+
+def test_bibundle_emission_matches_the_sorted_loop():
+    bibundles = corpus_factors()
+    for name, a, b in equiv_morita_pairs():
+        bibundles.append((name, morita_equivalent(a, b)))
+    g = pair_groupoid(2)
+    s = identity_bibundle(g)
+    bibundles.append(("empty carrier", Bibundle(g, g, [], {}, {}, {}, {})))
+    # an action entry outside the action's domain, and one redirected
+    j1, j2, left, right = s.as_dicts()
+    left[("(1,2)", "(1,2)")] = "(2,1)"
+    left[("(1,1)", "(1,1)")] = "(1,2)"
+    bibundles.append(("invalid actions", Bibundle(g, g, s.carrier, j1, j2, left, right)))
+    for name, s in bibundles:
+        data = bibundle_to_dict(s)
+        assert data == reference_bibundle_to_dict(s), name
+        rows = data["leftAct"] + data["rightAct"]
+        assert {type(v) for row in rows for v in row} <= {str}, name
+    assert not validate_bibundle(bibundles[-1][1]).ok
+    assert bibundle_to_dict(bibundles[-2][1])["leftAct"] == []
