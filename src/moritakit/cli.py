@@ -55,8 +55,18 @@ EXIT_NOT_EQUIVALENT = 4
 _PRECONDITION_ERRORS = (MoritaKitError, ValueError, OSError, KeyError)
 
 
+class _UsageError(Exception):
+    """A malformed command line, reported as JSON rather than by argparse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the parent's class, so they raise too
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moritakit",
         description="Morita equivalence, Picard groups, surface graphs and "
                     "gauge transforms for finite models.")
@@ -145,11 +155,9 @@ def _validate(args):
             raise ValueError(f"{args.path} is a field sidecar; a sidecar is read "
                              f"only as <payload>.json, here {args.path}.json")
         report = ValidationReport()
-        point, defect = field.nonfinite_point(), field.antisymmetry_defect()
+        point = field.nonfinite_point()
         if point is not None:
             report.add("finite", *point)
-        elif defect > 1e-12:
-            report.add("antisymmetry", defect)
     payload = {"kind": kind, **report.as_dict()}
     code = EXIT_OK if report.ok else EXIT_INVALID
     return payload, code, f"{kind}: {'valid' if report.ok else 'INVALID'}"
@@ -237,11 +245,24 @@ def _morita(args):
     return payload, EXIT_OK, "Morita equivalent"
 
 
+def _invalid_tss(paths, graphs):
+    """The exit-1 result for the first graph failing ``validate_tss``, or None."""
+    for path, g in zip(paths, graphs):
+        report = validate_tss(g)
+        if not report.ok:
+            payload = {"input": path, "kind": "tss", **report.as_dict()}
+            return payload, EXIT_INVALID, f"{path}: tss INVALID"
+    return None
+
+
 def _tss_iso(args):
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-    a = load_tss(args.first)
-    b = load_tss(args.second)
+    paths = (args.first, args.second)
+    a, b = (load_tss(path) for path in paths)
+    invalid = _invalid_tss(paths, (a, b))
+    if invalid:
+        return invalid
     if args.reversed_:
         b = b.reversed_orientation()
     if args.volume:
@@ -261,7 +282,11 @@ def _tss_iso(args):
 
 
 def _tss_picard_ingredients(args):
-    ing = picard_ingredients(load_tss(args.path))
+    g = load_tss(args.path)
+    invalid = _invalid_tss((args.path,), (g,))
+    if invalid:
+        return invalid
+    ing = picard_ingredients(g)
     payload = {"graph_aut_order": len(ing.graph_aut),
                "graph_aut": ing.graph_aut.as_dict(),
                "torus_rank": ing.torus_rank,
@@ -337,6 +362,23 @@ def _inputs_of(args) -> dict:
     return {p: sha256_digest(p) for p in paths}
 
 
+def _emit(report, code, summary, quiet) -> int:
+    """Write the report to stdout and the summary to stderr; return ``code``."""
+    try:
+        write_json(report, sys.stdout, 2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if not quiet:
+        print(summary, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     """Run one command; the cyclic collector is paused while it runs.
 
@@ -347,10 +389,15 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
         echo = list(argv) if argv is not None else sys.argv[1:]
-        started = time.monotonic()
         report = {"command": echo, "version": __version__, "timing_ms": None}
+        try:
+            args = build_parser().parse_args(argv)
+        except _UsageError as exc:
+            report["error"] = {"type": "UsageError", "message": str(exc)}
+            return _emit(report, EXIT_PRECONDITION, f"usage error: {exc}",
+                         "--quiet" in echo)
+        started = time.monotonic()
         try:
             report["inputs"] = _inputs_of(args)
             result, code, summary = args.handler(args)
@@ -364,19 +411,7 @@ def main(argv=None) -> int:
             code, summary = EXIT_PRECONDITION, f"precondition failed: {exc}"
         if args.timing:
             report["timing_ms"] = int((time.monotonic() - started) * 1000)
-        try:
-            write_json(report, sys.stdout, 2)
-            sys.stdout.write("\n")
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader closed stdout (e.g. `| head`).  Point stdout at
-            # devnull so the interpreter's final flush cannot fail again.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if not args.quiet:
-            print(summary, file=sys.stderr)
-        return code
+        return _emit(report, code, summary, args.quiet)
     finally:
         if enabled:
             gc.enable()

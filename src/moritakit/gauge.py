@@ -1,11 +1,12 @@
 """Gauge transformations of sampled bivector fields by closed 2-forms.
 
 Fields are antisymmetric d x d matrices sampled on a regular grid.  A
-field is defined by its d(d-1)/2 entries above the diagonal, the ones the
-binary field format stores; an entry below the diagonal is the negated
-one above.  The transform is pointwise: pi -> pi (1 + B pi)^{-1}, defined
-wherever det(1 + B pi) stays above ``eps_sing``, which must be finite and
->= 0.
+field is held as its d(d-1)/2 entries above the diagonal per point, in
+``np.triu_indices(d, 1)`` order, which is what the binary field format
+stores; an entry below the diagonal is the negated one above, and the
+full matrices are built only where a kernel needs them.  The transform
+is pointwise: pi -> pi (1 + B pi)^{-1}, defined wherever det(1 + B pi)
+stays above ``eps_sing``, which must be finite and >= 0.
 
 For d <= 3, 1 + B pi is (1 - s) I plus a term of rank at most one that
 pi kills, with s = sum_{i<j} B_ij pi_ij, and pi is zero or has exactly
@@ -26,6 +27,7 @@ sampled analytic fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -68,49 +70,71 @@ class GridSpec:
         return int(np.prod(self.shape))
 
 
-class _SampledField:
-    """Grid plus one antisymmetric matrix per point (shape *grid.shape, d, d)."""
+def _slot(d: int, i: int, j: int) -> int:
+    """Position of entry (i, j) among the upper entries; needs 0 <= i < j < d."""
+    if not 0 <= i < j < d:
+        raise ValueError("entry indices must satisfy 0 <= i < j < d")
+    return i * (2 * d - i - 1) // 2 + j - i - 1
 
-    def __init__(self, grid: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+
+class _SampledField:
+    """Grid plus the upper entries of one antisymmetric matrix per point.
+
+    ``upper`` has shape (*grid.shape, d(d-1)/2), its last axis in
+    ``np.triu_indices(d, 1)`` order.
+    """
+
+    def __init__(self, grid: GridSpec, upper: np.ndarray):
+        upper = np.asarray(upper, dtype=float)
         d = grid.dimension
-        if values.shape != (*grid.shape, d, d):
-            raise ValueError(f"values must have shape {(*grid.shape, d, d)}")
+        shape = (*grid.shape, d * (d - 1) // 2)
+        if upper.shape != shape:
+            raise ValueError(f"upper entries must have shape {shape}")
         self.grid = grid
-        self.values = values
+        self.upper = upper
         self.asymmetry_report: float | None = None
         self.invertibility_report: InvertibilityReport | None = None
 
-    def antisymmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.values + np.swapaxes(self.values, -1, -2))))
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The matrices (*grid.shape, d, d), read-only and built on first use;
+        a later write to ``upper`` does not reach them."""
+        d = self.grid.dimension
+        iu, ju = np.triu_indices(d, 1)
+        values = np.zeros((*self.grid.shape, d, d))
+        values[..., iu, ju] = self.upper
+        values[..., ju, iu] = -self.upper
+        values.flags.writeable = False
+        return values
 
     def nonfinite_point(self) -> tuple[int, ...] | None:
         """Grid index of the first point with a NaN or infinite entry, or None."""
-        bad = np.argwhere(~np.isfinite(self.values).all(axis=(-2, -1)))
+        bad = np.argwhere(~np.isfinite(self.upper).all(axis=-1))
         return tuple(int(i) for i in bad[0]) if len(bad) else None
 
     @classmethod
     def constant(cls, grid: GridSpec, matrix):
+        """The same matrix at every point; it must be d x d and antisymmetric."""
         matrix = np.asarray(matrix, dtype=float)
-        values = np.broadcast_to(matrix, (*grid.shape, *matrix.shape)).copy()
-        return cls(grid, values)
+        d = grid.dimension
+        if matrix.shape != (d, d) or not np.array_equal(matrix, -matrix.T):
+            raise ValueError(f"matrix must be an antisymmetric {d} x {d} matrix")
+        upper = matrix[np.triu_indices(d, 1)]
+        return cls(grid, np.broadcast_to(upper, (*grid.shape, len(upper))).copy())
 
     @classmethod
     def from_entry_functions(cls, grid: GridSpec, entries):
         """Build from callables per upper-triangular entry.
 
-        ``entries[(i, j)]`` (i < j) maps coordinate arrays to the (i, j)
-        component; the lower triangle is filled by antisymmetry.
+        ``entries[(i, j)]`` (0 <= i < j < d) maps coordinate arrays to the
+        (i, j) component; entries not given are zero.
         """
         d = grid.dimension
         mesh = grid.meshgrid()
-        values = np.zeros((*grid.shape, d, d))
+        upper = np.zeros((*grid.shape, d * (d - 1) // 2))
         for (i, j), fn in entries.items():
-            comp = np.asarray(fn(*mesh), dtype=float)
-            comp = np.broadcast_to(comp, grid.shape)
-            values[..., i, j] = comp
-            values[..., j, i] = -comp
-        return cls(grid, values)
+            upper[..., _slot(d, i, j)] = fn(*mesh)
+        return cls(grid, upper)
 
     @classmethod
     def from_polynomials(cls, grid: GridSpec, entries):
@@ -121,29 +145,19 @@ class _SampledField:
         """
         d = grid.dimension
         mesh = grid.meshgrid()
-        fns = {}
+        upper = np.zeros((*grid.shape, d * (d - 1) // 2))
         for spec in entries:
-            i, j = int(spec["i"]), int(spec["j"])
-            if not 0 <= i < j < d:
-                raise ValueError("entry indices must satisfy 0 <= i < j < d")
-            const = float(spec.get("const", 0.0))
-            linear = [float(v) for v in spec.get("linear", [0.0] * d)]
-            quad = spec.get("quadratic")
-
-            def fn(*coords, const=const, linear=linear, quad=quad):
-                out = np.full(coords[0].shape, const)
-                for k, c in enumerate(linear):
+            slot = _slot(d, int(spec["i"]), int(spec["j"]))
+            out = np.full(grid.shape, float(spec.get("const", 0.0)))
+            for k, c in enumerate(float(v) for v in spec.get("linear", ())):
+                if c:
+                    out = out + c * mesh[k]
+            for k, row in enumerate(spec.get("quadratic") or ()):
+                for l, c in enumerate(row):
                     if c:
-                        out = out + c * coords[k]
-                if quad is not None:
-                    for k, row in enumerate(quad):
-                        for l, c in enumerate(row):
-                            if c:
-                                out = out + float(c) * coords[k] * coords[l]
-                return out
-
-            fns[(i, j)] = fn
-        return cls.from_entry_functions(grid, fns)
+                        out = out + float(c) * mesh[k] * mesh[l]
+            upper[..., slot] = out
+        return cls(grid, upper)
 
 
 class SampledBivectorField(_SampledField):
@@ -174,15 +188,9 @@ def _require_same_grid(a: _SampledField, b: _SampledField):
         raise GridMismatch("fields live on different grids")
 
 
-def _upper(field: _SampledField) -> np.ndarray:
-    """The entries above the diagonal, shape (*grid.shape, d(d-1)/2)."""
-    iu, ju = np.triu_indices(field.grid.dimension, 1)
-    return field.values[..., iu, ju]
-
-
 def _pairing(pi: SampledBivectorField, b: SampledTwoFormField) -> np.ndarray:
     """s = sum_{i<j} B_ij pi_ij at every point."""
-    return np.einsum("...k,...k->...", _upper(b), _upper(pi))
+    return np.einsum("...k,...k->...", b.upper, pi.upper)
 
 
 def _endomorphism(pi: SampledBivectorField, b: SampledTwoFormField) -> np.ndarray:
@@ -216,22 +224,23 @@ def invertibility_check(pi: SampledBivectorField, b: SampledTwoFormField,
 
 def apply_gauge(pi: SampledBivectorField, b: SampledTwoFormField,
                 eps_sing: float = EPS_SING) -> SampledBivectorField:
-    """Gauge transform pi (1 + B pi)^{-1}, symmetrized defensively.
+    """Gauge transform pi (1 + B pi)^{-1}, kept by its upper entries.
 
-    The asymmetry accumulated before symmetrization is stored on the
-    result as ``asymmetry_report``, the invertibility check as
-    ``invertibility_report``.
+    The result's ``asymmetry_report`` is max |tau + tau^T| of the d >= 4
+    LAPACK product before it is antisymmetrized, and 0.0 for d <= 3, where
+    the closed form is antisymmetric; ``invertibility_report`` is the check.
     """
     report = invertibility_check(pi, b, eps_sing)
     if not report.ok:
         raise SingularEndomorphism(report.worst_point, report.min_abs_det)
     if pi.grid.dimension <= 3:
-        out = pi.values / (1.0 - _pairing(pi, b))[..., None, None]
+        upper, defect = pi.upper / (1.0 - _pairing(pi, b))[..., None], 0.0
     else:
         out = np.matmul(pi.values, np.linalg.inv(_endomorphism(pi, b)))
-    defect = float(np.max(np.abs(out + np.swapaxes(out, -1, -2))))
-    out = 0.5 * (out - np.swapaxes(out, -1, -2))
-    result = SampledBivectorField(pi.grid, out)
+        defect = float(np.max(np.abs(out + np.swapaxes(out, -1, -2))))
+        iu, ju = np.triu_indices(pi.grid.dimension, 1)
+        upper = 0.5 * (out[..., iu, ju] - out[..., ju, iu])
+    result = SampledBivectorField(pi.grid, upper)
     result.asymmetry_report = defect
     result.invertibility_report = report
     return result
@@ -246,16 +255,14 @@ def _partials(field: _SampledField):
     grid = field.grid
     if any(n < 3 for n in grid.shape):
         raise GridTooSmall("need at least 3 points per axis for order-2 stencils")
-    iu, ju = np.triu_indices(grid.dimension, 1)
-    slot = {(int(i), int(j)): k for k, (i, j) in enumerate(zip(iu, ju))}
-    upper = _upper(field)
-    grads = [np.gradient(upper, grid.spacing, axis=l, edge_order=2)
-             for l in range(grid.dimension)]
+    d = grid.dimension
+    grads = [np.gradient(field.upper, grid.spacing, axis=l, edge_order=2)
+             for l in range(d)]
 
     def partial(l, i, j):
         if i < j:
-            return grads[l][..., slot[i, j]]
-        return -grads[l][..., slot[j, i]]
+            return grads[l][..., _slot(d, i, j)]
+        return -grads[l][..., _slot(d, j, i)]
     return partial
 
 
@@ -298,7 +305,7 @@ def rank_map(pi: SampledBivectorField, eps_rank: float = EPS_RANK) -> np.ndarray
     come from an SVD per point.
     """
     if pi.grid.dimension <= 3:
-        return 2 * (np.linalg.norm(_upper(pi), axis=-1) > eps_rank)
+        return 2 * (np.linalg.norm(pi.upper, axis=-1) > eps_rank)
     sv = np.linalg.svd(pi.values, compute_uv=False)
     return (sv > eps_rank).sum(axis=-1)
 
@@ -310,6 +317,6 @@ def verify_composition(pi: SampledBivectorField, b1: SampledTwoFormField,
     _require_same_grid(pi, b1)
     _require_same_grid(pi, b2)
     step = apply_gauge(apply_gauge(pi, b1, eps_sing), b2, eps_sing)
-    total = apply_gauge(pi, SampledTwoFormField(b1.grid, b1.values + b2.values),
+    total = apply_gauge(pi, SampledTwoFormField(b1.grid, b1.upper + b2.upper),
                         eps_sing)
     return float(np.max(np.abs(step.values - total.values)))

@@ -203,12 +203,9 @@ def save_field(field, path, kind: str) -> None:
     if kind not in _FIELD_CLASSES:
         raise ValueError(f"unknown field kind {kind!r}")
     grid = field.grid
-    d = grid.dimension
-    iu, ju = np.triu_indices(d, 1)
-    flat = field.values[..., iu, ju].reshape(-1)
-    Path(path).write_bytes(flat.astype("<f8").tobytes())
+    Path(path).write_bytes(field.upper.astype("<f8").tobytes())
     sidecar = {
-        "dimension": d,
+        "dimension": grid.dimension,
         "origin": list(grid.origin),
         "spacing": grid.spacing,
         "shape": list(grid.shape),
@@ -249,18 +246,12 @@ def _field_from_json(data, path):
                     float(data["spacing"]),
                     tuple(int(v) for v in data["shape"]))
     kind = data.get("kind", "bivector")
-    d = grid.dimension
-    n_upper = d * (d - 1) // 2
+    n_upper = grid.dimension * (grid.dimension - 1) // 2
     flat = np.frombuffer(_data_path(path).read_bytes(), dtype="<f8")
     expected = grid.n_points() * n_upper
     if flat.size != expected:
         raise ValueError(f"field payload has {flat.size} floats, expected {expected}")
-    upper = flat.reshape(*grid.shape, n_upper)
-    values = np.zeros((*grid.shape, d, d))
-    iu, ju = np.triu_indices(d, 1)
-    values[..., iu, ju] = upper
-    values[..., ju, iu] = -upper
-    return _FIELD_CLASSES[kind](grid, values), kind
+    return _FIELD_CLASSES[kind](grid, flat.reshape(*grid.shape, n_upper)), kind
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ isomorphism test.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -99,9 +100,11 @@ def validate_tss(g: LabeledSurfaceGraph) -> ValidationReport:
         return report
     if len(set(_roots(g.n_vertices, ((t, h) for t, h, _ in g.edges)))) > 1:
         report.add("connected")
-    for i, (t, h, p) in enumerate(g.edges):
+    for t, h, p in g.edges:
         if not p > 0:
             report.add("period-positive", g.vertices[t], g.vertices[h], p)
+        elif p == math.inf:
+            report.add("period-finite", g.vertices[t], g.vertices[h], p)
     for v in range(g.n_vertices):
         if g.genus[v] < 0:
             report.add("genus-nonnegative", g.vertices[v])
@@ -110,6 +113,8 @@ def validate_tss(g: LabeledSurfaceGraph) -> ValidationReport:
         report.add("euler-even", chi)
     elif chi > 2:
         report.add("euler-at-most-2", chi)
+    if g.volume is not None and not math.isfinite(g.volume):
+        report.add("volume-finite", g.volume)
     return report
 
 

@@ -358,7 +358,7 @@ def test_gauge_accepts_analytic_specs(files, capsys):
 
 def save_with_nonfinite(files, name, cls, kind, matrix, point, value):
     field = cls.constant(GridSpec(2, (0.0, 0.0), 0.25, (5, 5)), matrix)
-    field.values[point][0, 1] = value
+    field.upper[point] = value
     save_field(field, files / name, kind)
     return files / name
 
@@ -548,10 +548,64 @@ def test_main_restores_the_collector_state(files, capsys, monkeypatch, enabled):
             assert run(capsys, "validate", files / path, "--quiet")[0] == code
             assert gc.isenabled() == enabled, code
         assert during == [False, False]  # paused while the command ran
-        for argv in (["no-such-command"], ["--version"], ["orbits"]):
-            with pytest.raises(SystemExit):
-                main(argv)
+        for argv in (["no-such-command"], ["orbits"]):
+            code, report = run(capsys, *argv)
+            assert code == 2 and report["error"]["type"] == "UsageError", argv
             assert gc.isenabled() == enabled, argv
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert gc.isenabled() == enabled
         capsys.readouterr()
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tss-iso", "a.json", "b.json", "--tol", "-inf"], "--tol"),
+    (["gauge-check", "pi.field", "b.field", "--eps-sing", "-inf"], "--eps-sing"),
+    (["no-such-command"], "no-such-command"),
+    (["tss-iso", "a.json"], "second"),
+])
+def test_usage_errors_get_the_json_report(capsys, argv, message):
+    # argparse would print usage text and exit with nothing on stdout
+    for quiet in ([], ["--quiet"]):
+        assert main(argv + quiet) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report == {"command": argv + quiet, "version": report["version"],
+                          "timing_ms": None, "error": report["error"]}
+        assert report["error"]["type"] == "UsageError"
+        assert message in report["error"]["message"]
+        assert ("usage error" in captured.err) == (not quiet)
+
+
+def save_tss_doc(path, period, volume=None):
+    doc = {"vertices": [{"id": "n", "genus": 0}, {"id": "s", "genus": 0}],
+           "edges": [{"tail": "n", "head": "s", "period": period}]}
+    if volume is not None:
+        doc["volume"] = volume
+    # json.dumps writes float("nan") and float("inf") as NaN and Infinity
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("period, volume, rule", [
+    (float("nan"), None, "period-positive"),
+    (float("inf"), None, "period-finite"),
+    (1.0, float("nan"), "volume-finite"),
+    (1.0, float("-inf"), "volume-finite"),
+])
+def test_tss_search_commands_validate_their_inputs(files, capsys, period, volume, rule):
+    bad = save_tss_doc(files / "bad.json", period, volume)
+    good = save_tss_doc(files / "good.json", 1.0, 3.0)
+    code, report = run(capsys, "validate", bad, "--quiet")
+    assert code == 1 and [v["rule"] for v in report["result"]["violations"]] == [rule]
+    # a NaN period used to give |Aut| = 0, a NaN volume a Poisson isomorphism
+    runs = [["tss-picard-ingredients", bad], ["tss-iso", good, bad, "--volume"],
+            ["tss-iso", bad, good], ["tss-iso", good, bad, "--reversed"]]
+    for argv in runs:
+        code, report = run(capsys, *argv, "--quiet")
+        assert code == 1, argv
+        assert report["result"] == {"input": str(bad), "kind": "tss", "ok": False,
+                                    "violations": report["result"]["violations"]}
+        assert [v["rule"] for v in report["result"]["violations"]] == [rule]

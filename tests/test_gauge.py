@@ -249,19 +249,13 @@ def test_antisymmetry_preserved(seed):
     b = SampledTwoFormField.constant(g, 0.1 * J2)
     if not invertibility_check(pi, b).ok:
         return
-    out = apply_gauge(pi, b)
-    assert out.antisymmetry_defect() <= 1e-12
+    values = apply_gauge(pi, b).values
+    assert np.array_equal(values, -np.swapaxes(values, -1, -2))
 
 
 def from_upper(cls, grid, upper):
     """A field from its upper entries, one row per point in row-major order."""
-    d = grid.dimension
-    iu, ju = np.triu_indices(d, 1)
-    upper = upper.reshape(*grid.shape, len(iu))
-    values = np.zeros((*grid.shape, d, d))
-    values[..., iu, ju] = upper
-    values[..., ju, iu] = -upper
-    return cls(grid, values)
+    return cls(grid, upper.reshape(*grid.shape, upper.shape[-1]))
 
 
 def random_gauge_pair(rng, d, n=5):
@@ -292,9 +286,9 @@ def point_fields(pi, b, index):
     """The two fields at one grid point, on a one-point grid."""
     d = pi.grid.dimension
     grid = GridSpec(d, (0.0,) * d, 1.0, (1,) * d)
-    shape = (1,) * d + (d, d)
-    return (SampledBivectorField(grid, pi.values[index].reshape(shape)),
-            SampledTwoFormField(grid, b.values[index].reshape(shape)))
+    shape = (1,) * d + pi.upper.shape[-1:]
+    return (SampledBivectorField(grid, pi.upper[index].reshape(shape)),
+            SampledTwoFormField(grid, b.upper[index].reshape(shape)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -335,3 +329,59 @@ def test_d4_results_are_lapack_bit_for_bit(seed):
     assert np.array_equal(rank_map(pi), ref["rank"])
     assert jacobi_residual(pi) == ref["jacobi"]
     assert closedness_residual(b) == ref["closedness"]
+
+
+def test_constructor_checks_the_shape_of_the_upper_entries():
+    g = grid3(3)
+    SampledBivectorField(g, np.zeros((3, 3, 3, 3)))
+    for shape in ((3, 3, 3, 3, 3), (3, 3, 3, 2), (3, 3, 3)):
+        with pytest.raises(ValueError, match="upper entries"):
+            SampledBivectorField(g, np.zeros(shape))
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[0.0, 1.0], [1.0, 0.0]]),     # symmetric
+    np.array([[1.0, 1.0], [-1.0, 0.0]]),    # nonzero diagonal
+    np.array([[0.0, 1.0], [-1.0 + 1e-15, 0.0]]),
+    np.zeros((3, 3)), np.zeros(2), np.zeros((2, 2, 1)),
+])
+def test_constant_rejects_a_matrix_that_is_not_antisymmetric(matrix):
+    # a lower triangle that is not the negated upper one was kept silently:
+    # the closed forms ignored it and the d >= 4 path read it
+    with pytest.raises(ValueError, match="antisymmetric 2 x 2"):
+        SampledTwoFormField.constant(grid2(), matrix)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 0), (0, 3), (-1, 2)])
+def test_entry_constructors_reject_keys_off_the_upper_triangle(key):
+    with pytest.raises(ValueError, match="0 <= i < j < d"):
+        SampledBivectorField.from_entry_functions(grid3(3), {key: lambda x, y, z: x})
+    with pytest.raises(ValueError, match="0 <= i < j < d"):
+        SampledBivectorField.from_polynomials(
+            grid3(3), [{"i": key[0], "j": key[1], "const": 1.0}])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_values_are_the_read_only_expansion_of_the_upper_entries(d):
+    grid = GridSpec(d, (0.0,) * d, 0.5, (3,) * d)
+    rng = np.random.default_rng(d)
+    field = from_upper(SampledTwoFormField, grid,
+                       rng.standard_normal((grid.n_points(), d * (d - 1) // 2)))
+    values = field.values
+    assert values is field.values     # built once
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[(0,) * d] = 1.0
+    expected = np.zeros((*grid.shape, d, d))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
+        expected[..., i, j] = field.upper[..., k]
+        expected[..., j, i] = -field.upper[..., k]
+    assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_transform_is_the_scaled_upper_entries(d):
+    pi, b, s = random_gauge_pair(np.random.default_rng(d), d)
+    out = apply_gauge(pi, b, 0.0)
+    assert out.asymmetry_report == 0.0
+    assert out.upper.tobytes() == (pi.upper / (1.0 - s)[..., None]).tobytes()

@@ -1,12 +1,14 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from moritakit.bibundles import (Bibundle, identity_bibundle, morita_equivalent,
                                  validate_bibundle)
-from moritakit.gauge import GridSpec, SampledBivectorField
+from moritakit.gauge import (GridSpec, SampledBivectorField,
+                             SampledTwoFormField, apply_gauge)
 from moritakit.groups import cyclic_group
 from moritakit.groupoids import (group_as_groupoid, groupoid_isomorphic,
                                  pair_groupoid, validate)
@@ -112,6 +114,34 @@ def test_field_roundtrip(tmp_path):
     # loading via the sidecar path works too
     again, _ = load_field(tmp_path / "pi.field.json")
     assert np.array_equal(again.values, field.values)
+    # the payload is the upper entries as held, byte for byte
+    payload = (tmp_path / "pi.field").read_bytes()
+    assert payload == field.upper.astype("<f8").tobytes()
+    assert loaded.upper.tobytes() == payload
+
+
+def test_field_io_holds_only_the_stored_entries(tmp_path):
+    # 32^3 points, d = 3: full matrices would be 3x the payload, and each
+    # load used to build them, and apply_gauge to work on them
+    grid = GridSpec(3, (0.0,) * 3, 1 / 31, (32,) * 3)
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((*grid.shape, 3))
+    save_field(SampledBivectorField(grid, m), tmp_path / "pi.field", "bivector")
+    save_field(SampledTwoFormField(grid, 0.01 * m), tmp_path / "b.field", "two_form")
+    payload = (tmp_path / "pi.field").stat().st_size
+    tracemalloc.start()
+    try:
+        pi, _ = load_field(tmp_path / "pi.field")
+        load_peak = tracemalloc.get_traced_memory()[1]
+        b, _ = load_field(tmp_path / "b.field")
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        apply_gauge(pi, b)
+        apply_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.5 * payload
+    assert apply_peak <= 5 * payload
 
 
 def test_analytic_field_spec(tmp_path):
