@@ -24,11 +24,16 @@ with the plain-loop bibundle kernels, before ``validate_bibundle``,
 ``compose-invalid`` (the identity bibundle of Z4 with the Klein-four
 Latin square as its left action) was recorded after ``compose`` began
 to validate its inputs: before, it exited 0 with a biprincipal product
-of an invalid bibundle.  The inputs exercise
-the searches whose first witness is part of the answer: orbit matching
-on a disjoint union, the TSS vertex and edge maps of a relabelled
-circulant graph, parallel-edge automorphisms and emitted Morita
-witnesses.
+of an invalid bibundle.  ``tss-picard-ingredients-parallel6`` (S6 on
+six parallel edges, order 720) and ``morita-s4`` (the witness of the S4
+gauge groupoid over 4 points against the one over 2 points, report and
+emitted file) were recorded with the per-row Cayley search and the
+dict-keyed groupoid load, before tables came from generator rows and
+groupoids were loaded straight into their composition table.  The
+inputs exercise the searches whose first witness is part of the answer:
+orbit matching on a disjoint union, the TSS vertex and edge maps of a
+relabelled circulant graph, parallel-edge automorphisms and emitted
+Morita witnesses.
 """
 import hashlib
 import json
@@ -102,10 +107,22 @@ def write_inputs():
                                  [("n", "s", 1.0)] * 3), "par3.json")
     save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1},
                                  [("n", "s", 1.0)] * 5), "par5.json")
+    save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1},
+                                 [("n", "s", 1.0)] * 6), "par6.json")
     grid = GridSpec(2, (0.0, 0.0), 0.25, (5, 5))
     save_field(SampledBivectorField.constant(grid, J2), "pi.field", "bivector")
     save_field(SampledTwoFormField.constant(grid, 0.5 * J2), "b.field", "two_form")
     save_field(SampledTwoFormField.constant(grid, J2), "bsing.field", "two_form")
+
+
+def write_s4_inputs():
+    """The S4 gauge groupoids over 4 and 2 points (384 and 96 arrows).
+
+    They take most of a second to build, so only their case writes them.
+    """
+    s4 = symmetric_group(4)
+    save_groupoid(gauge_over(s4, 4), "s4x4.json")
+    save_groupoid(gauge_over(s4, 2), "s4x2.json")
 
 
 @pytest.fixture
@@ -147,10 +164,14 @@ CASES = {
     "morita-union": (["morita", "du.json", "du2.json", "--emit-witness", "w.json"],
                      "w.json"),
     "morita-negative": (["morita", "du.json", "v4bundle.json"], None),
+    "morita-s4": (["morita", "s4x4.json", "s4x2.json", "--emit-witness", "ws4.json"],
+                  "ws4.json"),
     "tss-iso-relabelled": (["tss-iso", "c8.json", "c8r.json"], None),
     "tss-iso-negative": (["tss-iso", "c8.json", "c8b.json"], None),
     "tss-picard-ingredients-parallel": (["tss-picard-ingredients", "par3.json"], None),
     "tss-picard-ingredients-parallel5": (["tss-picard-ingredients", "par5.json"],
+                                         None),
+    "tss-picard-ingredients-parallel6": (["tss-picard-ingredients", "par6.json"],
                                          None),
     "tss-picard-ingredients-c8": (["tss-picard-ingredients", "c8.json"], None),
     "tss-genus": (["tss-genus", "c8.json"], None),
@@ -159,6 +180,9 @@ CASES = {
     "gauge-apply-singular": (["gauge-apply", "pi.field", "bsing.field"], None),
     "gauge-check": (["gauge-check", "pi.field", "b.field"], None),
 }
+
+# cases whose inputs are too slow to write for every case
+EXTRA_INPUTS = {"morita-s4": write_s4_inputs}
 
 # name -> (exit code, result digest, emitted-file digest or None)
 GOLDEN = {
@@ -188,6 +212,8 @@ GOLDEN = {
         None),
     "morita-negative": (4, "ce9fd2bd7bfb1110ca49ca28f0653ce422a8dc312f07c33872908ce57f55090b",
         None),
+    "morita-s4": (0, "8c8e178a8a6ce35c7b169cab46c7f9fba66250d0b398bef7971a156884dd630f",
+        "1363eda18ecd5e8b0e7747c7cb9d171f377623c7406a8e9df766b379a17d3ef3"),
     "morita-union": (0, "f020c8abe7dbf01fbfd91a70ef45f564652019d3f46332cefd0a0d3d6821481c",
         "839152f9f655493108721b48661643267a495c05e4e0d28c1a571979b0f8777a"),
     "orbits": (0, "b9addb4da3ecbaebed30311a59a3a2bd030ecc4fcdc5cc6249aa2df752618ba7",
@@ -215,6 +241,8 @@ GOLDEN = {
     "tss-picard-ingredients-parallel": (0, "6754a63a4f60b10e4d9a9d893ae8910abf15cd13d15b54328740b2ab55517979",
         None),
     "tss-picard-ingredients-parallel5": (0, "d8b710db486eea6f31127e68e8ede4ad10a06c5da0a779dfb6cf313a7faab749",
+        None),
+    "tss-picard-ingredients-parallel6": (0, "15c3fafbdc332478b362338bf8f77850cd3772d9d9152a5fbfff16a44e3b47b9",
         None),
     "validate-broken": (1, "eda3664e01995203f9535e86b4f08efaba5ec33d3f3634b80965847ea3928dd2",
         None),
@@ -257,4 +285,5 @@ def run_case(name, capsys):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_result(name, inputs, capsys):
+    EXTRA_INPUTS.get(name, lambda: None)()
     assert run_case(name, capsys) == GOLDEN[name]
