@@ -350,6 +350,7 @@ def from_homomorphism(hom: GroupoidHom) -> Bibundle:
     if not hom.is_functor():
         raise NotFunctor("arrow maps do not form a functor")
     tgt_g, src_g = hom.target, hom.source
+    comp = tgt_g.comp
 
     def name(g, y):
         return f"({tgt_g.arrows[g]},{src_g.objects[y]})"
@@ -362,9 +363,9 @@ def from_homomorphism(hom: GroupoidHom) -> Bibundle:
     left_act, right_act = {}, {}
     for g, y in points:
         for g1 in tgt_g.s_fiber(tgt_g.tgt[g]):
-            left_act[(tgt_g.arrows[g1], name(g, y))] = name(tgt_g.comp[(g1, g)], y)
+            left_act[(tgt_g.arrows[g1], name(g, y))] = name(comp[(g1, g)], y)
         for g2 in src_g.t_fiber(y):
-            composed = tgt_g.comp[(g, hom.arr_map[g2])]
+            composed = comp[(g, hom.arr_map[g2])]
             right_act[(name(g, y), src_g.arrows[g2])] = name(composed, src_g.src[g2])
     return Bibundle(tgt_g, src_g, carrier, j1, j2, left_act, right_act)
 

@@ -10,8 +10,10 @@ Conventions, shared by every module downstream:
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 
 import numpy as np
 
@@ -24,6 +26,12 @@ from .report import ValidationReport
 class FiniteGroupoid:
     """Arrows over a finite object set with a partial composition table.
 
+    ``comp`` is given either as a dict ``{(g, h): k}`` or as rows
+    ``[g, h, k]`` (as groupoid files store it), all by id; for a repeated
+    pair (g, h) the last composite wins.  The composition is held only as
+    the dense table of ``_comp_table``; the ``comp`` attribute is the dict
+    ``{(i, j): k}`` of index pairs, built from that table on first use.
+
     The constructor only checks that the structure maps are total and refer
     to known ids; the groupoid axioms themselves are checked by
     ``validate``, which reports witnesses instead of raising, so malformed
@@ -31,6 +39,7 @@ class FiniteGroupoid:
     """
 
     def __init__(self, objects, arrows, src, tgt, unit, inv, comp):
+        rows = _comp_rows(comp)
         self.objects = tuple(sorted(str(x) for x in objects))
         self.arrows = tuple(sorted(str(a) for a in arrows))
         if len(set(self.objects)) != len(self.objects):
@@ -59,7 +68,12 @@ class FiniteGroupoid:
             self.inv = tuple(ai(inv[a]) for a in self.arrows)
         except KeyError as exc:
             raise ValueError(f"structure map missing entry: {exc}") from None
-        self.comp = {(ai(g), ai(h)): ai(k) for (g, h), k in comp.items()}
+        try:  # one C-level lookup over the ids, in row order
+            ids = np.fromiter(map(self.arr_index.__getitem__, chain.from_iterable(rows)),
+                              dtype=np.intp, count=3 * len(rows)).reshape(-1, 3)
+        except KeyError as exc:
+            raise ValueError(f"unknown arrow id {exc.args[0]!r}") from None
+        self._table = _scatter(len(self.arrows), *ids.T)
 
         self._hom = {}
         for i in range(len(self.arrows)):
@@ -70,7 +84,14 @@ class FiniteGroupoid:
             self._s_fiber[self.src[i]].append(i)
             self._t_fiber[self.tgt[i]].append(i)
         self._orbits = None
-        self._table = None
+
+    @cached_property
+    def comp(self) -> dict:
+        """``{(i, j): k}`` for each defined composite "j, then i", row-major."""
+        m = self.n_arrows
+        table = self._table[:m, :m]
+        i, j = np.nonzero(table != m)
+        return dict(zip(zip(i.tolist(), j.tolist()), table[i, j].tolist()))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -100,14 +121,43 @@ class FiniteGroupoid:
             return True
         if not isinstance(other, FiniteGroupoid):
             return NotImplemented
-        # dict equality ignores insertion order, so nothing is sorted
         return ((self.objects, self.arrows, self.src, self.tgt, self.unit, self.inv)
                 == (other.objects, other.arrows, other.src, other.tgt, other.unit,
                     other.inv)
-                and self.comp == other.comp)
+                and np.array_equal(self._table, other._table))
 
     def __repr__(self):
         return f"FiniteGroupoid(objects={self.n_objects}, arrows={self.n_arrows})"
+
+
+def _comp_rows(comp) -> list:
+    """The composites of a dict ``{(g, h): k}``, or rows ``[g, h, k]``, as rows.
+
+    Each row is unpacked as a triple, so a row of another length raises
+    the unpacking's ValueError.
+    """
+    if isinstance(comp, Mapping):
+        return [(g, h, k) for (g, h), k in comp.items()]
+    rows = list(comp)
+    for g, h, k in rows:
+        pass
+    return rows
+
+
+def _scatter(m: int, g: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The table of ``_comp_table`` with composite k[r] of (g[r], h[r]).
+
+    A repeated pair keeps its last composite, as a dict would; numpy's
+    fancy assignment does not promise which one it keeps.
+    """
+    table = np.full((m + 1, m + 1), m, dtype=np.intp)
+    cells, flat = g * (m + 1) + h, table.reshape(-1)
+    flat[cells] = k
+    if np.count_nonzero(table != m) < len(cells):
+        cells, k = cells[::-1], k[::-1]
+        last = np.unique(cells, return_index=True)[1]
+        flat[cells[last]] = k[last]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +168,8 @@ def _comp_table(g: FiniteGroupoid) -> np.ndarray:
 
     ``C[i, j]`` is the index of the composite "j, then i", or the sentinel
     m where it is undefined; row and column m are all m, so gathers through
-    an undefined composite stay undefined.  Built once per groupoid.
+    an undefined composite stay undefined.  The constructor builds it.
     """
-    if g._table is None:
-        m = g.n_arrows
-        table = np.full((m + 1, m + 1), m, dtype=np.intp)
-        if g.comp:
-            pairs = np.array(list(g.comp), dtype=np.intp)
-            table[pairs[:, 0], pairs[:, 1]] = list(g.comp.values())
-        g._table = table
     return g._table
 
 
@@ -138,8 +181,9 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
     for all m^2 pairs at once.  Associativity compares (ij)k with i(jk) on
     every composable triple: for each left arrow i, one gather over the
     pairs j in t_fiber(src i), k in t_fiber(src j), counting a triple only
-    where both sides are defined.  Witnesses come in the order of a plain
-    loop: pairs (i, j) row-major, then triples (i, j, k).
+    where both sides are defined.  The unit and inverse laws are gathers
+    over all arrows at once.  Witnesses come in the order of a plain loop:
+    pairs (i, j) row-major, then triples (i, j, k), then arrows.
     """
     report = ValidationReport()
     A, O = g.arrows, g.objects
@@ -176,18 +220,18 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
         u = g.unit[x]
         if g.src[u] != x or g.tgt[u] != x:
             report.add("unit-endpoints", O[x], A[u])
-    for i in range(m):
-        u_t, u_s = g.unit[g.tgt[i]], g.unit[g.src[i]]
-        if g.comp.get((u_t, i)) != i or g.comp.get((i, u_s)) != i:
-            report.add("unit-law", A[i])
-    for i in range(m):
-        j = g.inv[i]
-        if g.src[j] != g.tgt[i] or g.tgt[j] != g.src[i]:
-            report.add("inverse-endpoints", A[i], A[j])
-            continue
-        if (g.comp.get((j, i)) != g.unit[g.src[i]]
-                or g.comp.get((i, j)) != g.unit[g.tgt[i]]):
-            report.add("inverse-law", A[i], A[j])
+    # unit and inverse laws per arrow i; an undefined composite reads m,
+    # which is neither i nor a unit
+    i = np.arange(m)
+    unit, inv = np.array(g.unit, dtype=np.intp), np.array(g.inv, dtype=np.intp)
+    unit_s, unit_t = unit[src[:m]], unit[tgt[:m]]
+    for a in np.flatnonzero((C[unit_t, i] != i) | (C[i, unit_s] != i)).tolist():
+        report.add("unit-law", A[a])
+    bad_ends = (src[inv] != tgt[:m]) | (tgt[inv] != src[:m])
+    bad_law = (C[inv, i] != unit_s) | (C[i, inv] != unit_t)
+    for a in np.flatnonzero(bad_ends | bad_law).tolist():
+        rule = "inverse-endpoints" if bad_ends[a] else "inverse-law"
+        report.add(rule, A[a], A[g.inv[a]])
     return report
 
 
@@ -211,12 +255,24 @@ def orbits(g: FiniteGroupoid) -> tuple[tuple[str, ...], ...]:
 
 
 def isotropy(g: FiniteGroupoid, x: str) -> FiniteGroup:
-    """The group of arrows from x to itself, as a composition table."""
-    xi = g.obj_index[x]
-    loops = g.isotropy_arrows(xi)
-    pos = {a: i for i, a in enumerate(loops)}
-    table = [[pos[g.comp[(a, b)]] for b in loops] for a in loops]
-    return FiniteGroup([g.arrows[a] for a in loops], table)
+    """The group of arrows from x to itself, as a composition table.
+
+    A composite of two loops that is undefined raises ``KeyError`` with
+    the index pair, and one that is not a loop with its index, at the
+    first such cell in row-major order.
+    """
+    loops = np.array(g.isotropy_arrows(g.obj_index[x]), dtype=np.intp)
+    m = g.n_arrows
+    composites = _comp_table(g)[np.ix_(loops, loops)]
+    pos = np.full(m + 1, -1, dtype=np.intp)  # position among the loops
+    pos[loops] = np.arange(len(loops))
+    table = pos[composites]
+    bad = np.argwhere(table < 0)
+    if len(bad):
+        a, b = bad[0].tolist()
+        k = int(composites[a, b])
+        raise KeyError((int(loops[a]), int(loops[b])) if k == m else k)
+    return FiniteGroup([g.arrows[a] for a in loops.tolist()], table)
 
 
 def is_transitive(g: FiniteGroupoid) -> bool:
@@ -457,8 +513,9 @@ class GroupoidHom:
         for x in range(s.n_objects):
             if self.arr_map[s.unit[x]] != t.unit[self.obj_map[x]]:
                 return False
+        comp = t.comp
         for (i, j), k in s.comp.items():
-            if t.comp.get((self.arr_map[i], self.arr_map[j])) != self.arr_map[k]:
+            if comp.get((self.arr_map[i], self.arr_map[j])) != self.arr_map[k]:
                 return False
         return True
 
@@ -497,12 +554,12 @@ def _spanning_tree(g: FiniteGroupoid, root: int) -> dict[int, int]:
     The root gets its unit; the other objects are reached along source
     fibres in arrow order, so the tree is fixed by the groupoid alone.
     """
-    tree, queue = {root: g.unit[root]}, [root]
+    tree, queue, comp = {root: g.unit[root]}, [root], g.comp
     for x in queue:  # breadth first, the queue growing as we walk it
         for a in g.s_fiber(x):
             y = g.tgt[a]
             if y not in tree:
-                tree[y] = g.comp[(a, tree[x])]  # a after tree[x] : root -> x
+                tree[y] = comp[(a, tree[x])]  # a after tree[x] : root -> x
                 queue.append(y)
     return tree
 
@@ -529,6 +586,7 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
     iso2 = [isotropy(g2, x) for x in g2.objects]
     targets = orbit_partition(g2) if bijective else [range(g2.n_objects)]
     ends = g2.tgt.__getitem__
+    comp1, inv1 = g1.comp, g1.inv
     slots, decomposed = [], []
     for k, block in enumerate(blocks):
         root, rest = block[0], block[1:]
@@ -537,7 +595,7 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
         for x in block:
             for a in g1.s_fiber(x):
                 y = g1.tgt[a]
-                h = g1.comp[(g1.comp[(g1.inv[tree[y]], a)], tree[x])]
+                h = comp1[(comp1[(inv1[tree[y]], a)], tree[x])]
                 decomposed.append((a, k, x, y, pos[h]))
         iso1 = isotropy(g1, g1.objects[root])
         options = []

@@ -29,7 +29,13 @@ class FiniteGroup:
 
     def __init__(self, elements, table, payload=None):
         self.elements = tuple(str(e) for e in elements)
-        self.table = tuple(tuple(map(int, row)) for row in table)
+        if isinstance(table, np.ndarray):
+            # an n x n index array, converted a row at a time; the cells
+            # share one int object per index
+            shared = np.arange(len(table)).astype(object)
+            self.table = tuple(tuple(shared[row].tolist()) for row in table)
+        else:
+            self.table = tuple(tuple(map(int, row)) for row in table)
         self.payload = tuple(payload) if payload is not None else None
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate element ids")
@@ -148,29 +154,61 @@ def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
 
     ``rows`` is an n x w integer array whose row i encodes ``items[i]``
     (distinct items, distinct rows), and ``compose(x, rows)`` returns, for
-    one row x, the n rows of the products x * y for y in ``rows``.  The
-    table is built one x at a time: each product is located among the
-    items by ``searchsorted`` on the row bytes and compared with the row
-    found, so every cell is checked, with no sampling.  A product outside
-    the items raises ``KeyError`` at the first such (x, y) in row-major
-    order.  Elements are named ``prefix000``, ``prefix001``, ...
+    one row x, the n rows of the products x * y for y in ``rows``.  A row
+    of the table is searched by locating each product among the items by
+    ``searchsorted`` on the row bytes and comparing it with the row found.
+
+    Rows are visited in index order.  For products of index maps
+    (``compose is _after``) only the rows not yet known are searched, and
+    each searched x becomes a generator s.  Then, breadth first over every
+    known row a and every generator s, the product a * s has index
+    ``table[a][s]`` and its row is ``table[a][table[s]]``, because
+    (a s) y = a (s y); each new layer of rows is one gather.  Every row is
+    thus either searched and checked or derived from two checked rows, so
+    every cell is exact, with no sampling.  Other products are searched
+    row by row.
+
+    A product outside the items raises ``KeyError`` at the first such
+    (x, y) in row-major order: a derived row never fails, so the first
+    failing row is a searched one.  Elements are named ``prefix000``,
+    ``prefix001``, ...
     """
     rows = np.asarray(rows, dtype=np.intp)
+    n = len(items)
     keys = _row_keys(rows)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    shared = list(range(len(items)))  # one int object per element index
-    table = []
-    for x, row in enumerate(rows):
-        products = compose(row, rows)
+    table = np.empty((n, n), dtype=np.intp)
+    known = np.zeros(n, dtype=bool)
+    gens = []
+    for x in range(n):
+        if known[x]:
+            continue
+        products = compose(rows[x], rows)
         at = np.searchsorted(sorted_keys, _row_keys(products))
-        found = order[np.minimum(at, len(items) - 1)]
+        found = order[np.minimum(at, n - 1)]
         missing = np.nonzero((rows[found] != products).any(axis=1))[0]
         if len(missing):
             raise KeyError(f"product of {prefix}{x:03d} and "
                            f"{prefix}{missing[0]:03d} is not among the items")
-        table.append(tuple(map(shared.__getitem__, found.tolist())))
-    names = [f"{prefix}{i:03d}" for i in range(len(items))]
+        table[x] = found
+        if compose is not _after:
+            continue
+        known[x] = True
+        gens.append(x)
+        # close the known rows under the generators: the old rows meet the
+        # new generator, and each new layer meets them all
+        frontier = np.flatnonzero(known)
+        while len(frontier):
+            products = table[np.ix_(frontier, gens)].ravel()
+            new, first = np.unique(products, return_index=True)
+            first = first[~known[new]]
+            new = products[first]
+            a, s = frontier[first // len(gens)], np.array(gens)[first % len(gens)]
+            table[new] = table[a[:, None], table[s]]
+            known[new] = True
+            frontier = new
+    names = [f"{prefix}{i:03d}" for i in range(n)]
     return FiniteGroup(names, table, payload=items)
 
 

@@ -71,7 +71,7 @@ def groupoid_from_dict(data) -> FiniteGroupoid:
     arrows = [a["id"] for a in data["arrows"]]
     src = {a["id"]: a["src"] for a in data["arrows"]}
     tgt = {a["id"]: a["tgt"] for a in data["arrows"]}
-    comp = {(g, h): k for g, h, k in data["comp"]}
+    comp = data["comp"]  # rows [g, h, k], passed as they are
     return FiniteGroupoid(data["objects"], arrows, src, tgt,
                           data["units"], data["inv"], comp)
 

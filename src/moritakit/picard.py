@@ -85,11 +85,11 @@ def bisections(g: FiniteGroupoid) -> FiniteGroup:
 def inner_automorphism(g: FiniteGroupoid, n: Bisection) -> GroupoidHom:
     """Two-sided sliding along a bisection: g -> N(t(g)) . g . N(s(g))^-1."""
     obj_map = tuple(g.tgt[n.arrows[x]] for x in range(g.n_objects))
-    arr_map = []
+    comp, arr_map = g.comp, []
     for i in range(g.n_arrows):
         a = n.arrows[g.tgt[i]]
         c = n.arrows[g.src[i]]
-        arr_map.append(g.comp[(g.comp[(a, i)], g.inv[c])])
+        arr_map.append(comp[(comp[(a, i)], g.inv[c])])
     return GroupoidHom(g, g, obj_map, tuple(arr_map))
 
 
@@ -126,9 +126,10 @@ def ciso_bisections(g: FiniteGroupoid, bis: FiniteGroup | None = None) -> Finite
     """
     if bis is None:
         bis = bisections(g)
+    comp = g.comp
     idx = [i for i, n in enumerate(bis.payload)
            if all(g.tgt[a] == x for x, a in enumerate(n.arrows))
-           and all(g.comp[(n.arrows[g.tgt[a]], a)] == g.comp[(a, n.arrows[g.src[a]])]
+           and all(comp[(n.arrows[g.tgt[a]], a)] == comp[(a, n.arrows[g.src[a]])]
                    for a in range(g.n_arrows))]
     return subgroup(bis, idx)
 

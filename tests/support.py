@@ -19,7 +19,7 @@ from moritakit.bibundles import (Bibundle, PrincipalityReport,
                                  principality, tensor, validate_bibundle)
 from moritakit.errors import MiddleMismatch, NotLeftPrincipal
 from moritakit.gauge import EPS_RANK
-from moritakit.groups import (FiniteGroup, cyclic_group, dihedral_group,
+from moritakit.groups import (FiniteGroup, _row_keys, cyclic_group, dihedral_group,
                               group_isomorphic, klein_four_group,
                               quaternion_group, symmetric_group)
 from moritakit.groupoids import (FiniteGroupoid, PrincipalBundleData,
@@ -491,6 +491,87 @@ def reference_cayley(items, mul, key, prefix: str) -> FiniteGroup:
     table = [[index[key(mul(x, y))] for y in items] for x in items]
     names = [f"{prefix}{i:03d}" for i in range(len(items))]
     return FiniteGroup(names, table, payload=items)
+
+
+def reference_row_cayley(items, rows, compose, prefix: str) -> FiniteGroup:
+    """``groups._cayley`` with every row searched: one ``searchsorted`` of
+    the n products of x over the row keys, for each x in index order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    table = []
+    for x, row in enumerate(rows):
+        products = compose(row, rows)
+        at = np.searchsorted(sorted_keys, _row_keys(products))
+        found = order[np.minimum(at, len(items) - 1)]
+        missing = np.nonzero((rows[found] != products).any(axis=1))[0]
+        if len(missing):
+            raise KeyError(f"product of {prefix}{x:03d} and "
+                           f"{prefix}{missing[0]:03d} is not among the items")
+        table.append(found.tolist())
+    names = [f"{prefix}{i:03d}" for i in range(len(items))]
+    return FiniteGroup(names, table, payload=items)
+
+
+class DictGroupoid(FiniteGroupoid):
+    """``FiniteGroupoid`` built through the dict of composites, as a load
+    oracle: every id is re-keyed one at a time into ``comp``, and the
+    dense table is scattered from that dict."""
+
+    def __init__(self, objects, arrows, src, tgt, unit, inv, comp):
+        self.objects = tuple(sorted(str(x) for x in objects))
+        self.arrows = tuple(sorted(str(a) for a in arrows))
+        if len(set(self.objects)) != len(self.objects):
+            raise ValueError("duplicate object ids")
+        if len(set(self.arrows)) != len(self.arrows):
+            raise ValueError("duplicate arrow ids")
+        self.obj_index = {x: i for i, x in enumerate(self.objects)}
+        self.arr_index = {a: i for i, a in enumerate(self.arrows)}
+
+        def oi(x):
+            try:
+                return self.obj_index[x]
+            except KeyError:
+                raise ValueError(f"unknown object id {x!r}") from None
+
+        def ai(a):
+            try:
+                return self.arr_index[a]
+            except KeyError:
+                raise ValueError(f"unknown arrow id {a!r}") from None
+
+        try:
+            self.src = tuple(oi(src[a]) for a in self.arrows)
+            self.tgt = tuple(oi(tgt[a]) for a in self.arrows)
+            self.unit = tuple(ai(unit[x]) for x in self.objects)
+            self.inv = tuple(ai(inv[a]) for a in self.arrows)
+        except KeyError as exc:
+            raise ValueError(f"structure map missing entry: {exc}") from None
+        self.comp = {(ai(g), ai(h)): ai(k) for (g, h), k in comp.items()}
+        self._hom = {}
+        for i in range(len(self.arrows)):
+            self._hom.setdefault((self.src[i], self.tgt[i]), []).append(i)
+        self._s_fiber = [[] for _ in self.objects]
+        self._t_fiber = [[] for _ in self.objects]
+        for i in range(len(self.arrows)):
+            self._s_fiber[self.src[i]].append(i)
+            self._t_fiber[self.tgt[i]].append(i)
+        self._orbits = None
+        m = len(self.arrows)
+        self._table = np.full((m + 1, m + 1), m, dtype=np.intp)
+        for (i, j), k in self.comp.items():
+            self._table[i, j] = k
+
+
+def reference_groupoid_from_dict(data) -> DictGroupoid:
+    """``io.groupoid_from_dict`` of an explicit table, through the id dict."""
+    arrows = [a["id"] for a in data["arrows"]]
+    src = {a["id"]: a["src"] for a in data["arrows"]}
+    tgt = {a["id"]: a["tgt"] for a in data["arrows"]}
+    comp = {(g, h): k for g, h, k in data["comp"]}
+    return DictGroupoid(data["objects"], arrows, src, tgt,
+                        data["units"], data["inv"], comp)
 
 
 def with_composites(g: FiniteGroupoid, changes: dict) -> FiniteGroupoid:

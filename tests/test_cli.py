@@ -284,6 +284,50 @@ def test_unknown_action_arrow_is_a_precondition_failure(files, capsys, side):
     assert report["error"] == {"type": "ValueError", "message": "unknown arrow id 'zz'"}
 
 
+@pytest.fixture
+def z2_doc(files):
+    save_groupoid(group_as_groupoid(cyclic_group(2)), files / "z2.json")
+    return json.loads((files / "z2.json").read_text())
+
+
+def validate_z2_with(files, capsys, doc, comp):
+    (files / "bad.json").write_text(json.dumps(dict(doc, comp=comp)))
+    return run(capsys, "validate", files / "bad.json", "--quiet")
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_composite_rows_of_another_length_are_refused(files, capsys, z2_doc, length):
+    row = (z2_doc["comp"][1] + ["c0"])[:length]
+    for comp in ([row] + z2_doc["comp"][1:], z2_doc["comp"][:1] + [row] * 3):
+        code, report = validate_z2_with(files, capsys, z2_doc, comp)
+        assert code == 2
+        assert report["error"]["type"] == "ValueError"
+        assert "values to unpack" in report["error"]["message"]
+
+
+def test_a_repeated_composite_row_wins_last(files, capsys, z2_doc):
+    code, report = validate_z2_with(files, capsys, z2_doc,
+                                    z2_doc["comp"] + [["c1", "c1", "c1"]])
+    assert code == 1
+    assert report["result"]["violations"] == [
+        {"rule": "inverse-law", "witness": ["c1", "c1"]}]
+    # the same pair repeated with its right composite last is valid again
+    code, _ = validate_z2_with(files, capsys, z2_doc,
+                               z2_doc["comp"] + [["c1", "c1", "c1"], ["c1", "c1", "c0"]])
+    assert code == 0
+
+
+@pytest.mark.parametrize("bad,message", [("zz", "unknown arrow id 'zz'"),
+                                         (5, "unknown arrow id 5")])
+def test_unknown_composite_ids_are_named(files, capsys, z2_doc, bad, message):
+    # the first unknown id in row order is named, whatever its column
+    comp = [list(row) for row in z2_doc["comp"]]
+    comp[1][2], comp[2][0] = bad, "yy"
+    code, report = validate_z2_with(files, capsys, z2_doc, comp)
+    assert code == 2
+    assert report["error"] == {"type": "ValueError", "message": message}
+
+
 def test_tss_commands(files, capsys):
     code, report = run(capsys, "tss-iso", files / "sphere.json",
                        files / "sphere2.json", "--quiet")

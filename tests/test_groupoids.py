@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,10 @@ from moritakit.groupoids import (FiniteGroupoid, GroupoidHom,
                                  validate)
 from moritakit.groups import validate_group
 
-from support import (corpus_groupoids, gauge_over, reference_validate,
+from moritakit.io import groupoid_from_dict, groupoid_to_dict
+
+from support import (corpus_groupoids, gauge_over, reference_groupoid_from_dict,
+                     reference_groupoid_to_dict, reference_validate,
                      with_composites)
 
 
@@ -306,10 +310,46 @@ def test_equality_of_loaded_copies(tmp_path):
                 changed = with_composites(a, {(i, j): k2})
                 assert changed != a and a != changed, name
                 break
-    # the same composites inserted in another order
+    # the same composites given in another order
     g = pair_groupoid(3)
-    shuffled = list(g.comp.items())
-    random.Random(3).shuffle(shuffled)
-    copy = with_composites(g, {})
-    copy.comp = dict(shuffled)
-    assert copy == g and list(copy.comp) != list(g.comp)
+    doc = groupoid_to_dict(g)
+    rows = list(doc["comp"])
+    random.Random(3).shuffle(rows)
+    assert rows != doc["comp"]
+    arrows = doc["arrows"]
+    copy = FiniteGroupoid(doc["objects"], [a["id"] for a in arrows],
+                          {a["id"]: a["src"] for a in arrows},
+                          {a["id"]: a["tgt"] for a in arrows},
+                          doc["units"], doc["inv"], rows)
+    assert copy == g and copy.comp == g.comp
+
+
+def loaded_and_oracle(doc):
+    loaded, ref = groupoid_from_dict(doc), reference_groupoid_from_dict(doc)
+    assert np.array_equal(loaded._table, ref._table)
+    assert loaded.comp == ref.comp
+    assert validate(loaded).as_dict() == reference_validate(ref).as_dict()
+    assert groupoid_to_dict(loaded) == reference_groupoid_to_dict(ref)
+    return loaded
+
+
+@pytest.mark.parametrize("name,g", corpus_groupoids())
+def test_load_matches_the_dict_oracle(name, g):
+    rng = random.Random(name)
+    variants = [("as is", g)]
+    if name in SMALL:
+        found = list(corruptions(g, name))
+        variants += [(kind, with_composites(g, changes))
+                     for kind, changes in rng.sample(found, min(12, len(found)))]
+    for kind, h in variants:
+        doc = groupoid_to_dict(h)
+        rng.shuffle(doc["comp"])
+        assert loaded_and_oracle(doc) == h, kind
+        if not doc["comp"]:
+            continue
+        # a repeated pair: the last row wins, whichever composite it names
+        g_id, h_id, _ = doc["comp"][0]
+        for other in (h.arrows[0], h.arrows[-1]):
+            doc["comp"].insert(rng.randrange(1, len(doc["comp"]) + 1),
+                               [g_id, h_id, other])
+        loaded_and_oracle(doc)

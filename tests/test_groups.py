@@ -3,9 +3,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moritakit import groups
 from moritakit._search import _injective
 from moritakit.groupoids import GroupoidHom, groupoid_isomorphisms, isotropy
-from moritakit.groups import (FiniteGroup, automorphism_group, cyclic_group,
+from moritakit.groups import (FiniteGroup, _after, _cayley, _index_rows,
+                              automorphism_group, cyclic_group,
                               dihedral_group, direct_product, group_homomorphisms,
                               group_isomorphic, group_isomorphisms,
                               inner_automorphism_group, klein_four_group,
@@ -15,7 +17,8 @@ from moritakit.groups import (FiniteGroup, automorphism_group, cyclic_group,
 from moritakit.picard import Bisection, automorphisms, bisections
 from moritakit.tss import LabeledSurfaceGraph, TssIsomorphism, graph_automorphisms
 
-from support import corpus_groupoids, reference_cayley, reference_locate_inverses
+from support import (corpus_groupoids, reference_cayley, reference_locate_inverses,
+                     reference_row_cayley)
 
 
 def test_constructors_are_groups():
@@ -146,14 +149,85 @@ def test_cayley_tables_match_the_loop_on_the_corpus(name, g):
             perms, lambda p, q: tuple(p[k] for k in q), lambda p: p, "a"))
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+def parallel_edges(k):
+    return LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1}, [("n", "s", 1.0)] * k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_cayley_tables_match_the_loop_on_parallel_edges(k):
-    g = LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1}, [("n", "s", 1.0)] * k)
-    aut = graph_automorphisms(g)
+    aut = graph_automorphisms(parallel_edges(k))
     maps = [(a.vertex_map, a.edge_map) for a in aut.payload]
     assert maps == sorted(set(maps))
     same_group(aut, reference_cayley(aut.payload, TssIsomorphism.compose,
                                      lambda a: (a.vertex_map, a.edge_map), "g"))
+
+
+def test_cayley_table_of_s6_searches_few_rows(monkeypatch):
+    # one _row_keys call keys the items, then one per searched row
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return row_keys(rows)
+
+    row_keys = groups._row_keys
+    monkeypatch.setattr(groups, "_row_keys", counted)
+    assert len(graph_automorphisms(parallel_edges(6))) == 720
+    assert 1 <= len(calls) - 1 <= 8
+
+
+def closure(gens, width, cap):
+    """The maps generated by ``gens`` under composition, or None past ``cap``."""
+    found, frontier = {tuple(range(width))}, [tuple(range(width))]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in gens:
+                c = tuple(a[v] for v in s)
+                if c not in found:
+                    if len(found) == cap:
+                        return None
+                    found.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return found
+
+
+@st.composite
+def permutation_groups(draw, cap=120):
+    """The elements of a group generated by 1-3 random permutations of at
+    most 7 points, in a random order; generators that would take the group
+    past ``cap`` elements are dropped, so one always remains."""
+    width = draw(st.integers(1, 7))
+    gens = draw(st.lists(st.permutations(range(width)), min_size=1, max_size=3))
+    while (elements := closure(gens, width, cap)) is None:
+        gens = gens[:-1]
+    return width, draw(st.permutations(sorted(elements)))
+
+
+def cayley_outcome(build, items, width):
+    try:
+        g = build(items, _index_rows(items, width), _after, "p")
+    except KeyError as exc:
+        return str(exc)
+    return g.elements, g.table, g.payload
+
+
+@settings(max_examples=80, deadline=None)
+@given(permutation_groups(), st.data())
+def test_cayley_from_generator_rows_matches_the_row_search(group, data):
+    width, items = group
+    assert (cayley_outcome(_cayley, items, width)
+            == cayley_outcome(reference_row_cayley, items, width))
+    # without one non-identity element the set is not closed (unless only
+    # the identity is left), and the same first product is missing
+    others = [p for p in items if p != tuple(range(width))]
+    if others:
+        drop = data.draw(st.sampled_from(others))
+        rest = [p for p in items if p != drop]
+        outcome = cayley_outcome(_cayley, rest, width)
+        assert outcome == cayley_outcome(reference_row_cayley, rest, width)
+        assert isinstance(outcome, str) or len(rest) == 1
 
 
 @st.composite
