@@ -84,6 +84,7 @@ class FiniteGroupoid:
             self._s_fiber[self.src[i]].append(i)
             self._t_fiber[self.tgt[i]].append(i)
         self._orbits = None
+        self._isotropy = {}
 
     @cached_property
     def comp(self) -> dict:
@@ -257,11 +258,15 @@ def orbits(g: FiniteGroupoid) -> tuple[tuple[str, ...], ...]:
 def isotropy(g: FiniteGroupoid, x: str) -> FiniteGroup:
     """The group of arrows from x to itself, as a composition table.
 
-    A composite of two loops that is undefined raises ``KeyError`` with
-    the index pair, and one that is not a loop with its index, at the
-    first such cell in row-major order.
+    Built once per object and kept on the groupoid.  A composite of two
+    loops that is undefined raises ``KeyError`` with the index pair, and
+    one that is not a loop with its index, at the first such cell in
+    row-major order.
     """
-    loops = np.array(g.isotropy_arrows(g.obj_index[x]), dtype=np.intp)
+    xi = g.obj_index[x]
+    if xi in g._isotropy:
+        return g._isotropy[xi]
+    loops = np.array(g.isotropy_arrows(xi), dtype=np.intp)
     m = g.n_arrows
     composites = _comp_table(g)[np.ix_(loops, loops)]
     pos = np.full(m + 1, -1, dtype=np.intp)  # position among the loops
@@ -272,7 +277,8 @@ def isotropy(g: FiniteGroupoid, x: str) -> FiniteGroup:
         a, b = bad[0].tolist()
         k = int(composites[a, b])
         raise KeyError((int(loops[a]), int(loops[b])) if k == m else k)
-    return FiniteGroup([g.arrows[a] for a in loops.tolist()], table)
+    g._isotropy[xi] = FiniteGroup([g.arrows[a] for a in loops.tolist()], table)
+    return g._isotropy[xi]
 
 
 def is_transitive(g: FiniteGroupoid) -> bool:

@@ -30,10 +30,11 @@ class FiniteGroup:
     def __init__(self, elements, table, payload=None):
         self.elements = tuple(str(e) for e in elements)
         if isinstance(table, np.ndarray):
-            # an n x n index array, converted a row at a time; the cells
-            # share one int object per index
+            # an n x n index array, converted in blocks of rows (few numpy
+            # calls, a small object copy); the cells share one int per index
             shared = np.arange(len(table)).astype(object)
-            self.table = tuple(tuple(shared[row].tolist()) for row in table)
+            self.table = tuple(row for i in range(0, len(table), 256)
+                               for row in map(tuple, shared[table[i:i + 256]].tolist()))
         else:
             self.table = tuple(tuple(map(int, row)) for row in table)
         self.payload = tuple(payload) if payload is not None else None

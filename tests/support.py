@@ -558,6 +558,7 @@ class DictGroupoid(FiniteGroupoid):
             self._s_fiber[self.src[i]].append(i)
             self._t_fiber[self.tgt[i]].append(i)
         self._orbits = None
+        self._isotropy = {}
         m = len(self.arrows)
         self._table = np.full((m + 1, m + 1), m, dtype=np.intp)
         for (i, j), k in self.comp.items():

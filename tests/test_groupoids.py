@@ -296,6 +296,20 @@ def test_validate_matches_the_loop_on_corrupted_tables(name):
             assert not report.ok, changes
 
 
+def test_isotropy_names_the_first_bad_composite():
+    # row-major over the loops: an undefined composite raises with its
+    # index pair, and one that is not a loop with its index
+    g = bundle_of_groups({"a": cyclic_group(2), "b": cyclic_group(2)})
+    a1, b0 = g.arr_index["(a:c1)"], g.arr_index["(b:c0)"]
+    a0 = g.arr_index["(a:c0)"]
+    with pytest.raises(KeyError) as exc:
+        isotropy(with_composites(g, {(a1, a1): None}), "a")
+    assert str(exc.value) == f"({a1}, {a1})"
+    with pytest.raises(KeyError) as exc:
+        isotropy(with_composites(g, {(a1, a0): b0, (a1, a1): None}), "a")
+    assert str(exc.value) == str(b0)
+
+
 def test_equality_of_loaded_copies(tmp_path):
     from moritakit.io import load_groupoid, save_groupoid
 
