@@ -29,7 +29,11 @@ six parallel edges, order 720) and ``morita-s4`` (the witness of the S4
 gauge groupoid over 4 points against the one over 2 points, report and
 emitted file) were recorded with the per-row Cayley search and the
 dict-keyed groupoid load, before tables came from generator rows and
-groupoids were loaded straight into their composition table.  The
+groupoids were loaded straight into their composition table.
+``aut-z2cube`` (Aut of the Z2 x Z2 x Z2 group groupoid, GL(3,2) of
+order 168, a group table that crosses the writer's 64-row piece
+boundary) was recorded with the writer that re-indents C-encoded blocks
+of lists, before tables were written from their index arrays.  The
 inputs exercise the searches whose first witness is part of the answer:
 orbit matching on a disjoint union, the TSS vertex and edge maps of a
 relabelled circulant graph, parallel-edge automorphisms and emitted
@@ -48,8 +52,8 @@ from moritakit.gauge import GridSpec, SampledBivectorField, SampledTwoFormField
 from moritakit.groupoids import (bundle_of_groups, disjoint_union,
                                  group_as_groupoid, groupoid_isomorphisms,
                                  pair_groupoid)
-from moritakit.groups import (cyclic_group, klein_four_group, quaternion_group,
-                              symmetric_group)
+from moritakit.groups import (cyclic_group, direct_product, klein_four_group,
+                              quaternion_group, symmetric_group)
 from moritakit.io import save_bibundle, save_field, save_groupoid, save_tss
 from moritakit.tss import LabeledSurfaceGraph
 
@@ -82,6 +86,9 @@ def write_inputs():
     with open("z4bad.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     save_groupoid(group_as_groupoid(quaternion_group()), "q8.json")
+    z2 = cyclic_group(2)
+    save_groupoid(group_as_groupoid(direct_product(direct_product(z2, z2), z2)),
+                  "z2cube.json")
     save_bibundle(identity_bibundle(pair_groupoid(3)), "ib.json")
     # the Morita witness of S3 over 2 points against S3, as `morita` emits
     # it, and the bibundle of the automorphism that swaps the two points
@@ -142,6 +149,7 @@ CASES = {
     "orbits": (["orbits", "du.json"], None),
     "isotropy": (["isotropy", "du.json", "--object", "u2:pt"], None),
     "aut-v4bundle": (["aut", "v4bundle.json"], None),
+    "aut-z2cube": (["aut", "z2cube.json"], None),
     "inaut-v4bundle": (["inaut", "v4bundle.json"], None),
     "out-v4bundle": (["out", "v4bundle.json"], None),
     "bisections-v4bundle": (["bisections", "v4bundle.json"], None),
@@ -189,6 +197,8 @@ GOLDEN = {
     "aut-union": (0, "f230d9d89d12e47913a43a81b94b8359b2e9147fe50d9af9b207ce0c288f249e",
         None),
     "aut-v4bundle": (0, "0c8d00d0aa1ae25a4e52a7ee6454f374bae896be40336f9212e4c1ffd88a74a0",
+        None),
+    "aut-z2cube": (0, "ac2d4a62e402b4dd7ed0b04ad35d514b8aefaf982ee775acbf5b696c20f08186",
         None),
     "bisections-union": (0, "cfbdf79526f16a72046cc9bb7e021baf2e72147d9f7a1a014192cb3bfb4c008f",
         None),
