@@ -171,28 +171,28 @@ def _orbits(args):
 
 def _isotropy(args):
     group = isotropy(load_groupoid(args.path), args.obj)
-    return ({"object": args.obj, "isotropy": group.as_dict()}, EXIT_OK,
+    return ({"object": args.obj, "isotropy": group._doc()}, EXIT_OK,
             f"isotropy at {args.obj} has order {len(group)}")
 
 
 def _automorphism_group(args):
     """``aut``, ``inaut`` and ``out``: a group whose payload is functors."""
     group = args.group(load_groupoid(args.path))
-    payload = {"order": len(group), "group": group.as_dict(),
+    payload = {"order": len(group), "group": group._doc(),
                args.listing: [h.as_dict() for h in group.payload]}
     return payload, EXIT_OK, f"|{args.label}| = {len(group)}"
 
 
 def _bisections(args):
     bis = bisections(load_groupoid(args.path))
-    payload = {"count": len(bis), "group": bis.as_dict(),
+    payload = {"count": len(bis), "group": bis._doc(),
                "bisections": [list(b.arrow_ids()) for b in bis.payload]}
     return payload, EXIT_OK, f"{len(bis)} bisection(s)"
 
 
 def _picard(args):
     pic = picard_group(load_groupoid(args.path), args.method)
-    payload = pic.as_dict()
+    payload = pic._doc()
     payload["order"] = len(pic)
     payload["identity"] = pic.elements[pic.identity]
     if pic.cross_checked:
@@ -288,7 +288,7 @@ def _tss_picard_ingredients(args):
         return invalid
     ing = picard_ingredients(g)
     payload = {"graph_aut_order": len(ing.graph_aut),
-               "graph_aut": ing.graph_aut.as_dict(),
+               "graph_aut": ing.graph_aut._doc(),
                "torus_rank": ing.torus_rank,
                "leaf_descriptors": [list(d) for d in ing.leaf_descriptors]}
     return payload, EXIT_OK, (f"|Aut| = {len(ing.graph_aut)}, "

@@ -8,11 +8,11 @@ cross-checking group-valued invariants.
 """
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 
-from .report import ValidationReport
+from .report import Rows, ValidationReport, plain
 
 
 class FiniteGroup:
@@ -113,11 +113,22 @@ class FiniteGroup:
     def order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(self.element_order(i) for i in range(len(self))))
 
-    def as_dict(self):
-        d = {"elements": list(self.elements), "table": [list(r) for r in self.table]}
+    def _doc(self) -> dict:
+        """The report document of ``as_dict``, with the table as ``Rows``."""
+        d = {"elements": list(self.elements), "table": _cayley_rows(self.table)}
         if self.identity is not None:
             d["identity"] = self.elements[self.identity]
         return d
+
+    def as_dict(self):
+        return plain(self._doc())
+
+
+def _cayley_rows(table) -> Rows:
+    """A square table of element indices, as ``Rows`` over those indices."""
+    n = len(table)
+    index = np.fromiter(chain.from_iterable(table), np.intp, n * n).reshape(n, n)
+    return Rows(index, range(n))
 
 
 def validate_group(g: FiniteGroup) -> ValidationReport:

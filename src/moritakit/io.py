@@ -9,6 +9,7 @@ coefficient tables for constant/linear/quadratic entries instead.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -21,7 +22,7 @@ from .groups import FiniteGroup
 from .groupoids import (FiniteGroupoid, PrincipalBundleData, _comp_table,
                         action_groupoid, gauge_groupoid, group_as_groupoid,
                         pair_groupoid)
-from .report import write_json
+from .report import Rows, plain, write_json
 from .tss import LabeledSurfaceGraph
 
 
@@ -32,6 +33,66 @@ def sha256_digest(path) -> str:
 def _save_json(data, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_json(data, fh, 1)
+
+
+# ---------------------------------------------------------------------------
+# malformed ids and rows
+
+def _is_id(x) -> bool:
+    return type(x) is str
+
+
+def _is_row(row) -> bool:
+    return type(row) is list and len(row) == 3 and all(map(_is_id, row))
+
+
+def _is_arrow(a) -> bool:
+    return type(a) is dict and all(_is_id(a.get(k)) for k in ("id", "src", "tgt"))
+
+
+# the id-bearing keys of the explicit groupoid and bibundle formats:
+# key -> (JSON container, test of an entry, what an entry must be)
+_ENTRIES = {
+    **{key: (list, _is_id, "an id (a string)") for key in ("objects", "carrier")},
+    "arrows": (list, _is_arrow, 'an arrow {"id", "src", "tgt"} of ids'),
+    **{key: (list, _is_row, "a row of three ids")
+       for key in ("comp", "leftAct", "rightAct")},
+    **{key: (dict, _is_id, "an id (a string)") for key in ("units", "inv", "J1", "J2")},
+}
+
+
+def _malformed(data) -> ValueError | None:
+    """A ValueError naming the first malformed id or row of a document, or None."""
+    for key, (container, ok, what) in _ENTRIES.items():
+        if key not in data:
+            continue
+        value = data[key]
+        if type(value) is not container:
+            kind = "array" if container is list else "object"
+            return ValueError(f"{key!r} is not a JSON {kind}: {value!r}")
+        for entry in (value if container is list else value.values()):
+            if not ok(entry):
+                return ValueError(f"{key!r} holds {entry!r}, which is not {what}")
+    return None
+
+
+def _ids_checked(from_dict):
+    """``from_dict``, raising ValueError for a malformed id or row.
+
+    A list where an id belongs, or a number where a row belongs, makes a
+    lookup or an unpacking raise TypeError.  Only then is the document
+    searched for the fault; a TypeError with no such fault propagates.
+    """
+    @functools.wraps(from_dict)
+    def load(data, *args, **kwargs):
+        try:
+            return from_dict(data, *args, **kwargs)
+        except TypeError:
+            fault = _malformed(data) if type(data) is dict else None
+            if fault is None:
+                raise
+            raise fault from None
+    return load
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +109,7 @@ def group_from_dict(data) -> FiniteGroup:
     return FiniteGroup(elements, table)
 
 
+@_ids_checked
 def groupoid_from_dict(data) -> FiniteGroupoid:
     if "pair" in data:
         return pair_groupoid(int(data["pair"]))
@@ -76,20 +138,21 @@ def groupoid_from_dict(data) -> FiniteGroupoid:
                           data["units"], data["inv"], comp)
 
 
-def _table_rows(table, sentinel, rows, cols, values) -> list[list[str]]:
+def _table_rows(table, sentinel, rows, cols, values) -> Rows:
     """``[rows[i], cols[j], values[table[i, j]]]`` per defined cell, row-major.
 
     ``table`` is a dense index table without its sentinel row and column,
-    and ``rows``, ``cols`` and ``values`` are id tuples.  The constructors
-    index ids in sorted order, so row-major order is the order of the
-    sorted id pairs.
+    and ``rows``, ``cols`` and ``values`` are id sequences.  The
+    constructors index ids in sorted order, so row-major order is the
+    order of the sorted id pairs.
     """
-    rows, cols, values = (np.array(ids, dtype=object) for ids in (rows, cols, values))
     i, j = np.nonzero(table != sentinel)
-    return np.stack((rows[i], cols[j], values[table[i, j]]), axis=1).tolist()
+    index = np.stack((i, j + len(rows), table[i, j] + len(rows) + len(cols)), axis=1)
+    return Rows(index, (*rows, *cols, *values))
 
 
-def groupoid_to_dict(g: FiniteGroupoid) -> dict:
+def _groupoid_doc(g: FiniteGroupoid) -> dict:
+    """The groupoid file's document, with ``comp`` as ``Rows``."""
     m, arrows = g.n_arrows, g.arrows
     return {
         "objects": list(g.objects),
@@ -101,18 +164,23 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     }
 
 
+def groupoid_to_dict(g: FiniteGroupoid) -> dict:
+    return plain(_groupoid_doc(g))
+
+
 def load_groupoid(path) -> FiniteGroupoid:
     with open(path, encoding="utf-8") as fh:
         return groupoid_from_dict(json.load(fh))
 
 
 def save_groupoid(g: FiniteGroupoid, path) -> None:
-    _save_json(groupoid_to_dict(g), path)
+    _save_json(_groupoid_doc(g), path)
 
 
 # ---------------------------------------------------------------------------
 # bibundles
 
+@_ids_checked
 def bibundle_from_dict(data, base_dir=".") -> Bibundle:
     def side(spec):
         if isinstance(spec, str):
@@ -127,18 +195,23 @@ def bibundle_from_dict(data, base_dir=".") -> Bibundle:
                     data["J1"], data["J2"], left_act, right_act)
 
 
-def bibundle_to_dict(s: Bibundle) -> dict:
+def _bibundle_doc(s: Bibundle) -> dict:
+    """The bibundle file's document, with its tables as ``Rows``."""
     n, carrier = len(s.carrier), s.carrier
     left, right = _action_tables(s)
     return {
-        "left": groupoid_to_dict(s.left),
-        "right": groupoid_to_dict(s.right),
+        "left": _groupoid_doc(s.left),
+        "right": _groupoid_doc(s.right),
         "carrier": list(s.carrier),
         "J1": {x: s.left.objects[p] for x, p in zip(s.carrier, s.j1)},
         "J2": {x: s.right.objects[p] for x, p in zip(s.carrier, s.j2)},
         "leftAct": _table_rows(left[:-1, :n], n, s.left.arrows, carrier, carrier),
         "rightAct": _table_rows(right[:n, :-1], n, carrier, s.right.arrows, carrier),
     }
+
+
+def bibundle_to_dict(s: Bibundle) -> dict:
+    return plain(_bibundle_doc(s))
 
 
 def load_bibundle(path) -> Bibundle:
@@ -148,7 +221,7 @@ def load_bibundle(path) -> Bibundle:
 
 
 def save_bibundle(s: Bibundle, path) -> None:
-    _save_json(bibundle_to_dict(s), path)
+    _save_json(_bibundle_doc(s), path)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,13 @@ from .bibundles import (Bibundle, from_homomorphism, orbit_permutation,
                         principality)
 from ._search import _injective
 from .errors import MoritaKitError, NotFunctor
-from .groups import (FiniteGroup, _after, _cayley, _index_rows,
+from .groups import (FiniteGroup, _after, _cayley, _cayley_rows, _index_rows,
                      group_isomorphic, quotient_group, subgroup)
 from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, _spanning_tree,
                         bundle_of_groups, enumerate_functors,
                         groupoid_isomorphisms, identity_hom, isotropy,
                         orbit_partition)
+from .report import plain
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +156,13 @@ class PicardGroup:
     def as_group(self) -> FiniteGroup:
         return FiniteGroup(self.elements, self.table)
 
-    def as_dict(self):
-        return {"elements": list(self.elements),
-                "table": [list(r) for r in self.table],
+    def _doc(self) -> dict:
+        """The report document of ``as_dict``, with the table as ``Rows``."""
+        return {"elements": list(self.elements), "table": _cayley_rows(self.table),
                 "method": self.method}
+
+    def as_dict(self):
+        return plain(self._doc())
 
 
 def _equivalence_key(g: FiniteGroupoid):

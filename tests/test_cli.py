@@ -653,3 +653,41 @@ def test_tss_search_commands_validate_their_inputs(files, capsys, period, volume
         assert report["result"] == {"input": str(bad), "kind": "tss", "ok": False,
                                     "violations": report["result"]["violations"]}
         assert [v["rule"] for v in report["result"]["violations"]] == [rule]
+
+
+MALFORMED = [  # (file, key, replace the first entry's value with, named entry)
+    ("groupoid", "comp", 5, "5"),
+    ("groupoid", "comp", ["c0", ["c0"], "c0"], "['c0', ['c0'], 'c0']"),
+    ("groupoid", "units", ["c0"], "['c0']"),
+    ("bibundle", "leftAct", 5, "5"),
+    ("bibundle", "leftAct", ["c0", ["c0"], "c0"], "['c0', ['c0'], 'c0']"),
+    ("bibundle", "leftAct", ["c0", "c0", ["c0"]], "['c0', 'c0', ['c0']]"),
+    ("bibundle", "J1", ["pt"], "['pt']"),
+]
+
+
+@pytest.mark.parametrize("kind, key, bad, named", MALFORMED)
+def test_malformed_rows_and_ids_are_precondition_failures(files, capsys, kind, key,
+                                                          bad, named):
+    # a number for a row, or a list for an id, made the load raise TypeError
+    from moritakit.bibundles import identity_bibundle
+    from moritakit.io import save_bibundle
+    z2 = group_as_groupoid(cyclic_group(2))
+    save_groupoid(z2, files / "z2.json")
+    save_bibundle(identity_bibundle(z2), files / "ib.json")
+    name = "z2.json" if kind == "groupoid" else "ib.json"
+    data = json.loads((files / name).read_text())
+    if type(data[key]) is list:
+        data[key][0] = bad
+    else:
+        data[key][next(iter(data[key]))] = bad
+    (files / "bad.json").write_text(json.dumps(data))
+    commands = [["validate", "bad.json"]]
+    if kind == "bibundle":
+        commands += [["compose", "bad.json", "ib.json"],
+                     ["compose", "ib.json", "bad.json"]]
+    for argv in commands:
+        code, report = run(capsys, *argv[:1], *(files / p for p in argv[1:]), "--quiet")
+        assert code == 2, argv
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"].startswith(f"{key!r} holds {named}, ")
