@@ -238,7 +238,7 @@ def test_groupoid_emission_matches_the_sorted_loop():
     for name, g in corpus_groupoids() + invalid_groupoids():
         data = groupoid_to_dict(g)
         assert data == reference_groupoid_to_dict(g), name
-        # plain str ids, so the writer's C-encoder path takes every row
+        # exact str ids, which the writer encodes once per name as Rows tokens
         assert {type(v) for row in data["comp"] for v in row} <= {str}, name
     bad = dict(invalid_groupoids())
     assert ["(1,2)", "(1,2)", "(1,1)"] in groupoid_to_dict(bad["non-composable"])["comp"]
