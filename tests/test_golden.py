@@ -33,7 +33,12 @@ groupoids were loaded straight into their composition table.
 ``aut-z2cube`` (Aut of the Z2 x Z2 x Z2 group groupoid, GL(3,2) of
 order 168, a group table that crosses the writer's 64-row piece
 boundary) was recorded with the writer that re-indents C-encoded blocks
-of lists, before tables were written from their index arrays.  The
+of lists, before tables were written from their index arrays.
+``validate-bibundle-shuffled`` (``compose-invalid``'s Latin-square
+bibundle with both action tables shuffled and one key repeated on each
+side with a different image, so that the witnesses follow the file's row
+order and the last image of a key wins) was recorded with the actions
+held as dicts, before they were held as index rows.  The
 inputs exercise the searches whose first witness is part of the answer:
 orbit matching on a disjoint union, the TSS vertex and edge maps of a
 relabelled circulant graph, parallel-edge automorphisms and emitted
@@ -41,6 +46,7 @@ Morita witnesses.
 """
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -106,6 +112,18 @@ def write_inputs():
                       for i in range(4) for j in range(4)]
     with open("z4latin.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+    # the same bibundle with both action tables shuffled, and one key
+    # repeated on each side with a different image: the left one's first
+    # image is wrong, the right one's last image is
+    rng = random.Random(18)
+    rng.shuffle(doc["leftAct"])
+    rng.shuffle(doc["rightAct"])
+    at = doc["leftAct"].index(["c1", "c2", "c3"])
+    doc["leftAct"].insert(at // 2, ["c1", "c2", "c0"])
+    at = doc["rightAct"].index(["c1", "c1", "c2"])
+    doc["rightAct"].insert(at + (len(doc["rightAct"]) - at) // 2, ["c1", "c1", "c0"])
+    with open("z4shuffled.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
     names = [f"v{i}" for i in range(8)]
     save_tss(circulant((1, 2), names), "c8.json")
     save_tss(circulant((1, 2), [f"x{RELABEL[i]}" for i in range(8)]), "c8r.json")
@@ -146,6 +164,7 @@ CASES = {
     "validate-tss": (["validate", "c8.json"], None),
     "validate-field": (["validate", "pi.field"], None),
     "validate-broken": (["validate", "z4bad.json"], None),
+    "validate-bibundle-shuffled": (["validate", "z4shuffled.json"], None),
     "orbits": (["orbits", "du.json"], None),
     "isotropy": (["isotropy", "du.json", "--object", "u2:pt"], None),
     "aut-v4bundle": (["aut", "v4bundle.json"], None),
@@ -255,6 +274,8 @@ GOLDEN = {
     "tss-picard-ingredients-parallel6": (0, "15c3fafbdc332478b362338bf8f77850cd3772d9d9152a5fbfff16a44e3b47b9",
         None),
     "validate-broken": (1, "eda3664e01995203f9535e86b4f08efaba5ec33d3f3634b80965847ea3928dd2",
+        None),
+    "validate-bibundle-shuffled": (1, "2cb2bd3f6f868fc64a885f3fc9cce747c2e4aababad033cee3f3aabdcd4408b4",
         None),
     "validate-bibundle": (0, "2dc1f22f66eee0babc68df2c52c2664b2b218b12b7e899ca57e707ab3569c04f",
         None),
