@@ -5,12 +5,13 @@ the left groupoid acts along the moment ``j1``, the right one along
 ``j2``.  Left-principal bibundles compose by the fibre-product-modulo-
 middle-action tensor, and biprincipal ones witness Morita equivalence.
 
-The actions are kept as id-addressed dicts and, built once on demand, as
-dense index tables (``_action_tables``): ``L[g, x]`` and ``R[x, g]``,
-with a sentinel where an action is undefined.  ``validate_bibundle``,
+The actions are kept as index rows, ``[g, x, g.x]`` and ``[x, g, x.g]``
+in file or construction order, and, built once on demand, as dense index
+tables (``Bibundle._tables``): ``L[g, x]`` and ``R[x, g]``, with a
+sentinel where an action is undefined.  ``validate_bibundle``,
 ``principality`` and ``tensor`` run as numpy gathers over these tables;
 their reports, witnesses and carriers are those of plain loops over the
-dicts.  ``tensor`` refuses a factor that ``validate_bibundle`` rejects
+rows.  ``tensor`` refuses a factor that ``validate_bibundle`` rejects
 (``InvalidBibundle``); on valid left-principal factors its classes have
 a closed form, one representative pair per fibre point of the middle
 action.
@@ -18,6 +19,7 @@ action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -26,13 +28,18 @@ from ._search import _injective, _roots
 from .errors import (InvalidBibundle, MiddleMismatch, NotFunctor,
                      NotLeftPrincipal)
 from .groups import group_isomorphic
-from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, isotropy,
-                        orbit_partition, orbits)
+from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_rows, _comp_table,
+                        _index_rows, _scatter, isotropy, orbit_partition, orbits)
 from .report import ValidationReport
 
 
 class Bibundle:
-    """Carrier set with moments and partial actions, all id-addressed.
+    """Carrier set with moments and partial actions over two groupoids.
+
+    Each action is given by id, as a dict ``{(g, x): y}`` (``{(x, g): y}``)
+    or as rows ``[g, x, y]`` (``[x, g, y]``) as files store it, and is
+    held as (E, 3) index rows in that order; a repeated pair keeps its
+    first position and its last image.
 
     ``left_act`` is defined exactly on pairs ``(g, x)`` with
     ``s(g) == j1(x)`` and ``right_act`` exactly on ``(x, g)`` with
@@ -42,46 +49,43 @@ class Bibundle:
 
     def __init__(self, left: FiniteGroupoid, right: FiniteGroupoid,
                  carrier, j1, j2, left_act, right_act):
+        rows = _comp_rows(left_act), _comp_rows(right_act)
         self.left = left
         self.right = right
         self.carrier = tuple(sorted(str(x) for x in carrier))
         if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("duplicate carrier ids")
         self.car_index = {x: i for i, x in enumerate(self.carrier)}
-
-        def ci(x):
-            try:
-                return self.car_index[x]
-            except KeyError:
-                raise ValueError(f"unknown carrier id {x!r}") from None
-
         try:
             self.j1 = tuple(left.obj_index[j1[x]] for x in self.carrier)
             self.j2 = tuple(right.obj_index[j2[x]] for x in self.carrier)
         except KeyError as exc:
             raise ValueError(f"moment missing entry: {exc}") from None
-        try:  # ci raises ValueError, so a KeyError is an arrow lookup
-            self.left_act = {(left.arr_index[g], ci(x)): ci(y)
-                             for (g, x), y in left_act.items()}
-            self.right_act = {(ci(x), right.arr_index[g]): ci(y)
-                              for (x, g), y in right_act.items()}
-        except KeyError as exc:
-            raise ValueError(f"unknown arrow id {exc.args[0]!r}") from None
-        self._tables = None
+        n, points = len(self.carrier), self.car_index
+        self._rows = (
+            _first_keys(_index_rows(rows[0], (left.arr_index, points, points),
+                                    ("arrow", "carrier", "carrier")), n),
+            _first_keys(_index_rows(rows[1], (points, right.arr_index, points),
+                                    ("carrier", "arrow", "carrier")), right.n_arrows))
 
-    @classmethod
-    def _from_indices(cls, left, right, carrier, j1, j2, left_act, right_act):
-        """A bibundle from sorted, distinct carrier ids and index-level data.
+    # the index dicts {(g, x): y} and {(x, g): y} of the rows, built on first use
+    left_act = cached_property(lambda self: _row_dict(self._rows[0]))
+    right_act = cached_property(lambda self: _row_dict(self._rows[1]))
 
-        ``j1``, ``j2``, ``left_act`` and ``right_act`` are in the index form
-        that the constructor builds from ids, and are taken as they are.
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two actions as dense index arrays ``L[g, x]`` and ``R[x, g]``.
+
+        An entry is the index of g.x (of x.g), or the sentinel n, the
+        carrier size, where the action is undefined.  Each table has one
+        more row and column than arrows and points, all n, so a gather
+        through an undefined point or a sentinel arrow stays undefined, as
+        in ``groupoids._comp_table``.
         """
-        s = cls.__new__(cls)
-        s.left, s.right, s.carrier = left, right, carrier
-        s.car_index = {x: i for i, x in enumerate(carrier)}
-        s.j1, s.j2, s.left_act, s.right_act = j1, j2, left_act, right_act
-        s._tables = None
-        return s
+        n = len(self.carrier)
+        left, right = self._rows
+        return (_scatter((self.left.n_arrows + 1, n + 1), n, *left.T),
+                _scatter((n + 1, self.right.n_arrows + 1), n, *right.T))
 
     def __repr__(self):
         return f"Bibundle(carrier={len(self.carrier)})"
@@ -94,9 +98,9 @@ class Bibundle:
 
     def as_dicts(self):
         left_act = {(self.left.arrows[g], self.carrier[x]): self.carrier[y]
-                    for (g, x), y in self.left_act.items()}
+                    for g, x, y in self._rows[0].tolist()}
         right_act = {(self.carrier[x], self.right.arrows[g]): self.carrier[y]
-                     for (x, g), y in self.right_act.items()}
+                     for x, g, y in self._rows[1].tolist()}
         j1 = {x: self.left.objects[self.j1[i]] for i, x in enumerate(self.carrier)}
         j2 = {x: self.right.objects[self.j2[i]] for i, x in enumerate(self.carrier)}
         return j1, j2, left_act, right_act
@@ -114,33 +118,20 @@ class PrincipalityReport:
 
 
 # ---------------------------------------------------------------------------
-# dense action tables
+# action rows and dense action tables
 
-def _action_tables(s: Bibundle) -> tuple[np.ndarray, np.ndarray]:
-    """The two actions as dense index arrays ``L[g, x]`` and ``R[x, g]``.
-
-    An entry is the index of g.x (of x.g), or the sentinel n, the carrier
-    size, where the action is undefined.  Each table has one more row and
-    column than arrows and points, all n, so a gather through an undefined
-    point or a sentinel arrow stays undefined, as in
-    ``groupoids._comp_table``.  Built once per bibundle.
-    """
-    if s._tables is None:
-        n = len(s.carrier)
-        left = np.full((s.left.n_arrows + 1, n + 1), n, dtype=np.intp)
-        right = np.full((n + 1, s.right.n_arrows + 1), n, dtype=np.intp)
-        for table, act in ((left, s.left_act), (right, s.right_act)):
-            i, j, image = _entries(act)
-            table[i, j] = image
-        s._tables = (left, right)
-    return s._tables
+def _row_dict(rows: np.ndarray) -> dict:
+    a, b, c = rows.T.tolist()
+    return dict(zip(zip(a, b), c))
 
 
-def _entries(act: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two key columns and the values of an action dict, in insertion order."""
-    keys = np.fromiter(chain.from_iterable(act), dtype=np.intp,
-                       count=2 * len(act)).reshape(-1, 2)
-    return keys[:, 0], keys[:, 1], np.fromiter(act.values(), dtype=np.intp, count=len(act))
+def _first_keys(rows: np.ndarray, width: int) -> np.ndarray:
+    """One row per pair (columns 0, 1 < ``width``): its first position, its last image."""
+    _, first, pair = np.unique(rows[:, 0] * width + rows[:, 1],
+                               return_index=True, return_inverse=True)
+    image = _scatter((1, len(first)), -1, np.zeros_like(pair), pair, rows[:, 2])[0]
+    at = np.argsort(first)
+    return np.column_stack((rows[first[at], :2], image[at]))
 
 
 def _grouped(labels: np.ndarray, n_groups: int) -> list[np.ndarray]:
@@ -169,19 +160,19 @@ def validate_bibundle(s: Bibundle) -> ValidationReport:
     """Check moments, action domains, action axioms and commutation.
 
     The check is exhaustive and runs over the tables of
-    ``_action_tables``.  Action domains and moment equivariance are masks
+    ``Bibundle._tables``.  Action domains and moment equivariance are masks
     over every (arrow, point) cell, the unit laws one gather per side.
     Associativity and commutation take one gather per arrow over every
     action entry it composes with.  Witnesses come in the order of plain
     loops: cells arrow-major, then points; the associativity and
-    commutation witnesses follow the action dicts' insertion order, with
-    the arrows inside.
+    commutation witnesses follow the order of the action rows, with the
+    arrows inside.
     """
     report = ValidationReport()
     lg, rg = s.left, s.right
     car = s.carrier
     n = len(car)
-    left, right = _action_tables(s)
+    left, right = s._tables
     # moments, with -1 at the sentinel index n
     j1 = np.array(s.j1 + (-1,), dtype=np.intp)
     j2 = np.array(s.j2 + (-1,), dtype=np.intp)
@@ -218,10 +209,10 @@ def validate_bibundle(s: Bibundle) -> ValidationReport:
             report.add("right-unit-action", car[x])
     cl, cr = _comp_table(lg), _comp_table(rg)
     ml, mr = lg.n_arrows, rg.n_arrows
-    # left entries (h, x) -> hx and right entries (x, g) -> xg, in dict order;
+    # left entries (h, x) -> hx and right entries (x, g) -> xg, in row order;
     # gathers go through flat tables and the right table's columns
-    lh, lx, lhx = _entries(s.left_act)
-    rx, rgg, rxg = _entries(s.right_act)
+    lh, lx, lhx = s._rows[0].T
+    rx, rgg, rxg = s._rows[1].T
     flat_l, flat_r, cols_r = left.ravel(), right.ravel(), right.T.copy()
     wl, wr = n + 1, mr + 1
 
@@ -296,7 +287,7 @@ def _free_transitive(act, domain, units, fibre, n_fibres):
 def principality(s: Bibundle) -> PrincipalityReport:
     """Freeness/transitivity of each action on the other moment's fibres.
 
-    Runs over the tables of ``_action_tables`` (see ``_free_transitive``):
+    Runs over the tables of ``Bibundle._tables`` (see ``_free_transitive``):
     freeness is a mask of the points a non-unit arrow fixes, and
     transitivity compares image sets with fibres, with no scan over pairs
     of points.  The witnesses are those of a plain loop: objects, then
@@ -304,7 +295,7 @@ def principality(s: Bibundle) -> PrincipalityReport:
     """
     n = len(s.carrier)
     lg, rg, car = s.left, s.right, s.carrier
-    left, right = _action_tables(s)
+    left, right = s._tables
     j1 = np.array(s.j1, dtype=np.intp)
     j2 = np.array(s.j2, dtype=np.intp)
     sides = (
@@ -331,13 +322,11 @@ def principality(s: Bibundle) -> PrincipalityReport:
 
 def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
     """The groupoid acting on its own arrows by left/right multiplication."""
-    j1 = {a: g.objects[g.tgt[i]] for i, a in enumerate(g.arrows)}
-    j2 = {a: g.objects[g.src[i]] for i, a in enumerate(g.arrows)}
-    left_act, right_act = {}, {}
-    for (i, j), k in g.comp.items():
-        left_act[(g.arrows[i], g.arrows[j])] = g.arrows[k]
-        right_act[(g.arrows[i], g.arrows[j])] = g.arrows[k]
-    return Bibundle(g, g, g.arrows, j1, j2, left_act, right_act)
+    m = g.n_arrows
+    table = _comp_table(g)[:m, :m]
+    i, j = np.nonzero(table != m)  # both actions are the composites, row-major
+    return _from_classes(g, g, g.arrows, np.array(g.tgt), np.array(g.src),
+                         (i, j, table[i, j]), (j, i, table[i, j]))
 
 
 def from_homomorphism(hom: GroupoidHom) -> Bibundle:
@@ -350,24 +339,23 @@ def from_homomorphism(hom: GroupoidHom) -> Bibundle:
     if not hom.is_functor():
         raise NotFunctor("arrow maps do not form a functor")
     tgt_g, src_g = hom.target, hom.source
-    comp = tgt_g.comp
-
-    def name(g, y):
-        return f"({tgt_g.arrows[g]},{src_g.objects[y]})"
-
-    points = [(g, y) for y in range(src_g.n_objects)
-              for g in tgt_g.s_fiber(hom.obj_map[y])]
-    carrier = [name(g, y) for g, y in points]
-    j1 = {name(g, y): tgt_g.objects[tgt_g.tgt[g]] for g, y in points}
-    j2 = {name(g, y): src_g.objects[y] for g, y in points}
-    left_act, right_act = {}, {}
-    for g, y in points:
-        for g1 in tgt_g.s_fiber(tgt_g.tgt[g]):
-            left_act[(tgt_g.arrows[g1], name(g, y))] = name(comp[(g1, g)], y)
-        for g2 in src_g.t_fiber(y):
-            composed = comp[(g, hom.arr_map[g2])]
-            right_act[(name(g, y), src_g.arrows[g2])] = name(composed, src_g.src[g2])
-    return Bibundle(tgt_g, src_g, carrier, j1, j2, left_act, right_act)
+    m, tgt = tgt_g.n_arrows, np.array(tgt_g.tgt, dtype=np.intp)
+    # the points (g, y), y-major; point[g, y] is the index of (g, y), else -1
+    pg, py = _fibre_entries([tgt_g.s_fiber(hom.obj_map[y]) for y in range(src_g.n_objects)])
+    point = np.full((m + 1, src_g.n_objects), -1, dtype=np.intp)
+    point[pg, py] = np.arange(len(pg))
+    # g1.(g, y) = (g1 g, y) and (g, y).g2 = (g hom(g2), s(g2))
+    c, arr_map = _comp_table(tgt_g), np.array(hom.arr_map, dtype=np.intp)
+    lg, lc = _fibre_entries([tgt_g.s_fiber(t) for t in tgt[pg].tolist()])
+    l_target = point[c[lg, pg[lc]], py[lc]]
+    rg, rc = _fibre_entries([src_g.t_fiber(y) for y in py.tolist()])
+    r_target = point[c[pg[rc], arr_map[rg]], np.array(src_g.src, dtype=np.intp)[rg]]
+    if (l_target < 0).any() or (r_target < 0).any():
+        raise ValueError("composition is not closed on the points; "
+                         "validate the target groupoid")
+    names = [f"({tgt_g.arrows[g]},{src_g.objects[y]})" for g, y in zip(pg.tolist(), py.tolist())]
+    return _from_classes(tgt_g, src_g, names, tgt[pg], py, (lg, lc, l_target),
+                         (rg, rc, r_target))
 
 
 def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
@@ -399,8 +387,8 @@ def tensor(s: Bibundle, s2: Bibundle) -> Bibundle:
         raise NotLeftPrincipal("second factor is not left principal")
     mid, n_ends = s.right, s2.right.n_objects
     n1, n2 = len(s.carrier), len(s2.carrier)
-    left1, right1 = _action_tables(s)
-    left2, right2 = _action_tables(s2)
+    left1, right1 = s._tables
+    left2, right2 = s2._tables
     end = np.array(s2.j2, dtype=np.intp)
     bases = np.unique(end, return_index=True)[1]  # the smallest point over each p
     # to[y]: the one middle arrow moving y's base to y; sentinels land on n2
@@ -448,9 +436,8 @@ def _from_classes(left, right, names, j1, j2, left_entries, right_entries):
     """The bibundle whose points are the classes ``names``, sorted by id.
 
     ``j1``, ``j2`` are the moments of the classes as index arrays.  Each
-    action is given as three columns, (arrow, class, image class) for the
-    left and (class, arrow, image class) for the right one, with the arrow
-    and class columns in that order; the action dicts keep the row order.
+    action is given as three columns, (arrow, class, image class), one
+    entry per distinct pair, and becomes the action rows in that order.
     """
     order = sorted(range(len(names)), key=names.__getitem__)
     carrier = tuple(names[c] for c in order)
@@ -460,10 +447,13 @@ def _from_classes(left, right, names, j1, j2, left_entries, right_entries):
     at[order] = np.arange(len(order))
     lg, lc, l_target = left_entries
     rg, rc, r_target = right_entries
-    left_act = dict(zip(zip(lg.tolist(), at[lc].tolist()), at[l_target].tolist()))
-    right_act = dict(zip(zip(at[rc].tolist(), rg.tolist()), at[r_target].tolist()))
-    return Bibundle._from_indices(left, right, carrier, tuple(j1[order].tolist()),
-                                  tuple(j2[order].tolist()), left_act, right_act)
+    s = Bibundle.__new__(Bibundle)
+    s.left, s.right, s.carrier = left, right, carrier
+    s.car_index = {x: i for i, x in enumerate(carrier)}
+    s.j1, s.j2 = tuple(j1[order].tolist()), tuple(j2[order].tolist())
+    s._rows = (np.stack((lg, at[lc], at[l_target]), axis=1),
+               np.stack((at[rc], rg, at[r_target]), axis=1))
+    return s
 
 
 def bibundle_isomorphic(s1: Bibundle, s2: Bibundle):
@@ -484,19 +474,18 @@ def bibundle_isomorphic(s1: Bibundle, s2: Bibundle):
         return None
     if sorted(zip(s1.j1, s1.j2)) != sorted(zip(s2.j1, s2.j2)):
         return None
-    if len(s1.left_act) != len(s2.left_act) or len(s1.right_act) != len(s2.right_act):
+    (left1, right1), (left2, right2) = s1._rows, s2._rows
+    if len(left1) != len(left2) or len(right1) != len(right2):
         return None
 
-    # the moves of x as (side, arrow, g.x or x.g); s2's under the same keys
+    # the moves of x as (side, arrow, g.x or x.g); act2[side][g][x] is s2's, or n
     moves = [[] for _ in range(n)]
-    for (g, x), y in s1.left_act.items():
+    for g, x, y in left1.tolist():
         moves[x].append((0, g, y))
-    for (x, g), y in s1.right_act.items():
+    for x, g, y in right1.tolist():
         moves[x].append((1, g, y))
-    act2 = {(0, g, x): y for (g, x), y in s2.left_act.items()}
-    act2.update(((1, g, x), y) for (x, g), y in s2.right_act.items())
-    roots = _roots(n, [(x, y) for (_, x), y in s1.left_act.items()]
-                   + [(x, y) for (x, _), y in s1.right_act.items()])
+    act2 = (s2._tables[0].tolist(), s2._tables[1].T.tolist())
+    roots = _roots(n, chain(left1[:, 1:].tolist(), right1[:, ::2].tolist()))
     pivots = sorted(set(roots))
     candidates = [[y for y in range(n) if (s2.j1[y], s2.j2[y]) == (s1.j1[r], s1.j2[r])]
                   for r in pivots]
@@ -517,9 +506,9 @@ def bibundle_isomorphic(s1: Bibundle, s2: Bibundle):
         for x in islice(filled, marks[k], None):  # filled grows: a BFS queue
             fx = image[x]
             for side, g, y in moves[x]:
-                fy = act2.get((side, g, fx))
+                fy = act2[side][g][fx]
                 if image[y] is None:
-                    if fy is None or preimage[fy] is not None:
+                    if fy == n or preimage[fy] is not None:
                         return False
                     image[y], preimage[fy] = fy, y
                     filled.append(y)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, cycle, product
 
 import numpy as np
 
@@ -68,12 +68,9 @@ class FiniteGroupoid:
             self.inv = tuple(ai(inv[a]) for a in self.arrows)
         except KeyError as exc:
             raise ValueError(f"structure map missing entry: {exc}") from None
-        try:  # one C-level lookup over the ids, in row order
-            ids = np.fromiter(map(self.arr_index.__getitem__, chain.from_iterable(rows)),
-                              dtype=np.intp, count=3 * len(rows)).reshape(-1, 3)
-        except KeyError as exc:
-            raise ValueError(f"unknown arrow id {exc.args[0]!r}") from None
-        self._table = _scatter(len(self.arrows), *ids.T)
+        m, arrows = len(self.arrows), self.arr_index
+        ids = _index_rows(rows, (arrows, arrows, arrows), ("arrow", "arrow", "arrow"))
+        self._table = _scatter((m + 1, m + 1), m, *ids.T)
 
         self._hom = {}
         for i in range(len(self.arrows)):
@@ -132,7 +129,7 @@ class FiniteGroupoid:
 
 
 def _comp_rows(comp) -> list:
-    """The composites of a dict ``{(g, h): k}``, or rows ``[g, h, k]``, as rows.
+    """The entries of a dict ``{(a, b): c}``, or rows ``[a, b, c]``, as rows.
 
     Each row is unpacked as a triple, so a row of another length raises
     the unpacking's ValueError.
@@ -145,16 +142,28 @@ def _comp_rows(comp) -> list:
     return rows
 
 
-def _scatter(m: int, g: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The table of ``_comp_table`` with composite k[r] of (g[r], h[r]).
+def _index_rows(rows: list, columns: tuple, kinds: tuple) -> np.ndarray:
+    """Rows of three ids as (E, 3) indices, column c through ``columns[c]``, in one
+    C-level pass; the first unknown id raises ValueError naming ``kinds[c]``."""
+    try:
+        return np.fromiter(map(dict.__getitem__, cycle(columns), chain.from_iterable(rows)),
+                           dtype=np.intp, count=3 * len(rows)).reshape(-1, 3)
+    except KeyError as exc:
+        ids = zip(cycle(zip(columns, kinds)), chain.from_iterable(rows))
+        kind = next(kind for (index, kind), x in ids if x not in index)
+        raise ValueError(f"unknown {kind} id {exc.args[0]!r}") from None
 
-    A repeated pair keeps its last composite, as a dict would; numpy's
-    fancy assignment does not promise which one it keeps.
+
+def _scatter(shape, fill: int, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """A table of ``shape`` holding k[r] at (i[r], j[r]) and ``fill`` elsewhere.
+
+    A repeated cell keeps its last value, as a dict would; numpy's fancy
+    assignment does not promise which one it keeps.  No k[r] is ``fill``.
     """
-    table = np.full((m + 1, m + 1), m, dtype=np.intp)
-    cells, flat = g * (m + 1) + h, table.reshape(-1)
+    table = np.full(shape, fill, dtype=np.intp)
+    cells, flat = i * shape[1] + j, table.reshape(-1)
     flat[cells] = k
-    if np.count_nonzero(table != m) < len(cells):
+    if np.count_nonzero(table != fill) < len(cells):
         cells, k = cells[::-1], k[::-1]
         last = np.unique(cells, return_index=True)[1]
         flat[cells[last]] = k[last]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bibundles import Bibundle, _action_tables
+from .bibundles import Bibundle
 from .gauge import (GridSpec, SampledBivectorField, SampledTwoFormField)
 from .groups import FiniteGroup
 from .groupoids import (FiniteGroupoid, PrincipalBundleData, _comp_table,
@@ -189,16 +189,14 @@ def bibundle_from_dict(data, base_dir=".") -> Bibundle:
 
     left = side(data["left"])
     right = side(data["right"])
-    left_act = {(g, x): y for g, x, y in data["leftAct"]}
-    right_act = {(x, g): y for x, g, y in data["rightAct"]}
     return Bibundle(left, right, [str(x) for x in data["carrier"]],
-                    data["J1"], data["J2"], left_act, right_act)
+                    data["J1"], data["J2"], data["leftAct"], data["rightAct"])
 
 
 def _bibundle_doc(s: Bibundle) -> dict:
     """The bibundle file's document, with its tables as ``Rows``."""
     n, carrier = len(s.carrier), s.carrier
-    left, right = _action_tables(s)
+    left, right = s._tables
     return {
         "left": _groupoid_doc(s.left),
         "right": _groupoid_doc(s.right),

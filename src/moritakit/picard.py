@@ -342,13 +342,14 @@ def lemma_section_check(s: Bibundle):
         return None
 
     obj_map = tuple(s.j1[sigma[p]] for p in range(n_obj))
+    left, right = s._tables
     arr_map = []
     for h in range(g.n_arrows):
-        target = s.right_act[(sigma[g.tgt[h]], h)]
+        target = right[sigma[g.tgt[h]], h]
         base = sigma[g.src[h]]
         image = None
         for cand in g.s_fiber(s.j1[base]):
-            if s.left_act.get((cand, base)) == target:
+            if left[cand, base] == target != len(s.carrier):  # both defined
                 image = cand
                 break
         if image is None:

@@ -17,12 +17,14 @@ from moritakit.bibundles import (Bibundle, PrincipalityReport,
                                  bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, morita_equivalent,
                                  principality, tensor, validate_bibundle)
-from moritakit.errors import MiddleMismatch, NotLeftPrincipal
+from moritakit.errors import (MiddleMismatch, MoritaKitError, NotFunctor,
+                              NotLeftPrincipal)
 from moritakit.gauge import EPS_RANK
+from moritakit.io import groupoid_from_dict
 from moritakit.groups import (FiniteGroup, _row_keys, cyclic_group, dihedral_group,
                               group_isomorphic, klein_four_group,
                               quaternion_group, symmetric_group)
-from moritakit.groupoids import (FiniteGroupoid, PrincipalBundleData,
+from moritakit.groupoids import (FiniteGroupoid, GroupoidHom, PrincipalBundleData,
                                  bundle_of_groups, disjoint_union,
                                  gauge_groupoid, group_as_groupoid,
                                  groupoid_isomorphisms, isotropy,
@@ -573,6 +575,121 @@ def reference_groupoid_from_dict(data) -> DictGroupoid:
     comp = {(g, h): k for g, h, k in data["comp"]}
     return DictGroupoid(data["objects"], arrows, src, tgt,
                         data["units"], data["inv"], comp)
+
+
+class DictBibundle(Bibundle):
+    """``Bibundle`` built through index-keyed action dicts, as a load
+    oracle: every id is looked up one at a time into ``left_act`` and
+    ``right_act``, whose insertion order gives the rows, and the dense
+    tables are filled from those dicts in a loop."""
+
+    def __init__(self, left, right, carrier, j1, j2, left_act, right_act):
+        self.left = left
+        self.right = right
+        self.carrier = tuple(sorted(str(x) for x in carrier))
+        if len(set(self.carrier)) != len(self.carrier):
+            raise ValueError("duplicate carrier ids")
+        self.car_index = {x: i for i, x in enumerate(self.carrier)}
+
+        def ci(x):
+            try:
+                return self.car_index[x]
+            except KeyError:
+                raise ValueError(f"unknown carrier id {x!r}") from None
+
+        try:
+            self.j1 = tuple(left.obj_index[j1[x]] for x in self.carrier)
+            self.j2 = tuple(right.obj_index[j2[x]] for x in self.carrier)
+        except KeyError as exc:
+            raise ValueError(f"moment missing entry: {exc}") from None
+        try:  # ci raises ValueError, so a KeyError is an arrow lookup
+            self.left_act = {(left.arr_index[g], ci(x)): ci(y)
+                             for (g, x), y in left_act.items()}
+            self.right_act = {(ci(x), right.arr_index[g]): ci(y)
+                              for (x, g), y in right_act.items()}
+        except KeyError as exc:
+            raise ValueError(f"unknown arrow id {exc.args[0]!r}") from None
+        self._rows = tuple(np.array([(*key, y) for key, y in act.items()],
+                                    dtype=np.intp).reshape(-1, 3)
+                           for act in (self.left_act, self.right_act))
+        n = len(self.carrier)
+        tables = (np.full((left.n_arrows + 1, n + 1), n, dtype=np.intp),
+                  np.full((n + 1, right.n_arrows + 1), n, dtype=np.intp))
+        for table, act in zip(tables, (self.left_act, self.right_act)):
+            for (i, j), k in act.items():
+                table[i, j] = k
+        self._tables = tables
+
+
+def reference_bibundle_from_dict(data) -> DictBibundle:
+    """``io.bibundle_from_dict`` of a document with nested groupoids, through
+    the id-keyed action dicts."""
+    left_act = {(g, x): y for g, x, y in data["leftAct"]}
+    right_act = {(x, g): y for x, g, y in data["rightAct"]}
+    return DictBibundle(groupoid_from_dict(data["left"]), groupoid_from_dict(data["right"]),
+                        [str(x) for x in data["carrier"]], data["J1"], data["J2"],
+                        left_act, right_act)
+
+
+def reference_identity_bibundle(g: FiniteGroupoid) -> DictBibundle:
+    """``identity_bibundle`` through id-keyed dicts of the composites."""
+    j1 = {a: g.objects[g.tgt[i]] for i, a in enumerate(g.arrows)}
+    j2 = {a: g.objects[g.src[i]] for i, a in enumerate(g.arrows)}
+    act = {(g.arrows[i], g.arrows[j]): g.arrows[k] for (i, j), k in g.comp.items()}
+    return DictBibundle(g, g, g.arrows, j1, j2, act, act)
+
+
+def reference_from_homomorphism(hom: GroupoidHom) -> DictBibundle:
+    """``from_homomorphism`` as a loop over named points, through id-keyed dicts."""
+    if not hom.is_functor():
+        raise NotFunctor("arrow maps do not form a functor")
+    tgt_g, src_g = hom.target, hom.source
+    comp = tgt_g.comp
+
+    def name(g, y):
+        return f"({tgt_g.arrows[g]},{src_g.objects[y]})"
+
+    points = [(g, y) for y in range(src_g.n_objects)
+              for g in tgt_g.s_fiber(hom.obj_map[y])]
+    carrier = [name(g, y) for g, y in points]
+    j1 = {name(g, y): tgt_g.objects[tgt_g.tgt[g]] for g, y in points}
+    j2 = {name(g, y): src_g.objects[y] for g, y in points}
+    left_act, right_act = {}, {}
+    for g, y in points:
+        for g1 in tgt_g.s_fiber(tgt_g.tgt[g]):
+            left_act[(tgt_g.arrows[g1], name(g, y))] = name(comp[(g1, g)], y)
+        for g2 in src_g.t_fiber(y):
+            composed = comp[(g, hom.arr_map[g2])]
+            right_act[(name(g, y), src_g.arrows[g2])] = name(composed, src_g.src[g2])
+    return DictBibundle(tgt_g, src_g, carrier, j1, j2, left_act, right_act)
+
+
+def reference_lemma_section_check(s: Bibundle):
+    """``picard.lemma_section_check`` with lookups in the action dicts."""
+    if s.left != s.right:
+        raise ValueError("need a self-bibundle")
+    g = s.left
+    if not principality(s).biprincipal:
+        raise ValueError("need a biprincipal bibundle")
+    fibers = [sorted(s.j2_fiber(p), key=lambda x: (0 if s.j1[x] == p else 1, x))
+              for p in range(g.n_objects)]
+    sigma = next(_injective(fibers, lambda x: s.j1[x]), None)
+    if sigma is None:
+        return None
+    arr_map = []
+    for h in range(g.n_arrows):
+        target = s.right_act[(sigma[g.tgt[h]], h)]
+        base = sigma[g.src[h]]
+        image = next((c for c in g.s_fiber(s.j1[base])
+                      if s.left_act.get((c, base)) == target), None)
+        if image is None:
+            raise MoritaKitError("left action is not transitive along the section")
+        arr_map.append(image)
+    phi = GroupoidHom(g, g, tuple(s.j1[sigma[p]] for p in range(g.n_objects)),
+                      tuple(arr_map))
+    if not phi.is_functor() or not phi.is_bijective():
+        raise MoritaKitError("section did not induce an automorphism")
+    return {g.objects[p]: s.carrier[sigma[p]] for p in range(g.n_objects)}, phi
 
 
 def with_composites(g: FiniteGroupoid, changes: dict) -> FiniteGroupoid:

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -13,10 +14,14 @@ from moritakit.groups import (cyclic_group, klein_four_group, symmetric_group,
 from moritakit.groupoids import (FiniteGroupoid, GroupoidHom, disjoint_union,
                                  group_as_groupoid, isotropy, orbits,
                                  pair_groupoid)
+from moritakit.io import bibundle_from_dict, bibundle_to_dict
+from moritakit.picard import lemma_section_check
 
 from support import (composable_pairs, corpus_factors, corpus_groupoids,
                      equiv_morita_pairs, gauge_over, raw_morita_exists,
-                     random_functor, reference_bibundle_isomorphic,
+                     random_functor, reference_bibundle_from_dict,
+                     reference_bibundle_isomorphic, reference_from_homomorphism,
+                     reference_identity_bibundle, reference_lemma_section_check,
                      reference_morita_equivalent, reference_principality,
                      reference_tensor, reference_validate_bibundle,
                      with_composites)
@@ -568,3 +573,98 @@ def test_morita_witness_on_an_open_composition_is_a_value_error():
     bad = with_composites(g, {(e1, g.unit[0]): other})
     with pytest.raises(ValueError, match="not closed"):
         morita_equivalent(bad, z_groupoid(3))
+
+
+# ---------------------------------------------------------------------------
+# action rows against the dict-built oracle
+
+def corrupted(doc, rng):
+    """Copies of a bibundle document: rows shuffled, then one pair repeated
+    with another image, one id unknown, a row of two ids, a row of four."""
+    shuffled = copy.deepcopy(doc)
+    for key in ("leftAct", "rightAct"):
+        rng.shuffle(shuffled[key])
+    copies = [("shuffled", shuffled)]
+    sides = [key for key in ("leftAct", "rightAct") if doc[key]]
+    for what in ("repeated", "unknown", "two ids", "four ids") if sides else ():
+        bad = copy.deepcopy(shuffled)
+        rows = bad[rng.choice(sides)]
+        at = rng.randrange(len(rows))
+        g, x, y = row = rows[at]
+        if what == "repeated":
+            other = [z for z in doc["carrier"] if z != y] or [y]
+            rows.insert(rng.randrange(len(rows) + 1), [g, x, rng.choice(other)])
+        elif what == "unknown":
+            row[rng.randrange(3)] = "no such id"
+        else:
+            rows[at] = row[:2] if what == "two ids" else row + [y]
+        copies.append((what, bad))
+    return copies
+
+
+def result(f, *args):
+    """f(*args), or its exception's type and args."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared between the rows and the dicts
+        return type(exc), exc.args
+
+
+def kernels(s, lemma, original):
+    """What the bibundle kernels make of s, in loop form and witness order."""
+    p = principality(s)
+    return (loop_form(s), validate_bibundle(s).as_dict(), p, list(p.witnesses.items()),
+            outcome(tensor, s, identity_bibundle(s.right)),
+            result(bibundle_isomorphic, s, original), result(lemma, s),
+            bibundle_to_dict(s))
+
+
+def test_action_rows_match_the_dict_oracle(factors):
+    # the file's rows as saved, shuffled, with a repeated pair (first
+    # position, last image), an unknown id and rows of the wrong length;
+    # loading, witnesses and every kernel agree with dicts built from ids
+    rng = random.Random(18)
+    cases = factors + [(name, morita_equivalent(a, b))
+                       for name, a, b in equiv_morita_pairs()]
+    outcomes = set()
+    for name, s in cases:
+        doc = bibundle_to_dict(s)
+        for what, data in [("as saved", doc)] + corrupted(doc, rng):
+            got = result(bibundle_from_dict, data)
+            want = result(reference_bibundle_from_dict, data)
+            if isinstance(want, tuple):
+                assert got == want, (name, what)
+                outcomes.add(want[0].__name__)
+                continue
+            assert (kernels(got, lemma_section_check, s)
+                    == kernels(want, reference_lemma_section_check, s)), (name, what)
+            outcomes.add("ok" if validate_bibundle(want).ok else "invalid")
+    assert outcomes == {"ok", "invalid", "ValueError"}
+
+
+def test_constructed_rows_match_the_dict_oracle():
+    # identity bibundles and the bibundles of functors, built from the
+    # composition table, against the id-named loops through dicts
+    rng = random.Random(5)
+    pool = [g for _, g in corpus_groupoids() if g.n_arrows <= 9]
+    for name, g in corpus_groupoids():
+        assert loop_form(identity_bibundle(g)) == loop_form(reference_identity_bibundle(g)), name
+    for _ in range(40):
+        hom = random_functor(rng, rng.choice(pool), rng.choice(pool))
+        assert loop_form(from_homomorphism(hom)) == loop_form(reference_from_homomorphism(hom))
+
+
+def test_from_homomorphism_on_an_open_composition_is_a_value_error():
+    # the identity functor of Z3 and of the pair groupoid with a composite
+    # deleted (the loop's KeyError) or redirected off the points (the
+    # loop's unknown carrier id)
+    z3, pair2 = z_groupoid(3), pair_groupoid(2)
+    a = pair2.arr_index
+    cases = [(with_composites(z3, {(1, 1): None}), KeyError),
+             (with_composites(pair2, {(a["(1,2)"], a["(2,2)"]): a["(1,1)"]}), ValueError)]
+    for bad, loop_error in cases:
+        hom = GroupoidHom(bad, bad, tuple(range(bad.n_objects)), tuple(range(bad.n_arrows)))
+        with pytest.raises(loop_error):
+            reference_from_homomorphism(hom)
+        with pytest.raises(ValueError, match="not closed on the points"):
+            from_homomorphism(hom)

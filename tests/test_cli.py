@@ -691,3 +691,30 @@ def test_malformed_rows_and_ids_are_precondition_failures(files, capsys, kind, k
         assert code == 2, argv
         assert report["error"]["type"] == "ValueError"
         assert report["error"]["message"].startswith(f"{key!r} holds {named}, ")
+
+
+def test_commands_build_no_action_dicts(files, capsys, monkeypatch):
+    # the actions reach every kernel as rows and tables; the index dicts
+    # left_act and right_act are views for callers, never built by a command
+    from moritakit.bibundles import Bibundle, identity_bibundle
+    from moritakit.io import save_bibundle
+
+    def built(self):
+        raise AssertionError("an action dict was built")
+
+    save_bibundle(identity_bibundle(pair_groupoid(3)), files / "ib.json")
+    monkeypatch.setattr(Bibundle, "left_act", property(built))
+    monkeypatch.setattr(Bibundle, "right_act", property(built))
+    runs = [["validate", "ib.json"],
+            ["compose", "ib.json", "ib.json", "--emit-witness", "c.json"],
+            ["validate", "c.json"],
+            ["morita", "pair3.json", "z3.json"],
+            ["morita", "z3.json", "z3.json", "--emit-witness", "w.json"],
+            ["picard", "z4.json", "--method", "enumerate"],
+            ["picard", "pair3.json"],
+            ["verify-exact", "z4.json"]]
+    for argv in runs:
+        code, report = run(capsys, *argv[:1], *(files / p if p.endswith(".json") else p
+                                               for p in argv[1:]), "--quiet")
+        assert code in (0, 4) and "error" not in report, argv
+
