@@ -98,38 +98,64 @@ def _ids_checked(from_dict):
 # ---------------------------------------------------------------------------
 # groups and groupoids
 
+def _nested(data, key, load):
+    """``load(data[key])``, raising a TypeError there as a ValueError naming the key.
+
+    A part of the wrong shape (a number for a table, a list for a count)
+    fails in ``load`` with a TypeError that does not say where it is.
+    """
+    try:
+        return load(data[key])
+    except TypeError as exc:
+        raise ValueError(f"{key!r} is malformed: {exc}") from None
+
+
 def group_from_dict(data) -> FiniteGroup:
+    """A group from its elements and its table of element ids or indices."""
     elements = [str(e) for e in data["elements"]]
-    table = []
-    for row in data["table"]:
-        out = []
-        for v in row:
-            out.append(elements.index(v) if isinstance(v, str) else int(v))
-        table.append(out)
-    return FiniteGroup(elements, table)
+    index = {e: i for i, e in enumerate(elements)}
+    index.update((i, i) for i in range(len(elements)))
+    try:
+        table = [[index[v] for v in row] for row in data["table"]]
+    except KeyError as exc:
+        raise ValueError(f"'table' holds unknown element id {exc.args[0]!r}") from None
+    group = FiniteGroup(elements, table)
+    if group.inverse is None:
+        raise ValueError("'table' is not a group table: it has no identity, "
+                         "or an element with no inverse")
+    return group
+
+
+def _action_from_dict(spec) -> FiniteGroupoid:
+    group = _nested(spec, "group", group_from_dict)
+    act = {(g, x): y for g, x, y in spec["act"]}
+    return action_groupoid(group, [str(x) for x in spec["objects"]], act)
+
+
+def _gauge_from_dict(spec) -> FiniteGroupoid:
+    return gauge_groupoid(PrincipalBundleData(
+        total=tuple(str(e) for e in spec["total"]),
+        base=tuple(str(b) for b in spec["base"]),
+        projection={str(e): str(b) for e, b in spec["projection"].items()},
+        group=_nested(spec, "group", group_from_dict),
+        action={(e, g): f for e, g, f in spec["action"]},
+    ))
+
+
+# the shorthand groupoid documents: key -> the loader of its value
+_SHORTHANDS = {
+    "pair": lambda n: pair_groupoid(int(n)),
+    "group": lambda spec: group_as_groupoid(group_from_dict(spec)),
+    "action": _action_from_dict,
+    "gauge": _gauge_from_dict,
+}
 
 
 @_ids_checked
 def groupoid_from_dict(data) -> FiniteGroupoid:
-    if "pair" in data:
-        return pair_groupoid(int(data["pair"]))
-    if "group" in data:
-        return group_as_groupoid(group_from_dict(data["group"]))
-    if "action" in data:
-        spec = data["action"]
-        group = group_from_dict(spec["group"])
-        act = {(g, x): y for g, x, y in spec["act"]}
-        return action_groupoid(group, [str(x) for x in spec["objects"]], act)
-    if "gauge" in data:
-        spec = data["gauge"]
-        bundle = PrincipalBundleData(
-            total=tuple(str(e) for e in spec["total"]),
-            base=tuple(str(b) for b in spec["base"]),
-            projection={str(e): str(b) for e, b in spec["projection"].items()},
-            group=group_from_dict(spec["group"]),
-            action={(e, g): f for e, g, f in spec["action"]},
-        )
-        return gauge_groupoid(bundle)
+    for key, load in _SHORTHANDS.items():
+        if key in data:
+            return _nested(data, key, load)
     arrows = [a["id"] for a in data["arrows"]]
     src = {a["id"]: a["src"] for a in data["arrows"]}
     tgt = {a["id"]: a["tgt"] for a in data["arrows"]}
@@ -187,8 +213,8 @@ def bibundle_from_dict(data, base_dir=".") -> Bibundle:
             return load_groupoid(Path(base_dir) / spec)
         return groupoid_from_dict(spec)
 
-    left = side(data["left"])
-    right = side(data["right"])
+    left = _nested(data, "left", side)
+    right = _nested(data, "right", side)
     return Bibundle(left, right, [str(x) for x in data["carrier"]],
                     data["J1"], data["J2"], data["leftAct"], data["rightAct"])
 

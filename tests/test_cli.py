@@ -718,3 +718,48 @@ def test_commands_build_no_action_dicts(files, capsys, monkeypatch):
                                                for p in argv[1:]), "--quiet")
         assert code in (0, 4) and "error" not in report, argv
 
+
+
+MALFORMED_DOCUMENTS = [  # (document, the key the report names)
+    ({"pair": [3]}, "pair"),
+    ({"group": {"elements": ["e"], "table": 5}}, "group"),
+    ({"group": {"elements": ["e", "a"], "table": [[0, 1], [1, 5]]}}, "table"),
+    ({"group": {"elements": ["e", "a"], "table": [["e", "a"], ["a", "b"]]}}, "table"),
+    ({"group": {"elements": ["e", "a"], "table": [[0, 1], [1, 1]]}}, "table"),
+    ({"action": {"group": {"elements": ["e"], "table": [[0]]}, "objects": 5,
+                 "act": []}}, "action"),
+    ({"gauge": 5}, "gauge"),
+]
+
+
+@pytest.mark.parametrize("doc, key", MALFORMED_DOCUMENTS)
+def test_malformed_documents_are_precondition_failures(files, capsys, doc, key):
+    # a shorthand, or a groupoid nested in a bibundle, of the wrong shape
+    # made the load raise TypeError, or let a non-group through
+    from moritakit.bibundles import identity_bibundle
+    from moritakit.io import save_bibundle
+    (files / "bad.json").write_text(json.dumps(doc))
+    save_bibundle(identity_bibundle(pair_groupoid(2)), files / "ib.json")
+    bibundle = json.loads((files / "ib.json").read_text())
+    bibundle["left"] = doc
+    (files / "nested.json").write_text(json.dumps(bibundle))
+    for name in ("bad.json", "nested.json"):
+        code, report = run(capsys, "validate", files / name, "--quiet")
+        assert code == 2, name
+        assert report["error"]["type"] == "ValueError", name
+        assert repr(key) in report["error"]["message"], name
+
+
+@pytest.mark.parametrize("side", [5, [1, 2], "no-such-file.json"])
+def test_malformed_nested_groupoids_are_precondition_failures(files, capsys, side):
+    from moritakit.bibundles import identity_bibundle
+    from moritakit.io import save_bibundle
+    save_bibundle(identity_bibundle(pair_groupoid(2)), files / "ib.json")
+    bibundle = json.loads((files / "ib.json").read_text())
+    bibundle["left"] = side
+    (files / "nested.json").write_text(json.dumps(bibundle))
+    code, report = run(capsys, "validate", files / "nested.json", "--quiet")
+    assert code == 2
+    if side != "no-such-file.json":
+        assert report["error"]["type"] == "ValueError"
+        assert report["error"]["message"].startswith("'left' ")
