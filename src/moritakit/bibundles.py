@@ -126,7 +126,7 @@ def _row_dict(rows: np.ndarray) -> dict:
 
 
 def _first_keys(rows: np.ndarray, width: int) -> np.ndarray:
-    """One row per pair (columns 0, 1 < ``width``): its first position, its last image."""
+    """The rows as a dict keeps them: each pair at its first position, with its last image."""
     _, first, pair = np.unique(rows[:, 0] * width + rows[:, 1],
                                return_index=True, return_inverse=True)
     image = _scatter((1, len(first)), -1, np.zeros_like(pair), pair, rows[:, 2])[0]
@@ -325,7 +325,8 @@ def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
     m = g.n_arrows
     table = _comp_table(g)[:m, :m]
     i, j = np.nonzero(table != m)  # both actions are the composites, row-major
-    return _from_classes(g, g, g.arrows, np.array(g.tgt), np.array(g.src),
+    return _from_classes(g, g, g.arrows, np.array(g.tgt, dtype=np.intp),
+                         np.array(g.src, dtype=np.intp),
                          (i, j, table[i, j]), (j, i, table[i, j]))
 
 
@@ -334,7 +335,8 @@ def from_homomorphism(hom: GroupoidHom) -> Bibundle:
 
     The left groupoid is the functor's target, the right one its source;
     the left action is by composition, the right action twists through
-    the functor.
+    the functor.  A composite that is undefined, or not among the points
+    (an invalid target groupoid), raises ValueError.
     """
     if not hom.is_functor():
         raise NotFunctor("arrow maps do not form a functor")

@@ -498,6 +498,15 @@ def test_bibundle_isomorphic_matches_the_matcher(factors):
     assert found[-3:] == [None, None, None]
     assert sum(m is None for m in found) > 100
     assert sum(m is not None and any(x != y for x, y in m.items()) for m in found) > 80
+    # one entry moved off the action's domain: as many rows, and the copy
+    # undefined at a pair where the original is defined (the matcher's
+    # lookup fails there)
+    pair2 = pair_groupoid(2)
+    s = identity_bibundle(pair2)
+    j1, j2, left_act, right_act = s.as_dicts()
+    left_act[("(1,2)", "(1,1)")] = left_act.pop(("(2,1)", "(1,1)"))
+    moved = Bibundle(pair2, pair2, s.carrier, j1, j2, left_act, right_act)
+    assert bibundle_isomorphic(s, moved) is None and bibundle_isomorphic(moved, s) is None
 
 def test_tensor_refuses_a_partial_action():
     # Z3 on {x, y}, c1 and c2 both swapping, (c2, x) undefined: still left

@@ -3,9 +3,9 @@ import dataclasses
 import pytest
 
 from moritakit import picard
-from moritakit.bibundles import (bibundle_isomorphic, from_homomorphism,
+from moritakit.bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, morita_equivalent,
-                                 principality)
+                                 principality, validate_bibundle)
 from moritakit.errors import MoritaKitError, NotFunctor
 from moritakit.groups import (FiniteGroup, cyclic_group, direct_product,
                               group_isomorphic, klein_four_group,
@@ -21,7 +21,8 @@ from moritakit.picard import (automorphisms, bisections, center_map,
                               verify_exact_sequences)
 
 from support import (bibundle_picard, corpus_groupoids, gauge_over,
-                     raw_biprincipal_classes, small_corpus)
+                     raw_biprincipal_classes, reference_lemma_section_check,
+                     small_corpus)
 
 
 def z_groupoid(n):
@@ -298,6 +299,25 @@ def test_lemma_section_check_examples():
     pic = picard_group(du, "enumerate")
     swap = next(r for r in pic.representatives if center_map(du, r) != (0, 1))
     assert lemma_section_check(swap) is None
+
+
+def test_lemma_section_check_on_an_action_undefined_on_its_domain():
+    # Z4 on two points with every non-unit arrow swapping them: no fixed
+    # point, so principality passes.  c3 is undefined at a on both sides,
+    # so the section meets an undefined right action (the dict lookup's
+    # KeyError), which no undefined left action may match.
+    z4 = z_groupoid(4)
+    (o,), (c0, c1, c2, c3) = z4.objects, z4.arrows
+    act = {(c0, "a"): "a", (c0, "b"): "b"}
+    act.update({(c, p): q for c in (c1, c2, c3) for p, q in (("a", "b"), ("b", "a"))})
+    del act[(c3, "a")]
+    s = Bibundle(z4, z4, ["a", "b"], {"a": o, "b": o}, {"a": o, "b": o}, act,
+                 {(x, c): y for (c, x), y in act.items()})
+    assert principality(s).biprincipal and not validate_bibundle(s).ok
+    with pytest.raises(KeyError):
+        reference_lemma_section_check(s)
+    with pytest.raises(MoritaKitError, match="not transitive"):
+        lemma_section_check(s)
 
 
 def test_lemma_reduction_is_isomorphism():
