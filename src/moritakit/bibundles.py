@@ -29,7 +29,7 @@ from .errors import (InvalidBibundle, MiddleMismatch, NotFunctor,
                      NotLeftPrincipal)
 from .groups import group_isomorphic
 from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_rows, _comp_table,
-                        _index_rows, _scatter, isotropy, orbit_partition, orbits)
+                        _lookup_rows, _scatter, isotropy, orbit_partition, orbits)
 from .report import ValidationReport
 
 
@@ -63,10 +63,10 @@ class Bibundle:
             raise ValueError(f"moment missing entry: {exc}") from None
         n, points = len(self.carrier), self.car_index
         self._rows = (
-            _first_keys(_index_rows(rows[0], (left.arr_index, points, points),
-                                    ("arrow", "carrier", "carrier")), n),
-            _first_keys(_index_rows(rows[1], (points, right.arr_index, points),
-                                    ("carrier", "arrow", "carrier")), right.n_arrows))
+            _first_keys(_lookup_rows(rows[0], (left.arr_index, points, points),
+                                     ("arrow", "carrier", "carrier")), n),
+            _first_keys(_lookup_rows(rows[1], (points, right.arr_index, points),
+                                     ("carrier", "arrow", "carrier")), right.n_arrows))
 
     # the index dicts {(g, x): y} and {(x, g): y} of the rows, built on first use
     left_act = cached_property(lambda self: _row_dict(self._rows[0]))

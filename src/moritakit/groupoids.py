@@ -69,7 +69,7 @@ class FiniteGroupoid:
         except KeyError as exc:
             raise ValueError(f"structure map missing entry: {exc}") from None
         m, arrows = len(self.arrows), self.arr_index
-        ids = _index_rows(rows, (arrows, arrows, arrows), ("arrow", "arrow", "arrow"))
+        ids = _lookup_rows(rows, (arrows, arrows, arrows), ("arrow", "arrow", "arrow"))
         self._table = _scatter((m + 1, m + 1), m, *ids.T)
 
         self._hom = {}
@@ -142,7 +142,7 @@ def _comp_rows(comp) -> list:
     return rows
 
 
-def _index_rows(rows: list, columns: tuple, kinds: tuple) -> np.ndarray:
+def _lookup_rows(rows: list, columns: tuple, kinds: tuple) -> np.ndarray:
     """Rows of three ids as (E, 3) indices, column c through ``columns[c]``, in one
     C-level pass; the first unknown id raises ValueError naming ``kinds[c]``."""
     try:
