@@ -12,9 +12,9 @@ One JSON document goes to stdout; a short human summary goes to stderr
 Reports are byte-identical across runs for identical inputs and version;
 timing therefore stays out of the JSON unless --timing is passed.
 
-Every subcommand is declared in one place, ``build_parser``: its
-arguments and, through ``set_defaults(handler=...)``, the function that
-runs it.  A handler takes the parsed arguments and returns the result
+Every subcommand is declared in one place, ``_COMMANDS``: its arguments
+and the function that runs it, which the parser sets as the ``handler``
+default.  A handler takes the parsed arguments and returns the result
 payload, the exit code and the summary line.
 """
 from __future__ import annotations
@@ -66,14 +66,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
+    return _parser(_COMMANDS)
+
+
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """The parser of argv's command alone when its first token names one.
+
+    A subcommand's parser does not depend on its siblings, so it parses
+    the command, and words its errors and help, as the full parser does.
+    Any other argv (no command, an unknown one, ``-h``, ``--version``)
+    gets the full parser, whose answers list the commands.
+    """
+    first = argv[0] if argv else None
+    return _parser([first] if first in _COMMANDS else _COMMANDS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="moritakit",
         description="Morita equivalence, Picard groups, surface graphs and "
                     "gauge transforms for finite models.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary, *positionals, **defaults):
+    for name in names:
+        handler, summary, positionals, options, defaults = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         p.add_argument("--quiet", action="store_true",
                        help="suppress the stderr summary")
@@ -82,53 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(breaks byte-identical output)")
         for positional in positionals:
             p.add_argument(positional)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(handler=handler, **defaults)
-        return p
-
-    command("validate", _validate,
-            "validate a groupoid/bibundle/tss/field file", "path")
-    command("orbits", _orbits, "orbit partition of a groupoid", "path")
-    p = command("isotropy", _isotropy, "isotropy group at an object", "path")
-    p.add_argument("--object", required=True, dest="obj")
-    command("aut", _automorphism_group, "groupoid automorphism group", "path",
-            group=automorphisms, listing="automorphisms", label="Aut")
-    command("inaut", _automorphism_group, "inner automorphism group", "path",
-            group=inaut, listing="automorphisms", label="Inaut")
-    command("out", _automorphism_group, "outer automorphism group", "path",
-            group=outaut, listing="coset_representatives", label="Outaut")
-    command("bisections", _bisections, "group of bisections", "path")
-    p = command("picard", _picard, "Picard group of a groupoid", "path")
-    p.add_argument("--method", choices=["auto", "enumerate", "formula"],
-                   default="auto")
-    command("verify-exact", _verify_exact, "check the exact sequences", "path")
-
-    p = command("compose", _compose, "tensor product of two bibundles",
-                "first", "second")
-    p.add_argument("--emit-witness", dest="emit", default=None,
-                   help="write the composed bibundle to this path")
-    p = command("morita", _morita, "decide Morita equivalence", "first", "second")
-    p.add_argument("--emit-witness", dest="emit", default=None,
-                   help="write the witness bibundle to this path")
-
-    p = command("tss-iso", _tss_iso, "compare labeled surface graphs",
-                "first", "second")
-    p.add_argument("--tol", type=float, default=0.0)
-    p.add_argument("--volume", action="store_true",
-                   help="also require the volume invariant to match")
-    p.add_argument("--reversed", action="store_true", dest="reversed_",
-                   help="compare against the orientation-reversed second graph "
-                        "(not an equivalence invariant)")
-    command("tss-picard-ingredients", _tss_picard_ingredients,
-            "Picard-group ingredients of a graph", "path")
-    command("tss-genus", _tss_genus, "genus of the encoded surface", "path")
-
-    p = command("gauge-apply", _gauge_apply, "apply a gauge transform",
-                "bivector", "two_form")
-    p.add_argument("--out", default=None, help="write the transformed field here")
-    p.add_argument("--eps-sing", type=float, default=1e-10)
-    p = command("gauge-check", _gauge_check,
-                "invertibility and residual diagnostics", "bivector", "two_form")
-    p.add_argument("--eps-sing", type=float, default=1e-10)
     return parser
 
 
@@ -355,6 +328,61 @@ def _tss_obstruction(a, b, tol, use_volume) -> str:
     return "no label-preserving graph isomorphism"
 
 
+# ---------------------------------------------------------------------------
+# the subcommands: name -> (handler, summary, positionals, options, defaults)
+
+def _command(handler, summary, *positionals, options=(), **defaults):
+    return handler, summary, positionals, options, defaults
+
+
+def _emit_witness(what):
+    return ("--emit-witness", {"dest": "emit", "default": None,
+                               "help": f"write the {what} bibundle to this path"})
+
+
+_EPS_SING = ("--eps-sing", {"type": float, "default": 1e-10})
+
+_COMMANDS = {
+    "validate": _command(_validate, "validate a groupoid/bibundle/tss/field file",
+                         "path"),
+    "orbits": _command(_orbits, "orbit partition of a groupoid", "path"),
+    "isotropy": _command(_isotropy, "isotropy group at an object", "path",
+                         options=[("--object", {"required": True, "dest": "obj"})]),
+    "aut": _command(_automorphism_group, "groupoid automorphism group", "path",
+                    group=automorphisms, listing="automorphisms", label="Aut"),
+    "inaut": _command(_automorphism_group, "inner automorphism group", "path",
+                      group=inaut, listing="automorphisms", label="Inaut"),
+    "out": _command(_automorphism_group, "outer automorphism group", "path",
+                    group=outaut, listing="coset_representatives", label="Outaut"),
+    "bisections": _command(_bisections, "group of bisections", "path"),
+    "picard": _command(_picard, "Picard group of a groupoid", "path",
+                       options=[("--method", {"choices": ["auto", "enumerate", "formula"],
+                                              "default": "auto"})]),
+    "verify-exact": _command(_verify_exact, "check the exact sequences", "path"),
+    "compose": _command(_compose, "tensor product of two bibundles", "first", "second",
+                        options=[_emit_witness("composed")]),
+    "morita": _command(_morita, "decide Morita equivalence", "first", "second",
+                       options=[_emit_witness("witness")]),
+    "tss-iso": _command(
+        _tss_iso, "compare labeled surface graphs", "first", "second",
+        options=[("--tol", {"type": float, "default": 0.0}),
+                 ("--volume", {"action": "store_true",
+                               "help": "also require the volume invariant to match"}),
+                 ("--reversed", {"action": "store_true", "dest": "reversed_",
+                                 "help": "compare against the orientation-reversed "
+                                         "second graph (not an equivalence invariant)"})]),
+    "tss-picard-ingredients": _command(_tss_picard_ingredients,
+                                       "Picard-group ingredients of a graph", "path"),
+    "tss-genus": _command(_tss_genus, "genus of the encoded surface", "path"),
+    "gauge-apply": _command(
+        _gauge_apply, "apply a gauge transform", "bivector", "two_form",
+        options=[("--out", {"default": None, "help": "write the transformed field here"}),
+                 _EPS_SING]),
+    "gauge-check": _command(_gauge_check, "invertibility and residual diagnostics",
+                            "bivector", "two_form", options=[_EPS_SING]),
+}
+
+
 def _inputs_of(args) -> dict:
     paths = [getattr(args, name) for name in
              ("path", "first", "second", "bivector", "two_form")
@@ -392,7 +420,7 @@ def main(argv=None) -> int:
         echo = list(argv) if argv is not None else sys.argv[1:]
         report = {"command": echo, "version": __version__, "timing_ms": None}
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser_for(echo).parse_args(argv)
         except _UsageError as exc:
             report["error"] = {"type": "UsageError", "message": str(exc)}
             return _emit(report, EXIT_PRECONDITION, f"usage error: {exc}",

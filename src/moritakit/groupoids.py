@@ -463,6 +463,9 @@ def bundle_of_groups(fibres: dict) -> FiniteGroupoid:
     arrows, src, tgt, unit, inv, comp = [], {}, {}, {}, {}, {}
     for x in objs:
         h = fibres[x]
+        if h.inverse is None:  # also None when there is no identity
+            what = "identity element" if h.identity is None else "inverse of every element"
+            raise ValueError(f"the group over {x!r} has no {what}")
 
         def name(e, x=x):
             return f"({x}:{e})"
@@ -579,8 +582,9 @@ def _spanning_tree(g: FiniteGroupoid, root: int) -> dict[int, int]:
     return tree
 
 
-def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
-    """Yield the functors g1 -> g2 (only the invertible ones if asked).
+def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
+    """Yield functors g1 -> g2: all of them, the invertible ones, or the
+    candidates for the Picard classes (``mode`` "all", "iso" or "classes").
 
     Each orbit of g1 gets a root r (its smallest object) and a breadth-first
     spanning tree of arrows t_y : r -> y.  Every arrow a : x -> y is then
@@ -593,13 +597,25 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
     Choices come orbit by orbit, each in the order of r', the homomorphism
     and the tree images; for isomorphisms the tree images are grouped by
     the object they end at.
+
+    "classes" keeps, in the "all" order, the functors whose roots go to
+    pairwise distinct orbits by isomorphisms of isotropy, and of those
+    only the first tree-image tuple per (r', isomorphism).  A functor is an
+    equivalence only under the first two conditions, and its Picard class
+    (``picard._equivalence_key``) reads only the orbits of the r' and the
+    images of the loops at the roots, which are the isomorphisms: a root's
+    tree arrow is its unit.  So every class is met, at the same first
+    functor and in the same order as in "all".
     """
+    bijective = mode == "iso"
     if bijective and (g1.n_objects != g2.n_objects or g1.n_arrows != g2.n_arrows):
         return
     blocks = orbit_partition(g1)
-    homs = group_isomorphisms if bijective else group_homomorphisms
+    homs = group_homomorphisms if mode == "all" else group_isomorphisms
     iso2 = [isotropy(g2, x) for x in g2.objects]
-    targets = orbit_partition(g2) if bijective else [range(g2.n_objects)]
+    orbits2 = orbit_partition(g2)
+    orbit_of = {y: t for t, target in enumerate(orbits2) for y in target}
+    targets = orbits2 if bijective else [range(g2.n_objects)]
     ends = g2.tgt.__getitem__
     comp1, inv1 = g1.comp, g1.inv
     slots, decomposed = [], []
@@ -614,7 +630,7 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
                 decomposed.append((a, k, x, y, pos[h]))
         iso1 = isotropy(g1, g1.objects[root])
         options = []
-        for t, target in enumerate(targets):
+        for target in targets:
             if bijective and len(target) != len(block):
                 continue
             for r in target:
@@ -622,14 +638,18 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
                 if bijective:
                     fiber = sorted((b for b in g2.s_fiber(r) if g2.tgt[b] != r), key=ends)
                     trees = list(_injective([fiber] * len(rest), ends))
-                else:
+                elif mode == "all":
                     trees = list(product(g2.s_fiber(r), repeat=len(rest)))
+                else:
+                    trees = [(g2.s_fiber(r)[0],) * len(rest)]
                 for phi in homs(iso1, iso2[r]):
                     images = [loops[v] for v in phi]
-                    options.extend((t, images, (g2.unit[r],) + b) for b in trees)
+                    options.extend((orbit_of[r], images, (g2.unit[r],) + b)
+                                   for b in trees)
         slots.append(options)
     comp, inv = g2.comp, g2.inv
-    for choice in (_injective(slots, lambda o: o[0]) if bijective else product(*slots)):
+    for choice in (product(*slots) if mode == "all"
+                   else _injective(slots, lambda o: o[0])):
         tree_img = [None] * g1.n_objects
         for block, (_, _, b) in zip(blocks, choice):
             for x, a in zip(block, b):
@@ -642,14 +662,14 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, bijective: bool):
 
 def enumerate_functors(g1: FiniteGroupoid, g2: FiniteGroupoid):
     """Yield every functor g1 -> g2, in a fixed deterministic order."""
-    yield from _functors(g1, g2, bijective=False)
+    yield from _functors(g1, g2, "all")
 
 
 def groupoid_isomorphisms(g1: FiniteGroupoid, g2: FiniteGroupoid) -> list[GroupoidHom]:
     """All invertible functors g1 -> g2, sorted by key."""
-    return sorted(_functors(g1, g2, bijective=True), key=GroupoidHom.key)
+    return sorted(_functors(g1, g2, "iso"), key=GroupoidHom.key)
 
 
 def groupoid_isomorphic(g1: FiniteGroupoid, g2: FiniteGroupoid) -> GroupoidHom | None:
     """An isomorphism g1 -> g2 if one exists, found by exhaustive search."""
-    return next(_functors(g1, g2, bijective=True), None)
+    return next(_functors(g1, g2, "iso"), None)

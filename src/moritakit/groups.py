@@ -409,23 +409,42 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
 
     Generators go only to elements whose order divides theirs (equals it,
     for isomorphisms); maps come in the order of the generator images.
-    Images are spread from the identity along the Cayley graph edges; they
-    define a homomorphism exactly when every edge x -> x s agrees, that is
-    when the image of x s is the image of x times the image of s.
+    The images are picked one generator at a time, depth first.  After
+    each pick the map is spread from the identity along the Cayley graph
+    edges of the subgroup the generators so far generate; it extends to a
+    homomorphism only if every such edge x -> x s agrees, that is if the
+    image of x s is the image of x times the image of s, and to an
+    isomorphism only if no two elements share an image.  A prefix failing
+    this has no completion, so cutting it leaves the maps and their order
+    as the full product of the candidates would give them.
     """
+    for group in (g, h):
+        if group.identity is None:
+            names = ", ".join(map(repr, group.elements[:4]))
+            more = ", ..." if len(group) > 4 else ""
+            raise ValueError(f"the table of the group on {names}{more} "
+                             "has no identity element")
     if bijective and (len(g) != len(h) or g.order_profile() != h.order_profile()):
         return
     gens = _generating_sequence(g)
-    # Cayley graph edges (x, k, x gens[k]) breadth first from the identity,
-    # so each x is the identity or the head of an earlier edge
-    reached, seen, edges = [g.identity], {g.identity}, []
-    for x in reached:  # the queue grows as we walk it
-        for k, s in enumerate(gens):
-            y = g.table[x][s]
-            edges.append((x, k, y))
-            if y not in seen:
-                seen.add(y)
-                reached.append(y)
+    # levels[k]: the Cayley graph edges (x, k', x gens[k'], fresh) that
+    # first lie in the subgroup generated by gens[:k + 1], breadth first:
+    # the old elements meet gens[k], the new ones every gens[k'] with
+    # k' <= k.  Each edge is met once over all levels, and the fresh edge
+    # into y is the first one, whose tail is reached before y.
+    reached, seen, levels = [g.identity], {g.identity}, []
+    for k in range(len(gens)):
+        old, edges, i = len(reached), [], 0
+        while i < len(reached):  # the queue grows as we walk it
+            x = reached[i]
+            for j in ((k,) if i < old else range(k + 1)):
+                y = g.table[x][gens[j]]
+                edges.append((x, j, y, y not in seen))
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+            i += 1
+        levels.append(edges)
     if len(reached) != len(g):
         raise ValueError("generators do not generate")
     h_orders = [h.element_order(i) for i in range(len(h))]
@@ -434,18 +453,53 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
         o = g.element_order(gidx)
         candidates.append([i for i in range(len(h))
                            if (h_orders[i] == o if bijective else o % h_orders[i] == 0)])
-    for images in product(*candidates):
-        out = [None] * len(g)
-        out[g.identity] = h.identity
-        for x, k, y in edges:
-            v = h.table[out[x]][images[k]]
-            if out[y] is None:
+    n, table = len(gens), h.table
+    out = [None] * len(g)
+    out[g.identity] = h.identity
+    images = [None] * n
+    free = [True] * len(h)  # images not yet taken, for isomorphisms
+    free[h.identity] = False
+    taken = [[] for _ in range(n)]  # the images each level took
+
+    def release(k):
+        for v in taken[k]:
+            free[v] = True
+        taken[k].clear()
+
+    def spread(k) -> bool:
+        release(k)
+        for x, j, y, fresh in levels[k]:
+            v = table[out[x]][images[j]]
+            if not fresh:
+                if out[y] != v:
+                    return False
+            elif bijective:
+                if not free[v]:
+                    return False
+                free[v] = False
+                taken[k].append(v)
                 out[y] = v
-            elif out[y] != v:
+            else:
+                out[y] = v
+        return True
+
+    if n == 0:
+        yield tuple(out)
+        return
+    stack = [iter(candidates[0])]
+    while stack:
+        k = len(stack) - 1
+        for images[k] in stack[k]:
+            if spread(k):
                 break
         else:
-            if not bijective or len(set(out)) == len(g):
-                yield tuple(out)
+            release(k)
+            stack.pop()
+            continue
+        if k + 1 == n:
+            yield tuple(out)
+        else:
+            stack.append(iter(candidates[k + 1]))
 
 
 def group_homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[tuple[int, ...]]:

@@ -61,15 +61,28 @@ _ENTRIES = {
 }
 
 
+def _misplaced(data) -> ValueError | None:
+    """A ValueError naming the first id-bearing key not held in its JSON container.
+
+    A JSON object where rows belong would be read as a dict of pairs, each
+    key split into its characters, so this is checked before construction.
+    """
+    for key, (container, _, _) in _ENTRIES.items():
+        if key in data and type(data[key]) is not container:
+            kind = "array" if container is list else "object"
+            return ValueError(f"{key!r} is not a JSON {kind}: {data[key]!r}")
+    return None
+
+
 def _malformed(data) -> ValueError | None:
-    """A ValueError naming the first malformed id or row of a document, or None."""
+    """A ValueError naming the first malformed id or row of a document, or None.
+
+    The containers are those of ``_ENTRIES``, as ``_misplaced`` checked.
+    """
     for key, (container, ok, what) in _ENTRIES.items():
         if key not in data:
             continue
         value = data[key]
-        if type(value) is not container:
-            kind = "array" if container is list else "object"
-            return ValueError(f"{key!r} is not a JSON {kind}: {value!r}")
         for entry in (value if container is list else value.values()):
             if not ok(entry):
                 return ValueError(f"{key!r} holds {entry!r}, which is not {what}")
@@ -79,12 +92,17 @@ def _malformed(data) -> ValueError | None:
 def _ids_checked(from_dict):
     """``from_dict``, raising ValueError for a malformed id or row.
 
-    A list where an id belongs, or a number where a row belongs, makes a
-    lookup or an unpacking raise TypeError.  Only then is the document
-    searched for the fault; a TypeError with no such fault propagates.
+    A container of the wrong kind is refused first.  A list where an id
+    belongs, or a number where a row belongs, makes a lookup or an
+    unpacking raise TypeError.  Only then is the document searched for the
+    fault; a TypeError with no such fault propagates.
     """
     @functools.wraps(from_dict)
     def load(data, *args, **kwargs):
+        if type(data) is dict:
+            fault = _misplaced(data)
+            if fault is not None:
+                raise fault
         try:
             return from_dict(data, *args, **kwargs)
         except TypeError:

@@ -2,17 +2,21 @@
 
 The Picard group of a finite groupoid is computed two ways:
 
-* ``enumerate``: every endofunctor is enumerated and classified up to
-  natural isomorphism by a key read off its orbit permutation and its
-  isotropy maps (``_equivalence_key``).  Every biprincipal self-bibundle
-  of a finite groupoid is equivariantly isomorphic to the bibundle
-  <phi> of some endofunctor phi (choose a point in each fibre of the
-  right moment and divide), so the sweep is exhaustive.  <phi> is
+* ``enumerate``: Pic is read off class keys of endofunctors.  Every
+  biprincipal self-bibundle of a finite groupoid is equivariantly
+  isomorphic to the bibundle <phi> of some endofunctor phi (choose a
+  point in each fibre of the right moment and divide).  <phi> is
   biprincipal exactly when phi is an equivalence, <phi> and <psi> are
   isomorphic exactly when phi and psi are naturally isomorphic, and
-  <phi> (x) <psi> is isomorphic to <phi . psi>.  So the classes are the
-  keys of the equivalences, the table multiplies representative
-  functors, and only the representatives are turned into bibundles.
+  <phi> (x) <psi> is isomorphic to <phi . psi>.  A class of equivalences
+  up to natural isomorphism has a key (``_equivalence_key``): the orbit
+  permutation and, per orbit, the isotropy isomorphism modulo inner
+  automorphisms.  One candidate functor per (root image, isotropy
+  isomorphism) meets every class, at the first functor of that class in
+  ``enumerate_functors`` order; that functor represents the class.  The
+  product of two classes is computed on their keys, for the columns of
+  generators only; the other columns follow by associativity.  The
+  representatives become bibundles only when they are asked for.
 * ``formula``: Pic is a Morita invariant, every finite groupoid is Morita
   equivalent to its skeleton (the bundle of one isotropy group per
   orbit), and a bundle of groups over a finite discrete base has
@@ -24,6 +28,7 @@ The Picard group of a finite groupoid is computed two ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,10 +38,9 @@ from ._search import _injective
 from .errors import MoritaKitError, NotFunctor
 from .groups import (FiniteGroup, _after, _cayley, _cayley_rows, _index_rows,
                      group_isomorphic, quotient_group, subgroup)
-from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, _spanning_tree,
-                        bundle_of_groups, enumerate_functors,
-                        groupoid_isomorphisms, identity_hom, isotropy,
-                        orbit_partition)
+from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, _functors,
+                        _spanning_tree, bundle_of_groups, groupoid_isomorphisms,
+                        identity_hom, isotropy, orbit_partition)
 from .report import plain
 
 
@@ -146,9 +150,15 @@ class PicardGroup:
     table: tuple[tuple[int, ...], ...]
     identity: int
     method: str
-    representatives: tuple[Bibundle, ...] | None = None
     cross_checked: tuple[str, ...] = field(default_factory=tuple)
-    functors: tuple[GroupoidHom, ...] | None = None  # representatives[i] is <functors[i]>
+    functors: tuple[GroupoidHom, ...] | None = None  # one per class
+
+    @cached_property
+    def representatives(self) -> tuple[Bibundle, ...] | None:
+        """The bibundles <functors[i]>, built on first use."""
+        if self.functors is None:
+            return None
+        return tuple(map(from_homomorphism, self.functors))
 
     def __len__(self):
         return len(self.elements)
@@ -178,6 +188,11 @@ def _equivalence_key(g: FiniteGroupoid):
     isomorphic.  A functor that is not an equivalence (sigma not a
     permutation, or an isotropy map not bijective) gets None; these are
     the functors whose bibundle is not biprincipal.
+
+    The function's ``product(a, b)`` is the key of "a functor of key b,
+    then one of key a": sigma_a . sigma_b, with per orbit k the map
+    alpha_a[sigma_b(k)] . alpha_b[k], reduced again.  That is the key of
+    the composite, since alpha . conj_d = conj_alpha(d) . alpha.
     """
     comp, inv = g.comp, g.inv
     blocks = orbit_partition(g)
@@ -206,6 +221,14 @@ def _equivalence_key(g: FiniteGroupoid):
             maps.append(min(tuple(c[v] for v in m) for c in inner[j]))
         return sigma, tuple(maps)
 
+    def product(a, b):
+        (sigma_a, maps_a), (sigma_b, maps_b) = a, b
+        sigma = tuple(sigma_a[j] for j in sigma_b)
+        maps = tuple(min(tuple(c[maps_a[j][v]] for v in m) for c in inner[i])
+                     for i, j, m in zip(sigma, sigma_b, maps_b))
+        return sigma, maps
+
+    key.product = product
     return key
 
 
@@ -216,25 +239,56 @@ def _class_of(index: dict, key) -> int:
         raise MoritaKitError("bibundle does not match any enumerated class") from None
 
 
+def _class_table(keys: list, index: dict, product) -> tuple[tuple[int, ...], ...]:
+    """The table ``table[i][j]``, the class of ``product(keys[i], keys[j])``.
+
+    Columns are visited in index order.  A column not yet known is
+    computed cell by cell from the keys, and its class x becomes a
+    generator s.  Then, breadth first over every known column j and every
+    generator s, the column of j s is column s gathered through column j,
+    because i (j s) = (i j) s; its index is ``table[j][s]``.  This is
+    ``groups._cayley``'s closure with rows and columns swapped: every
+    column is computed or derived from two computed ones, and every
+    computed cell goes through ``_class_of``.
+    """
+    n = len(keys)
+    cols: list = [None] * n
+    gens = []
+    for x in range(n):
+        if cols[x] is not None:
+            continue
+        cols[x] = [_class_of(index, product(a, keys[x])) for a in keys]
+        gens.append(x)
+        frontier = [j for j in range(n) if cols[j] is not None]
+        while frontier:
+            new = []
+            for j in frontier:
+                for s in gens:
+                    js = cols[s][j]
+                    if cols[js] is None:
+                        cols[js] = list(map(cols[s].__getitem__, cols[j]))
+                        new.append(js)
+            frontier = new
+    return tuple(zip(*cols))
+
+
 def _enumerate_picard(g: FiniteGroupoid) -> PicardGroup:
     key = _equivalence_key(g)
     first: dict = {}  # class key -> first functor met with it
-    for phi in enumerate_functors(g, g):
+    for phi in _functors(g, g, "classes"):
         k = key(phi)
         if k is not None and k not in first:
             first[k] = phi
     if not first:
         raise MoritaKitError("no biprincipal self-bibundle found (invalid groupoid?)")
-    index = {k: i for i, k in enumerate(first)}
-    reps = tuple(first.values())
-    n = len(reps)
+    keys = list(first)
+    index = {k: i for i, k in enumerate(keys)}
     identity = _class_of(index, key(identity_hom(g)))
     # <phi_i> (x) <phi_j> is the bibundle of phi_i . phi_j, phi_j applied first
-    table = tuple(tuple(_class_of(index, key(reps[j].then(reps[i]))) for j in range(n))
-                  for i in range(n))
-    names = tuple(f"pic{i:03d}" for i in range(n))
+    table = _class_table(keys, index, key.product)
+    names = tuple(f"pic{i:03d}" for i in range(len(keys)))
     return PicardGroup(names, table, identity, "enumeration",
-                       tuple(map(from_homomorphism, reps)), functors=reps)
+                       functors=tuple(first.values()))
 
 
 def _formula_picard(g: FiniteGroupoid) -> PicardGroup:
@@ -311,10 +365,9 @@ def static_picard(g: FiniteGroupoid, pic: PicardGroup | None = None) -> PicardGr
     ident = tuple(range(len(orbit_partition(g))))
     idx = [i for i, r in enumerate(pic.representatives)
            if orbit_permutation(r) == ident]
-    static = subgroup(FiniteGroup(pic.elements, pic.table, pic.representatives), idx)
-    functors = None if pic.functors is None else tuple(pic.functors[i] for i in idx)
+    static = subgroup(FiniteGroup(pic.elements, pic.table, pic.functors), idx)
     return PicardGroup(static.elements, static.table, static.identity, pic.method,
-                       static.payload, functors=functors)
+                       functors=static.payload)
 
 
 def lemma_section_check(s: Bibundle):

@@ -311,6 +311,94 @@ def bibundle_picard(g: FiniteGroupoid):
     return table, classify(identity_bibundle(g)), reps
 
 
+def reference_enumerate_picard(g: FiniteGroupoid):
+    """Pic(g) as ``(table, identity, functors)``, every endofunctor keyed.
+
+    The first ``enumerate_functors`` functor met with each class key of
+    ``picard._equivalence_key`` represents its class, and the table keys
+    the actual composite ``then`` of each pair of representatives.
+    """
+    from moritakit import picard
+    from moritakit.groupoids import enumerate_functors, identity_hom
+
+    key = picard._equivalence_key(g)
+    first = {}
+    for phi in enumerate_functors(g, g):
+        k = key(phi)
+        if k is not None and k not in first:
+            first[k] = phi
+    index = {k: i for i, k in enumerate(first)}
+    reps = list(first.values())
+    # row i, column j: phi_j applied first, then phi_i
+    table = [[index[key(b.then(a))] for b in reps] for a in reps]
+    return table, index[key(identity_hom(g))], reps
+
+
+def picard_bundles() -> list[tuple[str, FiniteGroupoid]]:
+    """Bundles of groups whose Picard groups permute and twist their fibres."""
+    z2, z3, s3 = cyclic_group(2), cyclic_group(3), symmetric_group(3)
+    return [("Z3 over 3 points", bundle_of_groups({x: z3 for x in "abc"})),
+            ("Z2 over 4 points", bundle_of_groups({x: z2 for x in "abcd"})),
+            ("S3+S3", bundle_of_groups({"a": s3, "b": s3})),
+            ("V4+Z2", bundle_of_groups({"a": klein_four_group(), "b": z2}))]
+
+
+def relabelled_groupoid(rng: random.Random, g: FiniteGroupoid) -> FiniteGroupoid:
+    """g with fresh random ids, so its objects and orbits come in another order."""
+    o = {x: f"o{rng.randrange(10 ** 6):06d}{x}" for x in g.objects}
+    a = {h: f"a{rng.randrange(10 ** 6):06d}{h}" for h in g.arrows}
+    O, A = g.objects, g.arrows
+    return FiniteGroupoid(
+        [o[x] for x in O], [a[h] for h in A],
+        {a[h]: o[O[g.src[i]]] for i, h in enumerate(A)},
+        {a[h]: o[O[g.tgt[i]]] for i, h in enumerate(A)},
+        {o[x]: a[A[g.unit[i]]] for i, x in enumerate(O)},
+        {a[h]: a[A[g.inv[i]]] for i, h in enumerate(A)},
+        {(a[A[i]], a[A[j]]): a[A[k]] for (i, j), k in g.comp.items()})
+
+
+def reference_maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
+    """``groups._maps`` as a walk over the full product of generator images.
+
+    Each image tuple is spread from the identity along every Cayley graph
+    edge and kept when all edges agree (and, for isomorphisms, when the
+    map is injective).
+    """
+    from moritakit.groups import _generating_sequence
+
+    if bijective and (len(g) != len(h) or g.order_profile() != h.order_profile()):
+        return []
+    gens = _generating_sequence(g)
+    reached, seen, edges = [g.identity], {g.identity}, []
+    for x in reached:
+        for k, s in enumerate(gens):
+            y = g.table[x][s]
+            edges.append((x, k, y))
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+    h_orders = [h.element_order(i) for i in range(len(h))]
+    candidates = []
+    for gidx in gens:
+        o = g.element_order(gidx)
+        candidates.append([i for i in range(len(h))
+                           if (h_orders[i] == o if bijective else o % h_orders[i] == 0)])
+    found = []
+    for images in product(*candidates):
+        out = [None] * len(g)
+        out[g.identity] = h.identity
+        for x, k, y in edges:
+            v = h.table[out[x]][images[k]]
+            if out[y] is None:
+                out[y] = v
+            elif out[y] != v:
+                break
+        else:
+            if not bijective or len(set(out)) == len(g):
+                found.append(tuple(out))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # plain loops behind the array kernels, kept as oracles
 

@@ -666,10 +666,9 @@ MALFORMED = [  # (file, key, replace the first entry's value with, named entry)
 ]
 
 
-@pytest.mark.parametrize("kind, key, bad, named", MALFORMED)
-def test_malformed_rows_and_ids_are_precondition_failures(files, capsys, kind, key,
-                                                          bad, named):
-    # a number for a row, or a list for an id, made the load raise TypeError
+def malformed_runs(files, kind, edit):
+    """Save Z2 and its identity bibundle, and bad.json, a copy of one of them
+    that ``edit`` changed; return the commands that load bad.json."""
     from moritakit.bibundles import identity_bibundle
     from moritakit.io import save_bibundle
     z2 = group_as_groupoid(cyclic_group(2))
@@ -677,20 +676,45 @@ def test_malformed_rows_and_ids_are_precondition_failures(files, capsys, kind, k
     save_bibundle(identity_bibundle(z2), files / "ib.json")
     name = "z2.json" if kind == "groupoid" else "ib.json"
     data = json.loads((files / name).read_text())
-    if type(data[key]) is list:
-        data[key][0] = bad
-    else:
-        data[key][next(iter(data[key]))] = bad
+    edit(data)
     (files / "bad.json").write_text(json.dumps(data))
     commands = [["validate", "bad.json"]]
     if kind == "bibundle":
         commands += [["compose", "bad.json", "ib.json"],
                      ["compose", "ib.json", "bad.json"]]
-    for argv in commands:
-        code, report = run(capsys, *argv[:1], *(files / p for p in argv[1:]), "--quiet")
+    return [[argv[0], *(files / p for p in argv[1:])] for argv in commands]
+
+
+@pytest.mark.parametrize("kind, key, bad, named", MALFORMED)
+def test_malformed_rows_and_ids_are_precondition_failures(files, capsys, kind, key,
+                                                          bad, named):
+    # a number for a row, or a list for an id, made the load raise TypeError
+    def edit(data):
+        if type(data[key]) is list:
+            data[key][0] = bad
+        else:
+            data[key][next(iter(data[key]))] = bad
+
+    for argv in malformed_runs(files, kind, edit):
+        code, report = run(capsys, *argv, "--quiet")
         assert code == 2, argv
         assert report["error"]["type"] == "ValueError"
         assert report["error"]["message"].startswith(f"{key!r} holds {named}, ")
+
+
+@pytest.mark.parametrize("kind, key", [("groupoid", "comp"), ("bibundle", "leftAct"),
+                                       ("bibundle", "rightAct")])
+def test_rows_given_as_an_object_are_precondition_failures(files, capsys, kind, key):
+    # an object's keys were split into characters: "unknown arrow id 'c'"
+    def edit(data):
+        data[key] = {"c0": "c1"}
+
+    for argv in malformed_runs(files, kind, edit):
+        code, report = run(capsys, *argv, "--quiet")
+        assert code == 2, argv
+        assert report["error"] == {
+            "type": "ValueError",
+            "message": f"{key!r} is not a JSON array: {{'c0': 'c1'}}"}
 
 
 def test_commands_build_no_action_dicts(files, capsys, monkeypatch):
@@ -763,3 +787,89 @@ def test_malformed_nested_groupoids_are_precondition_failures(files, capsys, sid
     if side != "no-such-file.json":
         assert report["error"]["type"] == "ValueError"
         assert report["error"]["message"].startswith("'left' ")
+
+
+# ---------------------------------------------------------------------------
+# the parser of one command against the parser of all
+
+def parsed(parser, argv, capsys):
+    """What a parser makes of argv: a namespace, a usage error or an exit."""
+    from moritakit.cli import _UsageError
+    try:
+        return "args", vars(parser.parse_args(argv))
+    except _UsageError as exc:
+        return "usage", str(exc)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return "exit", exc.code, captured.out, captured.err
+
+
+def parser_argvs():
+    from moritakit.cli import _COMMANDS
+    argvs = [[], ["-h"], ["--help"], ["--version"], ["--vers"], ["--quiet"],
+             ["no-such-command"], ["--quiet", "picard", "x"],
+             ["tss-iso", "a.json", "b.json", "--tol", "-inf"],
+             ["gauge-check", "pi.field", "b.field", "--eps-sing", "-inf"],
+             ["tss-iso", "a.json"], ["orbits"], ["picard", "x", "--method", "nope"],
+             ["picard", "x", "--version"], ["picard", "x", "picard"]]
+    for name, (_, _, positionals, _, _) in _COMMANDS.items():
+        required = ["--object", "pt"] if name == "isotropy" else []
+        argvs += [[name, *positionals, *required], [name, *positionals, *required, "--quiet",
+                                                    "--timing"],
+                  [name, "--help"], [name], [name, *positionals, "extra", *required],
+                  [name, *positionals, *required, "--no-such-flag"]]
+    return argvs
+
+
+@pytest.mark.parametrize("argv", parser_argvs(), ids=" ".join)
+def test_the_command_parser_answers_as_the_full_parser(capsys, argv):
+    from moritakit.cli import _parser_for, build_parser
+    assert parsed(_parser_for(argv), argv, capsys) == parsed(build_parser(), argv, capsys)
+
+
+def test_a_command_line_builds_only_its_commands_parser():
+    import argparse
+    from moritakit.cli import _COMMANDS, _parser_for
+
+    def commands(parser):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices)
+
+    assert commands(_parser_for(["picard", "x.json"])) == ["picard"]
+    for argv in ([], ["--help"], ["--version"], ["no-such-command"], ["--quiet", "picard"]):
+        assert commands(_parser_for(argv)) == list(_COMMANDS), argv
+
+
+# ---------------------------------------------------------------------------
+# Picard groups from the command line
+
+def test_picard_on_an_isotropy_table_without_identity_is_a_precondition_failure(
+        files, capsys):
+    # (c0, c0) -> c1 leaves the table of Z2 with no identity; the search for
+    # generators then indexed the table with None
+    save_groupoid(group_as_groupoid(cyclic_group(2)), files / "z2.json")
+    z2 = json.loads((files / "z2.json").read_text())
+    assert z2["comp"][0] == ["c0", "c0", "c0"]
+    z2["comp"][0][2] = "c1"
+    (files / "noid.json").write_text(json.dumps(z2))
+    for method in ("auto", "enumerate", "formula"):
+        code, report = run(capsys, "picard", files / "noid.json", "--method", method,
+                           "--quiet")
+        assert code == 2, method
+        assert report["error"]["type"] == "ValueError", method
+        assert "has no identity element" in report["error"]["message"], method
+
+
+def test_picard_of_z2_over_six_points_by_enumeration(files, capsys):
+    # Pic = S6: one candidate functor per orbit matching, 720 of them,
+    # against the 6^6 * 2^6 endofunctors of a walk over all of them
+    import time
+    from moritakit.groupoids import bundle_of_groups
+    save_groupoid(bundle_of_groups({f"p{i}": cyclic_group(2) for i in range(6)}),
+                  files / "z2x6.json")
+    started = time.perf_counter()
+    code, report = run(capsys, "picard", files / "z2x6.json", "--method", "enumerate",
+                       "--quiet")
+    assert time.perf_counter() - started < 2.0
+    assert code == 0 and report["result"]["order"] == 720
+    assert report["result"]["method"] == "enumeration"

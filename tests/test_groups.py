@@ -18,7 +18,7 @@ from moritakit.picard import Bisection, automorphisms, bisections
 from moritakit.tss import LabeledSurfaceGraph, TssIsomorphism, graph_automorphisms
 
 from support import (corpus_groupoids, reference_cayley, reference_locate_inverses,
-                     reference_row_cayley)
+                     reference_maps, reference_row_cayley)
 
 
 def test_constructors_are_groups():
@@ -100,6 +100,36 @@ def test_cyclic_homomorphism_counts_are_gcds():
         for n in range(1, 9):
             homs = group_homomorphisms(cyclic_group(m), cyclic_group(n))
             assert len(homs) == gcd(m, n), (m, n)
+
+
+def small_groups():
+    z2 = cyclic_group(2)
+    return ([trivial_group()] + [cyclic_group(n) for n in range(2, 9)]
+            + [klein_four_group(), direct_product(z2, cyclic_group(4)),
+               direct_product(klein_four_group(), z2), symmetric_group(3),
+               dihedral_group(4), quaternion_group(), dihedral_group(5),
+               direct_product(cyclic_group(3), cyclic_group(3))])
+
+
+def test_maps_match_the_product_walk_oracle():
+    # the pruned search yields the maps of the full product, in its order:
+    # morita_equivalent takes the first isomorphism as its witness
+    groups_ = small_groups()
+    assert len(groups_) == 16
+    for i, g in enumerate(groups_):
+        for j, h in enumerate(groups_):
+            for bijective in (False, True):
+                assert (list(groups._maps(g, h, bijective))
+                        == reference_maps(g, h, bijective)), (i, j, bijective)
+
+
+def test_maps_refuse_a_table_without_identity():
+    broken = FiniteGroup(["e", "a"], [[1, 1], [1, 0]])
+    assert broken.identity is None
+    for g, h in ((broken, cyclic_group(2)), (cyclic_group(2), broken)):
+        for bijective in (False, True):
+            with pytest.raises(ValueError, match="has no identity element"):
+                list(groups._maps(g, h, bijective))
 
 
 def test_subgroup_and_quotient():

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -11,17 +12,19 @@ from moritakit.groups import (FiniteGroup, cyclic_group, direct_product,
                               group_isomorphic, klein_four_group,
                               quaternion_group, symmetric_group, trivial_group,
                               validate_group)
-from moritakit.groupoids import (GroupoidHom, bundle_of_groups, disjoint_union,
-                                 enumerate_functors, group_as_groupoid,
-                                 identity_hom, isotropy, pair_groupoid)
+from moritakit.groupoids import (GroupoidHom, _functors, bundle_of_groups,
+                                 disjoint_union, enumerate_functors,
+                                 group_as_groupoid, identity_hom, isotropy,
+                                 pair_groupoid)
 from moritakit.picard import (automorphisms, bisections, center_map,
                               ciso_bisections, inaut, inner_automorphism,
                               j_homomorphism, lemma_section_check, outaut,
                               picard_group, static_picard,
                               verify_exact_sequences)
 
-from support import (bibundle_picard, corpus_groupoids, gauge_over,
-                     raw_biprincipal_classes, reference_lemma_section_check,
+from support import (bibundle_picard, corpus_groupoids, gauge_over, picard_bundles,
+                     raw_biprincipal_classes, reference_enumerate_picard,
+                     reference_lemma_section_check, relabelled_groupoid,
                      small_corpus)
 
 
@@ -190,6 +193,48 @@ def test_picard_matches_the_bibundle_route():
         assert pic.table == tuple(map(tuple, table)), name
         assert pic.identity == identity, name
         assert [r.carrier for r in pic.representatives] == [r.carrier for r in reps], name
+
+
+def picard_oracle_cases():
+    cases = corpus_groupoids() + picard_bundles()
+    rng = random.Random(19)
+    return cases + [(f"{name} relabelled", relabelled_groupoid(rng, g))
+                    for name, g in cases]
+
+
+@pytest.mark.parametrize("name, g", picard_oracle_cases())
+def test_picard_matches_the_then_and_key_oracle(name, g):
+    # one candidate per (root image, isotropy isomorphism), and a table
+    # closed from generator columns of class keys, against every
+    # endofunctor keyed and every composite of representatives keyed
+    table, identity, reps = reference_enumerate_picard(g)
+    pic = picard_group(g, "enumerate")
+    assert pic.table == tuple(map(tuple, table))
+    assert pic.identity == identity
+    assert [f.key() for f in pic.functors] == [f.key() for f in reps]
+
+
+def test_class_candidates_are_one_functor_per_root_image_and_isomorphism():
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    cases = [(pair_groupoid(5), 5),                                   # of 3125
+             (bundle_of_groups({x: z3 for x in "abc"}), 48),          # of 729
+             (bundle_of_groups({f"p{i}": z2 for i in range(6)}), 720)]  # of 3 * 10^6
+    for g, count in cases:
+        assert sum(1 for _ in _functors(g, g, "classes")) == count
+
+
+def test_picard_builds_bibundles_only_when_asked(monkeypatch):
+    calls = []
+    build = picard.from_homomorphism
+    monkeypatch.setattr(picard, "from_homomorphism",
+                        lambda phi: calls.append(phi) or build(phi))
+    g = bundle_of_groups({x: cyclic_group(3) for x in "abc"})
+    pic = picard_group(g, "auto")
+    assert len(pic) == 48 and not calls
+    assert [r.carrier for r in pic.representatives] == \
+           [from_homomorphism(f).carrier for f in pic.functors]
+    assert len(calls) == 48
+    assert picard_group(g, "formula").representatives is None
 
 
 def test_picard_of_z2_cubed_is_gl32():
