@@ -52,7 +52,8 @@ EXIT_PRECONDITION = 2
 EXIT_SINGULAR = 3
 EXIT_NOT_EQUIVALENT = 4
 
-_PRECONDITION_ERRORS = (MoritaKitError, ValueError, OSError, KeyError)
+# MemoryError: a table too large for this machine is reported, not raised
+_PRECONDITION_ERRORS = (MoritaKitError, ValueError, OSError, KeyError, MemoryError)
 
 
 class _UsageError(Exception):
@@ -167,7 +168,6 @@ def _picard(args):
     pic = picard_group(load_groupoid(args.path), args.method)
     payload = pic._doc()
     payload["order"] = len(pic)
-    payload["identity"] = pic.elements[pic.identity]
     if pic.cross_checked:
         payload["cross_checked"] = list(pic.cross_checked)
     return payload, EXIT_OK, f"|Pic| = {len(pic)} via {pic.method}"

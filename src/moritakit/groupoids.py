@@ -183,6 +183,21 @@ def _comp_table(g: FiniteGroupoid) -> np.ndarray:
     return g._table
 
 
+def _composite(C: np.ndarray, i, j) -> np.ndarray:
+    """``C[i, j]``, the composites "j, then i", for index arrays or ints.
+
+    An undefined composite raises ``KeyError`` with the first such pair
+    (i, j) in the order of the gather, as a dict of composites would.
+    """
+    k = C[i, j]
+    undefined = k == len(C) - 1
+    if undefined.any():
+        at = int(np.argmax(undefined))
+        i, j = np.broadcast_arrays(i, j)
+        raise KeyError((int(i.flat[at]), int(j.flat[at])))
+    return k
+
+
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom, reporting id-level witnesses.
 
@@ -321,15 +336,18 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
 
 def group_as_groupoid(h: FiniteGroup, obj: str = "pt") -> FiniteGroupoid:
     """A group regarded as a groupoid over a single object."""
-    src = {e: obj for e in h.elements}
-    tgt = dict(src)
-    unit = {obj: h.elements[h.identity]}
-    inv = {h.elements[i]: h.elements[h.inv(i)] for i in range(len(h))}
-    comp = {}
-    for i, a in enumerate(h.elements):
-        for j, b in enumerate(h.elements):
-            comp[(a, b)] = h.elements[h.mul(i, j)]
-    return FiniteGroupoid([obj], h.elements, src, tgt, unit, inv, comp)
+    src = dict.fromkeys(h.elements, obj)
+    inv, comp = _group_arrows(h, h.elements)
+    return FiniteGroupoid([obj], h.elements, src, src, {obj: h.elements[h.identity]},
+                          inv, comp)
+
+
+def _group_arrows(h: FiniteGroup, ids: list) -> tuple[dict, list]:
+    """The inverses and the composition rows of h's table, over arrow ``ids``."""
+    names = np.array(ids, dtype=object)
+    i, j = np.indices(h._table.shape).reshape(2, -1)
+    return (dict(zip(ids, names[list(h.inverse)])),
+            list(zip(names[i], names[j], names[h._table.ravel()])))
 
 
 def action_groupoid(group: FiniteGroup, objects, act) -> FiniteGroupoid:
@@ -460,33 +478,27 @@ def gauge_groupoid(data: PrincipalBundleData) -> FiniteGroupoid:
 def bundle_of_groups(fibres: dict) -> FiniteGroupoid:
     """Groupoid with src == tgt: one group sitting over each object."""
     objs = sorted(fibres)
-    arrows, src, tgt, unit, inv, comp = [], {}, {}, {}, {}, {}
+    arrows, src, unit, inv, comp = [], {}, {}, {}, []
     for x in objs:
         h = fibres[x]
         if h.inverse is None:  # also None when there is no identity
             what = "identity element" if h.identity is None else "inverse of every element"
             raise ValueError(f"the group over {x!r} has no {what}")
-
-        def name(e, x=x):
-            return f"({x}:{e})"
-
-        for e in h.elements:
-            arrows.append(name(e))
-            src[name(e)] = x
-            tgt[name(e)] = x
-        unit[x] = name(h.elements[h.identity])
-        for i, e in enumerate(h.elements):
-            inv[name(e)] = name(h.elements[h.inv(i)])
-            for j, f in enumerate(h.elements):
-                comp[(name(e), name(f))] = name(h.elements[h.mul(i, j)])
-    return FiniteGroupoid(objs, arrows, src, tgt, unit, inv, comp)
+        ids = [f"({x}:{e})" for e in h.elements]
+        arrows += ids
+        src.update(dict.fromkeys(ids, x))
+        unit[x] = ids[h.identity]
+        fibre_inv, fibre_comp = _group_arrows(h, ids)
+        inv.update(fibre_inv)
+        comp += fibre_comp
+    return FiniteGroupoid(objs, arrows, src, src, unit, inv, comp)
 
 
 def disjoint_union(*groupoids: FiniteGroupoid, prefixes=None) -> FiniteGroupoid:
     """Disjoint union, with ids kept apart by per-summand prefixes."""
     if prefixes is None:
         prefixes = [f"u{i}:" for i in range(len(groupoids))]
-    objs, arrows, src, tgt, unit, inv, comp = [], [], {}, {}, {}, {}, {}
+    objs, arrows, src, tgt, unit, inv, comp = [], [], {}, {}, {}, {}, []
     for g, pre in zip(groupoids, prefixes):
         objs.extend(pre + x for x in g.objects)
         arrows.extend(pre + a for a in g.arrows)
@@ -496,8 +508,10 @@ def disjoint_union(*groupoids: FiniteGroupoid, prefixes=None) -> FiniteGroupoid:
             inv[pre + a] = pre + g.arrows[g.inv[i]]
         for x in range(g.n_objects):
             unit[pre + g.objects[x]] = pre + g.arrows[g.unit[x]]
-        for (i, j), k in g.comp.items():
-            comp[(pre + g.arrows[i], pre + g.arrows[j])] = pre + g.arrows[k]
+        C = _comp_table(g)
+        i, j = np.nonzero(C != g.n_arrows)  # row and column m are all m
+        ids = np.array([pre + a for a in g.arrows], dtype=object)
+        comp.extend(zip(ids[i], ids[j], ids[C[i, j]]))
     return FiniteGroupoid(objs, arrows, src, tgt, unit, inv, comp)
 
 
@@ -531,11 +545,12 @@ class GroupoidHom:
         for x in range(s.n_objects):
             if self.arr_map[s.unit[x]] != t.unit[self.obj_map[x]]:
                 return False
-        comp = t.comp
-        for (i, j), k in s.comp.items():
-            if comp.get((self.arr_map[i], self.arr_map[j])) != self.arr_map[k]:
-                return False
-        return True
+        # every defined composite of the source goes to the composite of
+        # the images, which the target's sentinel never matches
+        S, T = _comp_table(s), _comp_table(t)
+        arr = np.array(self.arr_map, dtype=np.intp)
+        i, j = np.nonzero(S != s.n_arrows)
+        return bool((T[arr[i], arr[j]] == arr[S[i, j]]).all())
 
     def is_bijective(self) -> bool:
         return (len(set(self.obj_map)) == self.target.n_objects
@@ -572,12 +587,12 @@ def _spanning_tree(g: FiniteGroupoid, root: int) -> dict[int, int]:
     The root gets its unit; the other objects are reached along source
     fibres in arrow order, so the tree is fixed by the groupoid alone.
     """
-    tree, queue, comp = {root: g.unit[root]}, [root], g.comp
+    tree, queue, C = {root: g.unit[root]}, [root], _comp_table(g)
     for x in queue:  # breadth first, the queue growing as we walk it
         for a in g.s_fiber(x):
             y = g.tgt[a]
             if y not in tree:
-                tree[y] = comp[(a, tree[x])]  # a after tree[x] : root -> x
+                tree[y] = int(_composite(C, a, tree[x]))  # a after tree[x] : root -> x
                 queue.append(y)
     return tree
 
@@ -617,17 +632,18 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
     orbit_of = {y: t for t, target in enumerate(orbits2) for y in target}
     targets = orbits2 if bijective else [range(g2.n_objects)]
     ends = g2.tgt.__getitem__
-    comp1, inv1 = g1.comp, g1.inv
+    C1, inv1 = _comp_table(g1), np.array(g1.inv, dtype=np.intp)
     slots, decomposed = [], []
     for k, block in enumerate(blocks):
         root, rest = block[0], block[1:]
         tree = _spanning_tree(g1, root)
         pos = {h: i for i, h in enumerate(g1.isotropy_arrows(root))}
-        for x in block:
-            for a in g1.s_fiber(x):
-                y = g1.tgt[a]
-                h = comp1[(comp1[(inv1[tree[y]], a)], tree[x])]
-                decomposed.append((a, k, x, y, pos[h]))
+        # each arrow a : x -> y of the orbit as t_y h t_x^-1, all at once
+        edges = [(a, x, g1.tgt[a]) for x in block for a in g1.s_fiber(x)]
+        arr, src, tgt = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+        t = np.array([tree.get(v, 0) for v in range(g1.n_objects)], dtype=np.intp)
+        loops = _composite(C1, _composite(C1, inv1[t[tgt]], arr), t[src]).tolist()
+        decomposed.extend((a, k, x, y, pos[h]) for (a, x, y), h in zip(edges, loops))
         iso1 = isotropy(g1, g1.objects[root])
         options = []
         for target in targets:
@@ -647,7 +663,10 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
                     options.extend((orbit_of[r], images, (g2.unit[r],) + b)
                                    for b in trees)
         slots.append(options)
-    comp, inv = g2.comp, g2.inv
+    # the rows of g2's table, bound once; an undefined composite reads the
+    # sentinel m2, and the lookup is redone to name it
+    C2, inv, m2 = _comp_table(g2), g2.inv, g2.n_arrows
+    rows = C2.tolist()
     for choice in (product(*slots) if mode == "all"
                    else _injective(slots, lambda o: o[0])):
         tree_img = [None] * g1.n_objects
@@ -656,7 +675,10 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
                 tree_img[x] = a
         arr_map = [None] * g1.n_arrows
         for a, k, x, y, h in decomposed:
-            arr_map[a] = comp[(comp[(tree_img[y], choice[k][1][h])], inv[tree_img[x]])]
+            arr_map[a] = rows[rows[tree_img[y]][choice[k][1][h]]][inv[tree_img[x]]]
+        if m2 in arr_map:
+            for a, k, x, y, h in decomposed:
+                _composite(C2, _composite(C2, tree_img[y], choice[k][1][h]), inv[tree_img[x]])
         yield GroupoidHom(g1, g2, tuple(map(ends, tree_img)), tuple(arr_map))
 
 

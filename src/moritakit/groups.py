@@ -1,14 +1,20 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups as read-only index arrays.
 
 Elements are opaque strings; all internal work is on indices into the
-element tuple.  ``table[i][j]`` is the index of ``elements[i] * elements[j]``.
-Isotropy groups, automorphism groups and Picard groups all come back in
-this form, so the brute-force isomorphism test here is the workhorse for
-cross-checking group-valued invariants.
+element tuple.  A group holds its Cayley table as one read-only (n, n)
+intp array, ``_table``, in which ``_table[i, j]`` is the index of
+``elements[i] * elements[j]``.  The identity, the inverses, the centre,
+the element orders, subgroups and quotients are array operations on it,
+and reports write it as it is.  ``table``, the same cells as a tuple of
+tuples of ints, is built on first use for the public API and for Python
+loops.  Isotropy groups, automorphism groups and Picard groups all come
+back in this form, so the brute-force isomorphism test here is the
+workhorse for cross-checking group-valued invariants.
 """
 from __future__ import annotations
 
-from itertools import chain, permutations, product
+from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -18,9 +24,11 @@ from .report import Rows, ValidationReport, plain
 class FiniteGroup:
     """A finite group given by a total composition table.
 
-    The identity and the inverse map are located on construction when they
-    exist; when they do not, they are ``None`` and ``validate_group``
-    reports the violated axioms with witnesses.
+    ``table`` is an (n, n) index array or n rows of n indices; it is
+    held as a read-only intp array and never checked for range or the
+    group axioms.  The identity and the inverse map are located on first
+    use when they exist; when they do not, they are ``None`` and
+    ``validate_group`` reports the violated axioms with witnesses.
 
     ``payload`` optionally carries one structured object per element
     (e.g. the automorphism a group element stands for).  It never takes
@@ -29,25 +37,21 @@ class FiniteGroup:
 
     def __init__(self, elements, table, payload=None):
         self.elements = tuple(str(e) for e in elements)
-        if isinstance(table, np.ndarray):
-            # an n x n index array, converted in blocks of rows (few numpy
-            # calls, a small object copy); the cells share one int per index
-            shared = np.arange(len(table)).astype(object)
-            self.table = tuple(row for i in range(0, len(table), 256)
-                               for row in map(tuple, shared[table[i:i + 256]].tolist()))
-        else:
-            self.table = tuple(tuple(map(int, row)) for row in table)
-        self.payload = tuple(payload) if payload is not None else None
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate element ids")
         n = len(self.elements)
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        try:
+            table = np.asarray(table, dtype=np.intp)
+        except ValueError:  # rows of different lengths
+            table = None
+        if table is None or (table.shape != (n, n) and table.size + n):
             raise ValueError("table shape does not match element count")
+        self._table = table.reshape(n, n)  # a view, so the flag is ours
+        self._table.flags.writeable = False
+        self.payload = tuple(payload) if payload is not None else None
         if self.payload is not None and len(self.payload) != n:
             raise ValueError("payload length does not match element count")
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self.identity = self._locate_identity()
-        self.inverse = self._locate_inverses()
 
     def __len__(self):
         return len(self.elements)
@@ -55,13 +59,25 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.elements == other.elements and self.table == other.table
+        return self.elements == other.elements and np.array_equal(self._table, other._table)
 
     def __hash__(self):
-        return hash((self.elements, self.table))
+        return hash((self.elements, self._table.tobytes()))
 
     def __repr__(self):
         return f"FiniteGroup(order={len(self)})"
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The table as a tuple of rows of ints, built on first use."""
+        return tuple(map(tuple, self._rows()))
+
+    def _rows(self) -> list[list[int]]:
+        """The table as lists of ints, one shared int object per index (as
+        Python shares those up to 256), so a cell costs one pointer."""
+        if len(self) <= 257:
+            return self._table.tolist()
+        return np.arange(len(self), dtype=object)[self._table].tolist()
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -69,53 +85,65 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self.inverse[i]
 
-    def _locate_identity(self):
-        n = len(self.elements)
-        for e in range(n):
-            if all(self.table[e][x] == x == self.table[x][e] for x in range(n)):
+    @cached_property
+    def identity(self) -> int | None:
+        """The first two-sided identity in index order, or None; the
+        candidates are the e with e e = e, read off the diagonal."""
+        t = self._table
+        ids = np.arange(len(t))
+        for e in np.flatnonzero(np.diagonal(t) == ids).tolist():
+            if (t[e] == ids).all() and (t[:, e] == ids).all():
                 return e
         return None
 
-    def _locate_inverses(self):
-        if self.identity is None:
+    @cached_property
+    def inverse(self) -> tuple[int, ...] | None:
+        """Per element a, the first b with ab = e = ba; None when there is no
+        identity, or when some element has no two-sided inverse."""
+        e = self.identity
+        if e is None:
             return None
-        e, table = self.identity, self.table
-        inv = []
-        for a, row in enumerate(table):
-            # the first b with ab = e = ba: scan past one-sided hits
-            b = -1
-            try:
-                while True:
-                    b = row.index(e, b + 1)
-                    if table[b][a] == e:
-                        break
-            except ValueError:
-                return None
-            inv.append(b)
-        return tuple(inv)
+        both = (self._table == e) & (self._table.T == e)
+        inv = both.argmax(axis=1)
+        if not both[np.arange(len(inv)), inv].all():
+            return None
+        return tuple(inv.tolist())
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
+        """Per element x, the least k <= n with x^k the identity, where
+        x^(k+1) = x^k x, else 0.  A walk over the cells: orders are small,
+        and at n <= 8 numpy's cost per call is many times the whole walk.
+        """
+        t, e, n = self._table, self.identity, len(self)
+        orders = []
+        for i in range(n):
+            x, k = i, 1
+            while x != e and k < n and 0 <= x < n:
+                x, k = t.item(x, i), k + 1
+            orders.append(k if x == e else 0)
+        return tuple(orders)
 
     def element_order(self, i: int) -> int:
         """Least k with i^k the identity; ValueError if none is at most |G|."""
-        e, x, k = self.identity, i, 1
-        while x != e:
-            if k == len(self.elements):
-                raise ValueError(f"element {self.elements[i]!r} has no order "
-                                 "up to the group size (table not a group)")
-            x = self.table[x][i]
-            k += 1
+        k = self._orders[i]
+        if not k:
+            raise ValueError(f"element {self.elements[i]!r} has no order "
+                             "up to the group size (table not a group)")
         return k
 
     def center(self) -> tuple[int, ...]:
-        n = len(self.elements)
-        return tuple(z for z in range(n)
-                     if all(self.table[z][x] == self.table[x][z] for x in range(n)))
+        t = self._table
+        return tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
 
     def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(i) for i in range(len(self))))
+        if 0 in self._orders:  # the first element with no order raises
+            self.element_order(self._orders.index(0))
+        return tuple(sorted(self._orders))
 
     def _doc(self) -> dict:
         """The report document of ``as_dict``, with the table as ``Rows``."""
-        d = {"elements": list(self.elements), "table": _cayley_rows(self.table)}
+        d = {"elements": list(self.elements), "table": Rows(self._table, range(len(self)))}
         if self.identity is not None:
             d["identity"] = self.elements[self.identity]
         return d
@@ -124,32 +152,31 @@ class FiniteGroup:
         return plain(self._doc())
 
 
-def _cayley_rows(table) -> Rows:
-    """A square table of element indices, as ``Rows`` over those indices."""
-    n = len(table)
-    index = np.fromiter(chain.from_iterable(table), np.intp, n * n).reshape(n, n)
-    return Rows(index, range(n))
-
-
 def validate_group(g: FiniteGroup) -> ValidationReport:
+    """Check the group axioms on the table, reporting witnesses in loop order.
+
+    Cells outside the elements are ``closure`` violations, in row-major
+    order, and end the check.  Then every triple (i, j, k), in product
+    order, with (ij)k != i(jk): for each i, the n x n block t[t[i]]
+    against t[i][t].  Then a missing identity, or else each element with
+    no two-sided inverse.
+    """
     report = ValidationReport()
-    n = len(g.elements)
-    names = g.elements
-    for i, row in enumerate(g.table):
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                report.add("closure", names[i], names[j])
+    t, names = g._table, g.elements
+    n = len(names)
+    for i, j in np.argwhere((t < 0) | (t >= n)).tolist():
+        report.add("closure", names[i], names[j])
     if report.violations:
         return report
-    for i, j, k in product(range(n), repeat=3):
-        if g.table[g.table[i][j]][k] != g.table[i][g.table[j][k]]:
+    for i in range(n):
+        for j, k in np.argwhere(t[t[i]] != t[i][t]).tolist():
             report.add("associativity", names[i], names[j], names[k])
-    if g.identity is None:
+    e = g.identity
+    if e is None:
         report.add("identity")
     elif g.inverse is None:
-        for a in range(n):
-            if not any(g.table[a][b] == g.identity == g.table[b][a] for b in range(n)):
-                report.add("inverses", names[a])
+        for a in np.flatnonzero(~((t == e) & (t.T == e)).any(axis=1)).tolist():
+            report.add("inverses", names[a])
     return report
 
 
@@ -161,6 +188,41 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
+def _closed_table(n: int, search, derive: bool = True, columns: bool = False) -> np.ndarray:
+    """The n x n table of a group whose rows (or ``columns``) ``search`` gives.
+
+    Lines are visited in index order, and ``search(x)`` fills line x when
+    it is not yet known.  With ``derive``, each searched x becomes a
+    generator s, and the known lines are closed under the generators,
+    breadth first: for a known line a and a generator s, the line of a s,
+    whose index is ``table[a, s]``, is row a gathered through row s,
+    because (a s) y = a (s y), or column s gathered through column a,
+    because y (a s) = (y a) s.  Every line is thus searched or derived
+    from two searched ones, so every cell is exact, with no sampling;
+    without ``derive`` every line is searched.
+    """
+    table = np.empty((n, n), dtype=np.intp, order="F" if columns else "C")
+    lines = table.T if columns else table  # line x is lines[x], contiguous
+    known, gens = [False] * n, []
+    for x in range(n):
+        if known[x]:
+            continue
+        lines[x] = search(x)
+        if not derive:
+            continue
+        known[x] = True
+        gens.append(x)
+        queue = [a for a in range(n) if known[a]]
+        for a in queue:  # the queue grows as we walk it
+            for s in gens:
+                c = int(table[a, s])
+                if not known[c]:
+                    lines[c] = lines[s][lines[a]] if columns else lines[a][lines[s]]
+                    known[c] = True
+                    queue.append(c)
+    return np.ascontiguousarray(table)
+
+
 def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
     """The group of ``items`` under a product on their rows, items as payload.
 
@@ -169,16 +231,9 @@ def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
     one row x, the n rows of the products x * y for y in ``rows``.  A row
     of the table is searched by locating each product among the items by
     ``searchsorted`` on the row bytes and comparing it with the row found.
-
-    Rows are visited in index order.  For products of index maps
-    (``compose is _after``) only the rows not yet known are searched, and
-    each searched x becomes a generator s.  Then, breadth first over every
-    known row a and every generator s, the product a * s has index
-    ``table[a][s]`` and its row is ``table[a][table[s]]``, because
-    (a s) y = a (s y); each new layer of rows is one gather.  Every row is
-    thus either searched and checked or derived from two checked rows, so
-    every cell is exact, with no sampling.  Other products are searched
-    row by row.
+    For products of index maps (``compose is _after``) only the rows that
+    ``_closed_table`` cannot derive are searched; other products are
+    searched row by row.
 
     A product outside the items raises ``KeyError`` at the first such
     (x, y) in row-major order: a derived row never fails, so the first
@@ -190,12 +245,8 @@ def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
     keys = _row_keys(rows)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    table = np.empty((n, n), dtype=np.intp)
-    known = np.zeros(n, dtype=bool)
-    gens = []
-    for x in range(n):
-        if known[x]:
-            continue
+
+    def search(x):
         products = compose(rows[x], rows)
         at = np.searchsorted(sorted_keys, _row_keys(products))
         found = order[np.minimum(at, n - 1)]
@@ -203,23 +254,9 @@ def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
         if len(missing):
             raise KeyError(f"product of {prefix}{x:03d} and "
                            f"{prefix}{missing[0]:03d} is not among the items")
-        table[x] = found
-        if compose is not _after:
-            continue
-        known[x] = True
-        gens.append(x)
-        # close the known rows under the generators: the old rows meet the
-        # new generator, and each new layer meets them all
-        frontier = np.flatnonzero(known)
-        while len(frontier):
-            products = table[np.ix_(frontier, gens)].ravel()
-            new, first = np.unique(products, return_index=True)
-            first = first[~known[new]]
-            new = products[first]
-            a, s = frontier[first // len(gens)], np.array(gens)[first % len(gens)]
-            table[new] = table[a[:, None], table[s]]
-            known[new] = True
-            frontier = new
+        return found
+
+    table = _closed_table(n, search, derive=compose is _after)
     names = [f"{prefix}{i:03d}" for i in range(n)]
     return FiniteGroup(names, table, payload=items)
 
@@ -249,9 +286,8 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    elements = [f"c{i}" for i in range(n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(elements, table)
+    ids = np.arange(n)
+    return FiniteGroup([f"c{i}" for i in range(n)], (ids[:, None] + ids) % n)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -279,47 +315,26 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    # unit quaternions; "z" stands for -1, so "zi" is -i etc.
-    # the identity comes first and signs pair up per axis
+    # unit quaternions; "z" stands for -1, so "zi" is -i etc.  Element
+    # 2a + s is (-1)^s times axis a of (1, i, j, k).  Axes multiply as a ^ b,
+    # and two imaginary axes give -1 unless b follows a cyclically (ij = k)
     names = ["e", "ze", "i", "zi", "j", "zj", "k", "zk"]
 
-    def unpack(idx):
-        return idx // 2, 1 if idx % 2 == 0 else -1  # (axis, sign)
+    def mul(x, y):
+        a, b = x // 2, y // 2
+        flip = a and b and (b - a) % 3 != 1
+        return 2 * (a ^ b) + (x + y + flip) % 2
 
-    def pack(axis, sign):
-        return 2 * axis + (0 if sign == 1 else 1)
-
-    mul_axis = {
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-    }
-    table = []
-    for a in range(8):
-        row = []
-        for b in range(8):
-            (ax, sa), (bx, sb) = unpack(a), unpack(b)
-            cx, sc = mul_axis[(ax, bx)]
-            row.append(pack(cx, sa * sb * sc))
-        table.append(row)
-    return FiniteGroup(names, table)
+    return FiniteGroup(names, [[mul(x, y) for y in range(8)] for x in range(8)])
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    names, table = [], []
-    nb = len(b)
-    for ea in a.elements:
-        for eb in b.elements:
-            names.append(f"({ea},{eb})")
-    for i in range(len(a)):
-        for j in range(nb):
-            row = []
-            for k in range(len(a)):
-                for l in range(nb):
-                    row.append(a.table[i][k] * nb + b.table[j][l])
-            table.append(row)
-    return FiniteGroup(names, table)
+    """Pairs (x, y) at index x |b| + y, multiplied componentwise."""
+    names = [f"({ea},{eb})" for ea in a.elements for eb in b.elements]
+    n, nb = len(names), len(b)
+    # cell ((i, j), (k, l)) is a[i, k] |b| + b[j, l]
+    table = a._table[:, None, :, None] * nb + b._table[None, :, None, :]
+    return FiniteGroup(names, table.reshape(n, n))
 
 
 def klein_four_group() -> FiniteGroup:
@@ -328,34 +343,15 @@ def klein_four_group() -> FiniteGroup:
 
 def subgroup(g: FiniteGroup, indices) -> FiniteGroup:
     """Subgroup on a closed subset, keeping element names (and payload)."""
-    idx = sorted(set(indices))
-    pos = {v: i for i, v in enumerate(idx)}
-    table = []
-    for a in idx:
-        row = []
-        for b in idx:
-            v = g.table[a][b]
-            if v not in pos:
-                raise ValueError("subset is not closed under the product")
-            row.append(pos[v])
-        table.append(row)
+    idx = np.array(sorted(set(indices)), dtype=np.intp)
+    products = g._table[np.ix_(idx, idx)]
+    # each product's position among the subset, if it is there
+    at = np.minimum(np.searchsorted(idx, products), len(idx) - 1)
+    if not (idx[at] == products).all():
+        raise ValueError("subset is not closed under the product")
+    idx = idx.tolist()
     payload = [g.payload[a] for a in idx] if g.payload is not None else None
-    return FiniteGroup([g.elements[a] for a in idx], table, payload)
-
-
-def generated_closure(g: FiniteGroup, seed) -> set[int]:
-    done = {g.identity} | set(seed)
-    frontier = list(done)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(done):
-                for c in (g.table[a][b], g.table[b][a]):
-                    if c not in done:
-                        done.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return done
+    return FiniteGroup([g.elements[a] for a in idx], at, payload)
 
 
 def quotient_group(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -365,28 +361,16 @@ def quotient_group(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]
     chosen coset representatives (the smallest index in each coset);
     cosets are named ``[rep]`` and carry the representatives' payload.
     """
-    normal = frozenset(normal)
-    for a in range(len(g)):
-        ai = g.inv(a)
-        for n in normal:
-            if g.table[g.table[a][n]][ai] not in normal:
-                raise ValueError("subgroup is not normal")
-    seen, cosets = {}, []
-    for a in range(len(g)):
-        if a in seen:
-            continue
-        coset = frozenset(g.table[a][x] for x in normal)
-        rep = min(coset)
-        for b in coset:
-            seen[b] = len(cosets)
-        cosets.append((rep, coset))
-    cosets.sort(key=lambda rc: rc[0])
-    coset_of = {}
-    for i, (_, coset) in enumerate(cosets):
-        for b in coset:
-            coset_of[b] = i
-    reps = tuple(rep for rep, _ in cosets)
-    table = [[coset_of[g.table[ra][rb]] for rb in reps] for ra in reps]
+    t = g._table
+    normal = np.array(sorted(set(normal)), dtype=np.intp)
+    inverse = np.array(g.inverse, dtype=np.intp)
+    # a n a^-1 for every a (rows) and n in the subgroup (columns)
+    if not np.isin(t[t[:, normal], inverse[:, None]], normal).all():
+        raise ValueError("subgroup is not normal")
+    rep_of = t[:, normal].min(axis=1)  # the smallest member of a N
+    reps = np.unique(rep_of)
+    table = np.searchsorted(reps, rep_of)[t[np.ix_(reps, reps)]]
+    reps = tuple(reps.tolist())
     names = [f"[{g.elements[r]}]" for r in reps]
     payload = [g.payload[r] for r in reps] if g.payload is not None else None
     return FiniteGroup(names, table, payload), reps
@@ -394,15 +378,6 @@ def quotient_group(g: FiniteGroup, normal) -> tuple[FiniteGroup, tuple[int, ...]
 
 # ---------------------------------------------------------------------------
 # homomorphisms and isomorphisms (brute force with invariant pruning)
-
-def _generating_sequence(g: FiniteGroup) -> list[int]:
-    gens, closure = [], {g.identity}
-    for x in range(len(g)):
-        if x not in closure:
-            gens.append(x)
-            closure = generated_closure(g, gens)
-    return gens
-
 
 def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
     """Yield the homomorphisms g -> h (only the bijective ones if asked).
@@ -426,34 +401,41 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
                              "has no identity element")
     if bijective and (len(g) != len(h) or g.order_profile() != h.order_profile()):
         return
-    gens = _generating_sequence(g)
-    # levels[k]: the Cayley graph edges (x, k', x gens[k'], fresh) that
-    # first lie in the subgroup generated by gens[:k + 1], breadth first:
-    # the old elements meet gens[k], the new ones every gens[k'] with
-    # k' <= k.  Each edge is met once over all levels, and the fresh edge
-    # into y is the first one, whose tail is reached before y.
-    reached, seen, levels = [g.identity], {g.identity}, []
-    for k in range(len(gens)):
+    # gens[k] is the first element outside the subgroup that gens[:k]
+    # generate, and levels[k] the Cayley graph edges (x, k', x gens[k'],
+    # fresh) that first lie in the subgroup generated by gens[:k + 1],
+    # breadth first: the old elements meet gens[k], the new ones every
+    # gens[k'] with k' <= k.  Each edge is met once over all levels, and
+    # the fresh edge into y is the first one, whose tail is reached before
+    # y.  The rows of each table are bound once, as lists.
+    rows = g._rows()
+    gens, reached, seen, levels = [], [g.identity], {g.identity}, []
+    while len(reached) < len(g):
+        k = len(gens)
+        gens.append(next(x for x in range(len(g)) if x not in seen))
         old, edges, i = len(reached), [], 0
         while i < len(reached):  # the queue grows as we walk it
             x = reached[i]
             for j in ((k,) if i < old else range(k + 1)):
-                y = g.table[x][gens[j]]
+                y = rows[x][gens[j]]
                 edges.append((x, j, y, y not in seen))
                 if y not in seen:
                     seen.add(y)
                     reached.append(y)
             i += 1
         levels.append(edges)
-    if len(reached) != len(g):
-        raise ValueError("generators do not generate")
+    if h is g:
+        h_rows = rows
+    else:  # only the levels are needed from g's rows: free them first
+        del rows
+        h_rows = h._rows()
     h_orders = [h.element_order(i) for i in range(len(h))]
     candidates = []
     for gidx in gens:
         o = g.element_order(gidx)
         candidates.append([i for i in range(len(h))
                            if (h_orders[i] == o if bijective else o % h_orders[i] == 0)])
-    n, table = len(gens), h.table
+    n = len(gens)
     out = [None] * len(g)
     out[g.identity] = h.identity
     images = [None] * n
@@ -469,7 +451,7 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
     def spread(k) -> bool:
         release(k)
         for x, j, y, fresh in levels[k]:
-            v = table[out[x]][images[j]]
+            v = h_rows[out[x]][images[j]]
             if not fresh:
                 if out[y] != v:
                     return False
@@ -527,10 +509,9 @@ def inner_automorphism_group(g: FiniteGroup, aut: FiniteGroup | None = None) -> 
     """Inn(g) as a subgroup of Aut(g) (names stay aligned with Aut)."""
     if aut is None:
         aut = automorphism_group(g)
-    inner = set()
-    for a in range(len(g)):
-        ai = g.inv(a)
-        inner.add(tuple(g.table[g.table[a][x]][ai] for x in range(len(g))))
+    t = g._table
+    # row a: x -> a x a^-1
+    inner = set(map(tuple, t[t, np.array(g.inverse)[:, None]].tolist()))
     idx = [i for i, p in enumerate(aut.payload) if p in inner]
     return subgroup(aut, idx)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bibundles import Bibundle
 from .gauge import (GridSpec, SampledBivectorField, SampledTwoFormField)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, validate_group
 from .groupoids import (FiniteGroupoid, PrincipalBundleData, _comp_table,
                         action_groupoid, gauge_groupoid, group_as_groupoid,
                         pair_groupoid)
@@ -129,7 +129,11 @@ def _nested(data, key, load):
 
 
 def group_from_dict(data) -> FiniteGroup:
-    """A group from its elements and its table of element ids or indices."""
+    """A group from its elements and its table of element ids or indices.
+
+    A table with no identity, an element with no inverse, or a triple
+    that does not associate is refused with a ValueError.
+    """
     elements = [str(e) for e in data["elements"]]
     index = {e: i for i, e in enumerate(elements)}
     index.update((i, i) for i in range(len(elements)))
@@ -141,6 +145,11 @@ def group_from_dict(data) -> FiniteGroup:
     if group.inverse is None:
         raise ValueError("'table' is not a group table: it has no identity, "
                          "or an element with no inverse")
+    report = validate_group(group)
+    if not report.ok:
+        a, b, c = report.violations[0].witness
+        raise ValueError("'table' is not a group table: (a b) c differs from "
+                         f"a (b c) for a, b, c = {a!r}, {b!r}, {c!r}")
     return group
 
 

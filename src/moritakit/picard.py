@@ -15,8 +15,11 @@ The Picard group of a finite groupoid is computed two ways:
   isomorphism) meets every class, at the first functor of that class in
   ``enumerate_functors`` order; that functor represents the class.  The
   product of two classes is computed on their keys, for the columns of
-  generators only; the other columns follow by associativity.  The
-  representatives become bibundles only when they are asked for.
+  generators only; the other columns follow by associativity, through
+  the closure that closes the Cayley tables (``groups._closed_table``).
+  Pic is a ``FiniteGroup``, its table one read-only index array.  The
+  representatives become bibundles only when they are asked for; no
+  check here asks for them.
 * ``formula``: Pic is a Morita invariant, every finite groupoid is Morita
   equivalent to its skeleton (the bundle of one isotropy group per
   orbit), and a bundle of groups over a finite discrete base has
@@ -27,7 +30,7 @@ The Picard group of a finite groupoid is computed two ways:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,12 +39,11 @@ from .bibundles import (Bibundle, from_homomorphism, orbit_permutation,
                         principality)
 from ._search import _injective
 from .errors import MoritaKitError, NotFunctor
-from .groups import (FiniteGroup, _after, _cayley, _cayley_rows, _index_rows,
+from .groups import (FiniteGroup, _after, _cayley, _closed_table, _index_rows,
                      group_isomorphic, quotient_group, subgroup)
-from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, _functors,
-                        _spanning_tree, bundle_of_groups, groupoid_isomorphisms,
-                        identity_hom, isotropy, orbit_partition)
-from .report import plain
+from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, _composite,
+                        _functors, _spanning_tree, bundle_of_groups,
+                        groupoid_isomorphisms, isotropy, orbit_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +92,12 @@ def bisections(g: FiniteGroupoid) -> FiniteGroup:
 def inner_automorphism(g: FiniteGroupoid, n: Bisection) -> GroupoidHom:
     """Two-sided sliding along a bisection: g -> N(t(g)) . g . N(s(g))^-1."""
     obj_map = tuple(g.tgt[n.arrows[x]] for x in range(g.n_objects))
-    comp, arr_map = g.comp, []
-    for i in range(g.n_arrows):
-        a = n.arrows[g.tgt[i]]
-        c = n.arrows[g.src[i]]
-        arr_map.append(comp[(comp[(a, i)], g.inv[c])])
-    return GroupoidHom(g, g, obj_map, tuple(arr_map))
+    C, arrows = _comp_table(g), np.array(n.arrows, dtype=np.intp)
+    inv = np.array(g.inv, dtype=np.intp)
+    # arrow i goes to N(t i) . i . N(s i)^-1
+    slid = _composite(C, arrows[list(g.tgt)], np.arange(g.n_arrows))
+    arr_map = _composite(C, slid, inv[arrows[list(g.src)]])
+    return GroupoidHom(g, g, obj_map, tuple(arr_map.tolist()))
 
 
 def _slides(g: FiniteGroupoid, aut: FiniteGroup, bis: FiniteGroup) -> list[int]:
@@ -131,27 +133,35 @@ def ciso_bisections(g: FiniteGroupoid, bis: FiniteGroup | None = None) -> Finite
     """
     if bis is None:
         bis = bisections(g)
-    comp = g.comp
-    idx = [i for i, n in enumerate(bis.payload)
-           if all(g.tgt[a] == x for x, a in enumerate(n.arrows))
-           and all(comp[(n.arrows[g.tgt[a]], a)] == comp[(a, n.arrows[g.src[a]])]
-                   for a in range(g.n_arrows))]
-    return subgroup(bis, idx)
+    C, arrows = _comp_table(g), np.arange(g.n_arrows)
+    tgt, src = np.array(g.tgt, dtype=np.intp), np.array(g.src, dtype=np.intp)
+    # the bisections of loops, one row of arrows each, then those commuting
+    rows = np.array([n.arrows for n in bis.payload], dtype=np.intp).reshape(len(bis), g.n_objects)
+    loops = np.flatnonzero((tgt[rows] == np.arange(g.n_objects)).all(axis=1))
+    rows = rows[loops]
+    commute = _composite(C, rows[:, tgt], arrows) == _composite(C, arrows, rows[:, src])
+    return subgroup(bis, loops[commute.all(axis=1)])
 
 
 # ---------------------------------------------------------------------------
 # Picard group
 
-@dataclass
-class PicardGroup:
-    """Isomorphism classes of biprincipal self-bibundles under tensor."""
+class PicardGroup(FiniteGroup):
+    """Isomorphism classes of biprincipal self-bibundles under tensor.
 
-    elements: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    method: str
-    cross_checked: tuple[str, ...] = field(default_factory=tuple)
-    functors: tuple[GroupoidHom, ...] | None = None  # one per class
+    The table is held as ``FiniteGroup`` holds it.  An enumerated Pic
+    carries one class functor per element as its payload, ``functors``;
+    the formula's Pic carries none.
+    """
+
+    def __init__(self, elements, table, method: str, functors=None):
+        super().__init__(elements, table, functors)
+        self.method = method
+        self.cross_checked: tuple[str, ...] = ()
+
+    @property
+    def functors(self) -> tuple[GroupoidHom, ...] | None:
+        return self.payload
 
     @cached_property
     def representatives(self) -> tuple[Bibundle, ...] | None:
@@ -160,19 +170,12 @@ class PicardGroup:
             return None
         return tuple(map(from_homomorphism, self.functors))
 
-    def __len__(self):
-        return len(self.elements)
-
     def as_group(self) -> FiniteGroup:
-        return FiniteGroup(self.elements, self.table)
+        return FiniteGroup(self.elements, self._table)
 
     def _doc(self) -> dict:
         """The report document of ``as_dict``, with the table as ``Rows``."""
-        return {"elements": list(self.elements), "table": _cayley_rows(self.table),
-                "method": self.method}
-
-    def as_dict(self):
-        return plain(self._doc())
+        return {**super()._doc(), "method": self.method}
 
 
 def _equivalence_key(g: FiniteGroupoid):
@@ -194,7 +197,7 @@ def _equivalence_key(g: FiniteGroupoid):
     alpha_a[sigma_b(k)] . alpha_b[k], reduced again.  That is the key of
     the composite, since alpha . conj_d = conj_alpha(d) . alpha.
     """
-    comp, inv = g.comp, g.inv
+    C, inv = _comp_table(g), g.inv
     blocks = orbit_partition(g)
     block_of = {x: k for k, block in enumerate(blocks) for x in block}
     tree = {}
@@ -202,10 +205,16 @@ def _equivalence_key(g: FiniteGroupoid):
         tree.update(_spanning_tree(g, block[0]))
     loops = [g.isotropy_arrows(block[0]) for block in blocks]
     pos = [{h: i for i, h in enumerate(hs)} for hs in loops]
-    # each root group's distinct conjugations, as permutations of positions
-    inner = [sorted({tuple(pos[k][comp[(comp[(c, h)], inv[c])]] for h in hs)
-                     for c in hs})
-             for k, hs in enumerate(loops)]
+    # each root group's distinct conjugations h -> c h c^-1 (row c), as
+    # permutations of positions
+    inner = []
+    for k, hs in enumerate(loops):
+        hs = np.array(hs, dtype=np.intp)
+        conj = _composite(C, _composite(C, hs[:, None], hs), np.take(inv, hs)[:, None])
+        inner.append(sorted({tuple(map(pos[k].__getitem__, row)) for row in conj.tolist()}))
+    # the rows of the table, bound once: rows[i][j] is "j, then i", and an
+    # undefined composite reads the sentinel, which no pos holds
+    rows = C.tolist()
 
     def key(phi: GroupoidHom):
         sigma = tuple(block_of[phi.obj_map[block[0]]] for block in blocks)
@@ -215,7 +224,7 @@ def _equivalence_key(g: FiniteGroupoid):
         for k, block in enumerate(blocks):
             j = sigma[k]
             t = tree[phi.obj_map[block[0]]]
-            m = [pos[j][comp[(comp[(inv[t], phi.arr_map[h])], t)]] for h in loops[k]]
+            m = [pos[j][rows[rows[inv[t]][phi.arr_map[h]]][t]] for h in loops[k]]
             if not len(m) == len(set(m)) == len(loops[j]):
                 return None
             maps.append(min(tuple(c[v] for v in m) for c in inner[j]))
@@ -239,37 +248,15 @@ def _class_of(index: dict, key) -> int:
         raise MoritaKitError("bibundle does not match any enumerated class") from None
 
 
-def _class_table(keys: list, index: dict, product) -> tuple[tuple[int, ...], ...]:
-    """The table ``table[i][j]``, the class of ``product(keys[i], keys[j])``.
+def _class_table(keys: list, index: dict, product) -> np.ndarray:
+    """The table whose cell (i, j) is the class of ``product(keys[i], keys[j])``.
 
-    Columns are visited in index order.  A column not yet known is
-    computed cell by cell from the keys, and its class x becomes a
-    generator s.  Then, breadth first over every known column j and every
-    generator s, the column of j s is column s gathered through column j,
-    because i (j s) = (i j) s; its index is ``table[j][s]``.  This is
-    ``groups._cayley``'s closure with rows and columns swapped: every
-    column is computed or derived from two computed ones, and every
-    computed cell goes through ``_class_of``.
+    ``groups._closed_table`` closes it by columns: a column not yet known
+    is computed cell by cell from the keys, every cell through
+    ``_class_of``, and the other columns are derived from computed ones.
     """
-    n = len(keys)
-    cols: list = [None] * n
-    gens = []
-    for x in range(n):
-        if cols[x] is not None:
-            continue
-        cols[x] = [_class_of(index, product(a, keys[x])) for a in keys]
-        gens.append(x)
-        frontier = [j for j in range(n) if cols[j] is not None]
-        while frontier:
-            new = []
-            for j in frontier:
-                for s in gens:
-                    js = cols[s][j]
-                    if cols[js] is None:
-                        cols[js] = list(map(cols[s].__getitem__, cols[j]))
-                        new.append(js)
-            frontier = new
-    return tuple(zip(*cols))
+    return _closed_table(len(keys), lambda x: [_class_of(index, product(a, keys[x]))
+                                               for a in keys], columns=True)
 
 
 def _enumerate_picard(g: FiniteGroupoid) -> PicardGroup:
@@ -283,19 +270,17 @@ def _enumerate_picard(g: FiniteGroupoid) -> PicardGroup:
         raise MoritaKitError("no biprincipal self-bibundle found (invalid groupoid?)")
     keys = list(first)
     index = {k: i for i, k in enumerate(keys)}
-    identity = _class_of(index, key(identity_hom(g)))
     # <phi_i> (x) <phi_j> is the bibundle of phi_i . phi_j, phi_j applied first
     table = _class_table(keys, index, key.product)
     names = tuple(f"pic{i:03d}" for i in range(len(keys)))
-    return PicardGroup(names, table, identity, "enumeration",
-                       functors=tuple(first.values()))
+    return PicardGroup(names, table, "enumeration", tuple(first.values()))
 
 
 def _formula_picard(g: FiniteGroupoid) -> PicardGroup:
     skeleton = {g.objects[block[0]]: isotropy(g, g.objects[block[0]])
                 for block in orbit_partition(g)}
     out = outaut(bundle_of_groups(skeleton))
-    return PicardGroup(out.elements, out.table, out.identity, "skeleton-formula")
+    return PicardGroup(out.elements, out._table, "skeleton-formula")
 
 
 def picard_group(g: FiniteGroupoid, method: str = "auto") -> PicardGroup:
@@ -308,7 +293,7 @@ def picard_group(g: FiniteGroupoid, method: str = "auto") -> PicardGroup:
         raise ValueError(f"unknown method {method!r}")
     pic = _enumerate_picard(g)
     closed = _formula_picard(g)
-    if group_isomorphic(pic.as_group(), closed.as_group()) is None:
+    if group_isomorphic(pic, closed) is None:
         raise MoritaKitError(
             "enumeration and formula disagree on the Picard group")
     pic.cross_checked = (closed.method,)
@@ -356,18 +341,26 @@ def center_map(g: FiniteGroupoid, x: Bibundle) -> tuple[int, ...]:
     return orbit_permutation(x)
 
 
+def _orbit_map(g: FiniteGroupoid):
+    """The orbit permutation of an endofunctor of g, read off its object map.
+
+    Orbit k goes to the orbit of the image of its root, which is the
+    orbit permutation of the functor's bibundle (``orbit_permutation``).
+    """
+    blocks = orbit_partition(g)
+    block_of = {x: k for k, block in enumerate(blocks) for x in block}
+    return lambda phi: tuple(block_of[phi.obj_map[block[0]]] for block in blocks)
+
+
 def static_picard(g: FiniteGroupoid, pic: PicardGroup | None = None) -> PicardGroup:
     """Kernel of the orbit-space action: classes moving no orbit."""
     if pic is None:
         pic = picard_group(g, "enumerate")
-    if pic.representatives is None:
+    if pic.functors is None:
         raise ValueError("need an enumeration-based Picard group")
-    ident = tuple(range(len(orbit_partition(g))))
-    idx = [i for i, r in enumerate(pic.representatives)
-           if orbit_permutation(r) == ident]
-    static = subgroup(FiniteGroup(pic.elements, pic.table, pic.functors), idx)
-    return PicardGroup(static.elements, static.table, static.identity, pic.method,
-                       functors=static.payload)
+    sigma, ident = _orbit_map(g), tuple(range(len(orbit_partition(g))))
+    static = subgroup(pic, [i for i, f in enumerate(pic.functors) if sigma(f) == ident])
+    return PicardGroup(static.elements, static._table, pic.method, static.payload)
 
 
 def lemma_section_check(s: Bibundle):
@@ -478,7 +471,7 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
         "order-product": counted,
     }
 
-    perms = [orbit_permutation(r) for r in pic.representatives]
+    perms = list(map(_orbit_map(g), pic.functors))
     witnesses = []
     for i in range(len(pic)):
         for j in range(len(pic)):

@@ -29,7 +29,7 @@ from moritakit.groupoids import (FiniteGroupoid, GroupoidHom, PrincipalBundleDat
                                  gauge_groupoid, group_as_groupoid,
                                  groupoid_isomorphisms, isotropy,
                                  orbit_partition, pair_groupoid)
-from moritakit.report import ValidationReport
+from moritakit.report import Rows, ValidationReport, plain
 from moritakit.tss import (LabeledSurfaceGraph, TssIsomorphism, _edge_bijection,
                            _edge_groups, _vertex_signature)
 
@@ -364,11 +364,9 @@ def reference_maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
     edge and kept when all edges agree (and, for isomorphisms, when the
     map is injective).
     """
-    from moritakit.groups import _generating_sequence
-
     if bijective and (len(g) != len(h) or g.order_profile() != h.order_profile()):
         return []
-    gens = _generating_sequence(g)
+    gens = reference_generating_sequence(g)
     reached, seen, edges = [g.identity], {g.identity}, []
     for x in reached:
         for k, s in enumerate(gens):
@@ -1191,3 +1189,174 @@ def reference_locate_inverses(group: FiniteGroup):
                 inv[a] = b
                 break
     return None if any(v is None for v in inv) else tuple(inv)
+
+
+# ---------------------------------------------------------------------------
+# groups built as tuples of tuples, with the plain loops over them
+
+class TupleGroup:
+    """``FiniteGroup`` as it was built from tuples of Python ints, with
+    the identity, inverses, orders and centre found by loops over them."""
+
+    def __init__(self, elements, table, payload=None):
+        self.elements = tuple(str(e) for e in elements)
+        self.table = tuple(tuple(map(int, row)) for row in table)
+        self.payload = tuple(payload) if payload is not None else None
+        if len(set(self.elements)) != len(self.elements):
+            raise ValueError("duplicate element ids")
+        n = len(self.elements)
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise ValueError("table shape does not match element count")
+        if self.payload is not None and len(self.payload) != n:
+            raise ValueError("payload length does not match element count")
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.identity = self._locate_identity()
+        self.inverse = self._locate_inverses()
+
+    def __len__(self):
+        return len(self.elements)
+
+    def inv(self, i: int) -> int:
+        return self.inverse[i]
+
+    def _locate_identity(self):
+        n = len(self.elements)
+        for e in range(n):
+            if all(self.table[e][x] == x == self.table[x][e] for x in range(n)):
+                return e
+        return None
+
+    def _locate_inverses(self):
+        if self.identity is None:
+            return None
+        e, table = self.identity, self.table
+        inv = []
+        for a, row in enumerate(table):
+            # the first b with ab = e = ba: scan past one-sided hits
+            b = -1
+            try:
+                while True:
+                    b = row.index(e, b + 1)
+                    if table[b][a] == e:
+                        break
+            except ValueError:
+                return None
+            inv.append(b)
+        return tuple(inv)
+
+    def element_order(self, i: int) -> int:
+        e, x, k = self.identity, i, 1
+        while x != e:
+            if k == len(self.elements):
+                raise ValueError(f"element {self.elements[i]!r} has no order "
+                                 "up to the group size (table not a group)")
+            x = self.table[x][i]
+            k += 1
+        return k
+
+    def center(self) -> tuple[int, ...]:
+        n = len(self.elements)
+        return tuple(z for z in range(n)
+                     if all(self.table[z][x] == self.table[x][z] for x in range(n)))
+
+    def order_profile(self) -> tuple[int, ...]:
+        return tuple(sorted(self.element_order(i) for i in range(len(self))))
+
+    def as_dict(self):
+        table = np.array(self.table, dtype=np.intp).reshape(len(self), len(self))
+        d = {"elements": list(self.elements), "table": Rows(table, range(len(self)))}
+        if self.identity is not None:
+            d["identity"] = self.elements[self.identity]
+        return plain(d)
+
+
+def reference_validate_group(g) -> ValidationReport:
+    report = ValidationReport()
+    n = len(g.elements)
+    names = g.elements
+    for i, row in enumerate(g.table):
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                report.add("closure", names[i], names[j])
+    if report.violations:
+        return report
+    for i, j, k in product(range(n), repeat=3):
+        if g.table[g.table[i][j]][k] != g.table[i][g.table[j][k]]:
+            report.add("associativity", names[i], names[j], names[k])
+    if g.identity is None:
+        report.add("identity")
+    elif g.inverse is None:
+        for a in range(n):
+            if not any(g.table[a][b] == g.identity == g.table[b][a] for b in range(n)):
+                report.add("inverses", names[a])
+    return report
+
+
+def reference_subgroup(g, indices) -> TupleGroup:
+    idx = sorted(set(indices))
+    pos = {v: i for i, v in enumerate(idx)}
+    table = []
+    for a in idx:
+        row = []
+        for b in idx:
+            v = g.table[a][b]
+            if v not in pos:
+                raise ValueError("subset is not closed under the product")
+            row.append(pos[v])
+        table.append(row)
+    payload = [g.payload[a] for a in idx] if g.payload is not None else None
+    return TupleGroup([g.elements[a] for a in idx], table, payload)
+
+
+def reference_generated_closure(g, seed) -> set[int]:
+    """The elements that products of the identity and ``seed`` reach."""
+    done = {g.identity} | set(seed)
+    frontier = list(done)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(done):
+                for c in (g.table[a][b], g.table[b][a]):
+                    if c not in done:
+                        done.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return done
+
+
+def reference_generating_sequence(g) -> list[int]:
+    """Each element in index order that the ones before it do not generate."""
+    gens, closure = [], {g.identity}
+    for x in range(len(g)):
+        if x not in closure:
+            gens.append(x)
+            closure = reference_generated_closure(g, gens)
+    return gens
+
+
+def reference_quotient_group(g, normal):
+    normal = frozenset(normal)
+    for a in range(len(g)):
+        ai = g.inv(a)
+        for n in normal:
+            if g.table[g.table[a][n]][ai] not in normal:
+                raise ValueError("subgroup is not normal")
+    seen, cosets = {}, []
+    for a in range(len(g)):
+        if a in seen:
+            continue
+        coset = frozenset(g.table[a][x] for x in normal)
+        rep = min(coset)
+        for b in coset:
+            seen[b] = len(cosets)
+        cosets.append((rep, coset))
+    cosets.sort(key=lambda rc: rc[0])
+    coset_of = {}
+    for i, (_, coset) in enumerate(cosets):
+        for b in coset:
+            coset_of[b] = i
+    reps = tuple(rep for rep, _ in cosets)
+    table = [[coset_of[g.table[ra][rb]] for rb in reps] for ra in reps]
+    names = [f"[{g.elements[r]}]" for r in reps]
+    payload = [g.payload[r] for r in reps] if g.payload is not None else None
+    return TupleGroup(names, table, payload), reps

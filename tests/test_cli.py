@@ -744,6 +744,94 @@ def test_commands_build_no_action_dicts(files, capsys, monkeypatch):
 
 
 
+def corpus_files(files):
+    """The corpus groupoids saved under ``files``, by file name."""
+    from support import corpus_groupoids
+
+    names = []
+    for i, (_, g) in enumerate(corpus_groupoids()):
+        save_groupoid(g, files / f"corpus{i}.json")
+        names.append(f"corpus{i}.json")
+    return names
+
+
+def run_all(files, capsys, runs):
+    for argv in runs:
+        code, report = run(capsys, *argv[:1], *(files / p if p.endswith(".json") else p
+                                               for p in argv[1:]), "--quiet")
+        assert code in (0, 4) and "error" not in report, argv
+
+
+def test_commands_build_no_comp_dict(files, capsys, monkeypatch):
+    # the composition reaches every kernel as the dense table; the comp
+    # dict is a view for callers, never built by a command
+    from moritakit.groupoids import FiniteGroupoid
+
+    corpus = corpus_files(files)
+    built = []
+    comp = FiniteGroupoid.comp.func
+    monkeypatch.setattr(FiniteGroupoid, "comp", property(lambda g: built.append(g) or comp(g)))
+    runs = [[command, name] for name in corpus
+            for command in ("validate", "aut", "bisections", "picard", "verify-exact")]
+    # gaugeZ3/2 ~ Z3, pair1 ~ pair3, gaugeZ4/2 ~ Z4, each way, and Z5 !~ Z2xZ2
+    pairs = [("corpus13.json", "corpus1.json"), ("corpus9.json", "pair3.json"),
+             ("corpus15.json", "corpus2.json")]
+    for i, (a, b) in enumerate(pairs):
+        runs += [["morita", a, b, "--emit-witness", f"w{i}.json"],
+                 ["morita", b, a, "--emit-witness", f"v{i}.json"],
+                 ["compose", f"w{i}.json", f"v{i}.json", "--emit-witness", f"c{i}.json"],
+                 ["validate", f"c{i}.json"]]
+    runs.append(["morita", "corpus3.json", "corpus8.json"])
+    run_all(files, capsys, runs)
+    assert built == []
+
+
+def test_aut_and_graph_automorphisms_build_no_group_table(files, capsys, monkeypatch):
+    # group tables reach the reports and the searches as index arrays; the
+    # tuple table is a view for callers
+    from moritakit.groups import FiniteGroup
+
+    runs = [["aut", name] for name in corpus_files(files)]
+    save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1}, [("n", "s", 1.0)] * 6),
+             files / "par6.json")
+    built = []
+    table = FiniteGroup.table.func
+    monkeypatch.setattr(FiniteGroup, "table", property(lambda g: built.append(g) or table(g)))
+    run_all(files, capsys, runs + [["tss-picard-ingredients", "par6.json"]])
+    assert built == []
+
+
+NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("command", ["aut", "picard", "verify-exact", "validate"])
+def test_a_non_associative_group_shorthand_is_refused(files, capsys, command):
+    # the order-5 loop has an identity and two-sided inverses, but
+    # (1 1) 2 = 2 while 1 (1 2) = 1 3 = 4
+    doc = {"group": {"elements": ["e", "a", "b", "c", "d"], "table": NON_ASSOCIATIVE_LOOP}}
+    (files / "loop.json").write_text(json.dumps(doc))
+    code, report = run(capsys, command, files / "loop.json", "--quiet")
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "'table' is not a group table: (a b) c differs from a (b c) "
+                   "for a, b, c = 'a', 'a', 'b'"}
+
+
+def test_memory_error_is_a_precondition_failure(files, capsys, monkeypatch):
+    from moritakit import picard
+
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 3.03 GiB for an array")
+
+    monkeypatch.setattr(picard, "_cayley", exhausted)
+    code, report = run(capsys, "aut", files / "z4.json", "--quiet")
+    assert code == 2
+    assert report["error"] == {"type": "MemoryError",
+                               "message": "Unable to allocate 3.03 GiB for an array"}
+
+
 MALFORMED_DOCUMENTS = [  # (document, the key the report names)
     ({"pair": [3]}, "pair"),
     ({"group": {"elements": ["e"], "table": 5}}, "group"),

@@ -1,5 +1,6 @@
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +18,10 @@ from moritakit.groups import (FiniteGroup, _after, _cayley, _index_rows,
 from moritakit.picard import Bisection, automorphisms, bisections
 from moritakit.tss import LabeledSurfaceGraph, TssIsomorphism, graph_automorphisms
 
-from support import (corpus_groupoids, reference_cayley, reference_locate_inverses,
-                     reference_maps, reference_row_cayley)
+from support import (TupleGroup, corpus_groupoids, reference_cayley,
+                     reference_generated_closure, reference_locate_inverses,
+                     reference_maps, reference_quotient_group, reference_row_cayley,
+                     reference_subgroup, reference_validate_group)
 
 
 def test_constructors_are_groups():
@@ -286,3 +289,166 @@ def test_inverses_match_the_pair_loop_on_groups():
               dihedral_group(5), quaternion_group(),
               FiniteGroup(["a", "b"], [[0, 1], [1, 1]])]:
         assert g.inverse == reference_locate_inverses(g), g
+
+
+# ---------------------------------------------------------------------------
+# index-array groups against the tuple-built class and its loops
+
+def order_or_error(g, i):
+    """``element_order``, or the message of its ValueError.  Where a power
+    leaves the table, the tuple lookup raises IndexError and the array
+    group reports that the element has no order."""
+    try:
+        return g.element_order(i)
+    except ValueError as exc:
+        return str(exc)
+    except IndexError:
+        return (f"element {g.elements[i]!r} has no order up to the group size "
+                "(table not a group)")
+
+
+def outcome(build, *args):
+    """The elements, table and payload of the group ``build`` returns (and
+    the rest of a tuple result), or the message of its ValueError."""
+    try:
+        result = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    group, *rest = result if isinstance(result, tuple) else (result,)
+    return (group.elements, group.table, group.payload, *rest)
+
+
+def document(g):
+    """``as_dict``, or IndexError where a cell names no element."""
+    try:
+        return g.as_dict()
+    except IndexError:
+        return IndexError
+
+
+def violations(report):
+    return [(v.rule, v.witness) for v in report.violations]
+
+
+def assert_same_as_tuple_group(new, ref, subsets=()):
+    """Every derived value of ``new`` as ``ref``, a ``TupleGroup`` of the
+    same table, computes it; ``subsets`` are tried as subgroups, and the
+    subgroups of a group as normal subgroups."""
+    assert new.table == ref.table
+    assert document(new) == document(ref)
+    assert (new.identity, new.inverse) == (ref.identity, ref.inverse)
+    assert new.center() == ref.center()
+    orders = [order_or_error(ref, i) for i in range(len(ref))]
+    assert [order_or_error(new, i) for i in range(len(new))] == orders
+    report = reference_validate_group(ref)
+    assert violations(validate_group(new)) == violations(report)
+    for subset in subsets:
+        sub = outcome(reference_subgroup, ref, subset)
+        assert outcome(subgroup, new, subset) == sub
+        if report.ok and not isinstance(sub, str):  # a subgroup of a group
+            assert (outcome(quotient_group, new, subset)
+                    == outcome(reference_quotient_group, ref, subset))
+
+
+def group_subsets(ref):
+    """The trivial and whole subgroups, the centre and each cyclic subgroup."""
+    n = len(ref)
+    cyclic = {frozenset(reference_generated_closure(ref, [x])) for x in range(n)}
+    return [{ref.identity}, set(range(n)), set(ref.center())] + sorted(map(sorted, cyclic))
+
+
+SMALL_GROUP_TABLES = [g.table for g in (cyclic_group(5), klein_four_group(), symmetric_group(3),
+                                        quaternion_group(), dihedral_group(4),
+                                        direct_product(cyclic_group(2), cyclic_group(4)))]
+
+
+@st.composite
+def square_tables(draw):
+    """Tables of order 1 to 8: relabelled groups, Latin squares (isotopes
+    of a cyclic group, most not associative or with no identity), tables
+    with a two-sided identity and arbitrary other cells (so one-sided
+    inverses), and arbitrary tables; any of them with one cell out of
+    range, and with random subsets of indices to try as subgroups."""
+    kind = draw(st.sampled_from(["group", "latin", "identity", "any"]))
+    if kind == "group":
+        base = draw(st.sampled_from(SMALL_GROUP_TABLES))
+        n = len(base)
+        p = draw(st.permutations(range(n)))  # element p[i] is old element i
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[p[i]][p[j]] = p[base[i][j]]
+    else:
+        n = draw(st.integers(1, 8))
+        cells = st.integers(0, n - 1)
+        if kind == "latin":
+            r, c, v = (draw(st.permutations(range(n))) for _ in range(3))
+            table = [[v[(r[i] + c[j]) % n] for j in range(n)] for i in range(n)]
+        else:
+            table = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(n)]
+            if kind == "identity":
+                e = draw(cells)
+                for x in range(n):
+                    table[e][x] = table[x][e] = x
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = n + draw(st.integers(0, 2))
+    subsets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=3))
+    return table, subsets
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_tables())
+def test_array_groups_match_the_tuple_group(case):
+    table, subsets = case
+    names = [f"g{i}" for i in range(len(table))]
+    payload = [f"p{i}" for i in range(len(table))]
+    new, ref = FiniteGroup(names, table, payload), TupleGroup(names, table, payload)
+    if ref.identity is not None and reference_validate_group(ref).ok:
+        subsets = subsets + group_subsets(ref)
+    assert_same_as_tuple_group(new, ref, subsets)
+
+
+def corpus_groups():
+    """The isotropy, automorphism and bisection groups of the corpus."""
+    for name, g in corpus_groupoids():
+        yield f"aut {name}", automorphisms(g)
+        yield f"bis {name}", bisections(g)
+        for x in g.objects:
+            h = isotropy(g, x)
+            yield f"iso {name} {x}", h
+            yield f"aut iso {name} {x}", automorphism_group(h)
+
+
+def test_array_groups_match_the_tuple_group_on_the_corpus():
+    for name, g in corpus_groups():
+        ref = TupleGroup(g.elements, g.table, g.payload)
+        assert_same_as_tuple_group(g, ref, group_subsets(ref))
+
+
+def test_array_groups_match_the_tuple_group_on_s5_and_s6():
+    s5 = symmetric_group(5)
+    ref = TupleGroup(s5.elements, s5.table)
+    assert_same_as_tuple_group(s5, ref, group_subsets(ref))
+    # S6: validation is 720^3 triples, which neither side checks here
+    s6 = symmetric_group(6)
+    ref = TupleGroup(s6.elements, s6.table)
+    subsets = [{ref.identity}, set(range(720)), set(ref.center()),
+               reference_generated_closure(ref, [1]), reference_generated_closure(ref, [719])]
+    for subset in subsets:
+        assert outcome(subgroup, s6, subset) == outcome(reference_subgroup, ref, subset)
+        assert (outcome(quotient_group, s6, subset)
+                == outcome(reference_quotient_group, ref, subset))
+    assert (s6.identity, s6.inverse, s6.center()) == (ref.identity, ref.inverse, ref.center())
+    assert s6.order_profile() == ref.order_profile()
+    assert s6.as_dict() == ref.as_dict()
+
+
+def test_group_tables_are_read_only_index_arrays():
+    g = FiniteGroup(["a", "b"], [[0, 1], [1, 0]])
+    assert g._table.dtype == np.intp and not g._table.flags.writeable
+    for bad in ([[0, 1], [1]], [[0, 1]], [[[0]]]):
+        with pytest.raises(ValueError, match="table shape does not match"):
+            FiniteGroup(["a", "b"], bad)
+    with pytest.raises(ValueError, match="duplicate element ids"):
+        FiniteGroup(["a", "a"], [[0, 1], [1, 0]])

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from moritakit import picard
 from moritakit.bibundles import (Bibundle, bibundle_isomorphic, from_homomorphism,
                                  identity_bibundle, morita_equivalent,
-                                 principality, validate_bibundle)
+                                 orbit_permutation, principality, validate_bibundle)
 from moritakit.errors import MoritaKitError, NotFunctor
 from moritakit.groups import (FiniteGroup, cyclic_group, direct_product,
                               group_isomorphic, klein_four_group,
@@ -409,7 +408,7 @@ def test_j_homomorphism_checked_on_every_automorphism_pair(monkeypatch):
     late = next(c for c in range(len(pic)) if c in j_of and j_of.index(c) >= 8)
     table = [list(row) for row in pic.table]
     table[late][late] = (table[late][late] + 1) % len(pic)
-    broken = dataclasses.replace(pic, table=tuple(map(tuple, table)))
+    broken = picard.PicardGroup(pic.elements, table, pic.method, pic.functors)
     monkeypatch.setattr(picard, "picard_group", lambda g, method="auto": broken)
     check = verify_exact_sequences(g).checks["j-homomorphism"]
     expected = [(aut.elements[i], aut.elements[j])
@@ -537,3 +536,23 @@ def test_outer_of_isotropy_canonically_isomorphic_across_objects():
         outs = [outer_automorphism_group(isotropy(g, x)) for x in g.objects]
         for other in outs[1:]:
             assert group_isomorphic(outs[0], other) is not None
+
+
+@pytest.mark.parametrize("name, g", corpus_groupoids() + picard_bundles())
+def test_orbit_map_of_each_class_functor_is_its_bibundles_orbit_permutation(name, g):
+    # check (c) of verify-exact and static_picard read sigma off the class
+    # functors' object maps, with no bibundle built
+    sigma = picard._orbit_map(g)
+    for f in picard_group(g, "enumerate").functors:
+        assert sigma(f) == orbit_permutation(from_homomorphism(f)), (name, f.key())
+
+
+def test_verify_exact_builds_no_bibundle(monkeypatch):
+    def built(hom):
+        raise AssertionError("a class bibundle was built")
+
+    monkeypatch.setattr(picard, "from_homomorphism", built)
+    for g in (z_groupoid(4), bundle_of_groups({"a": cyclic_group(2), "b": cyclic_group(2)}),
+              disjoint_union(pair_groupoid(2), pair_groupoid(3))):
+        assert verify_exact_sequences(g).ok
+        assert len(static_picard(g)) >= 1
