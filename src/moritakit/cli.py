@@ -33,8 +33,8 @@ from . import __version__
 from .bibundles import (morita_equivalent, principality, tensor,
                         validate_bibundle)
 from .errors import InvalidBibundle, MoritaKitError, SingularEndomorphism
-from .gauge import (apply_gauge, closedness_residual, invertibility_check,
-                    jacobi_residual, rank_map)
+from .gauge import (_rank_slabs, apply_gauge, closedness_residual,
+                    invertibility_check, jacobi_residual)
 from .groupoids import isotropy, orbit_partition, orbits, validate
 from .io import (_field_from_json, bibundle_from_dict, detect_kind,
                  groupoid_from_dict, load_bibundle, load_field, load_groupoid,
@@ -292,12 +292,15 @@ def _gauge_check(args):
     pi, _ = load_field(args.bivector)
     b, _ = load_field(args.two_form)
     check = invertibility_check(pi, b, args.eps_sing)
-    unique, counts = np.unique(rank_map(pi), return_counts=True)
+    # ranks run from 0 to d; counted slab by slab, never held as a map
+    counts = np.zeros(pi.grid.dimension + 1, dtype=np.intp)
+    for _, ranks in _rank_slabs(pi):
+        counts += np.bincount(ranks.ravel(), minlength=len(counts))
     payload = {"invertibility": check.as_dict(),
                "jacobi_residual": jacobi_residual(pi),
                "closedness_residual": closedness_residual(b),
-               "rank_histogram": {str(u): int(c)
-                                  for u, c in zip(unique, counts)}}
+               "rank_histogram": {str(r): int(c)
+                                  for r, c in enumerate(counts.tolist()) if c}}
     code = EXIT_OK if check.ok else EXIT_SINGULAR
     return payload, code, ("fields pass the gauge checks" if check.ok else
                            "endomorphism singular")

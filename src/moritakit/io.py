@@ -27,7 +27,12 @@ from .tss import LabeledSurfaceGraph
 
 
 def sha256_digest(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's sha256, read in blocks of 1 MiB."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 20), b""):
+            digest.update(block)
+    return "sha256:" + digest.hexdigest()
 
 
 def _save_json(data, path) -> None:
@@ -323,11 +328,16 @@ def _data_path(path) -> Path:
 
 
 def save_field(field, path, kind: str) -> None:
-    """Write the binary payload at ``path`` and the sidecar at ``path.json``."""
+    """Write the binary payload at ``path`` and the sidecar at ``path.json``.
+
+    The payload is written from the upper entries as they are held, with
+    no copy when they are a contiguous little-endian float64 array.
+    """
     if kind not in _FIELD_CLASSES:
         raise ValueError(f"unknown field kind {kind!r}")
     grid = field.grid
-    Path(path).write_bytes(field.upper.astype("<f8").tobytes())
+    payload = np.ascontiguousarray(field.upper, dtype="<f8")
+    Path(path).write_bytes(payload.reshape(-1).view(np.uint8))
     sidecar = {
         "dimension": grid.dimension,
         "origin": list(grid.origin),

@@ -425,6 +425,13 @@ class ExactnessReport:
                 "checks": {k: dict(v) for k, v in self.checks.items()}}
 
 
+def _pair_witnesses(source: FiniteGroup, f: list[int], target: FiniteGroup) -> list:
+    """The pairs (a, b) of ``source`` with f(a b) != f(a) f(b), row-major."""
+    f = np.array(f, dtype=np.intp)
+    bad = f[source._table] != target._table[np.ix_(f, f)]
+    return [(source.elements[i], source.elements[j]) for i, j in np.argwhere(bad).tolist()]
+
+
 def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
     """Machine-check the three exact sequences around Aut, Bis and Pic.
 
@@ -451,15 +458,12 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
                  if (j == pic.identity) != (i in inner)]
     checks["j-kernel"] = {"ok": not witnesses, "witnesses": witnesses}
 
-    # aut.table[i][j] is the composite "a_j, then a_i"
-    witnesses = [(aut.elements[i], aut.elements[j])
-                 for i in range(len(aut)) for j in range(len(aut))
-                 if j_of[aut.table[i][j]] != pic.table[j_of[i]][j_of[j]]]
+    # aut._table[i, j] is the composite "a_j, then a_i"; each check is one
+    # gather over all pairs, its witnesses in row-major order
+    witnesses = _pair_witnesses(aut, j_of, pic)
     checks["j-homomorphism"] = {"ok": not witnesses, "witnesses": witnesses}
 
-    witnesses = [(bis.elements[i], bis.elements[j])
-                 for i in range(len(bis)) for j in range(len(bis))
-                 if slide[bis.table[i][j]] != aut.table[slide[i]][slide[j]]]
+    witnesses = _pair_witnesses(bis, slide, aut)
     kernel = {bis.elements[i] for i, k in enumerate(slide) if k == aut.identity}
     exact_kernel = kernel == set(ciso.elements)
     counted = len(bis) == len(ciso) * len(inn)
@@ -472,13 +476,15 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
     }
 
     perms = list(map(_orbit_map(g), pic.functors))
-    witnesses = []
-    for i in range(len(pic)):
-        for j in range(len(pic)):
-            composed = tuple(perms[i][v] for v in perms[j])
-            if perms[pic.table[i][j]] != composed:
-                witnesses.append((pic.elements[i], pic.elements[j]))
+    # one orbit permutation per row; per orbit v, one gather over all pairs
+    # (i, j) compares the image of v under their product with its image
+    # under "perms[j], then perms[i]"
     ident = tuple(range(len(orbit_partition(g))))
+    P = np.array(perms, dtype=np.intp).reshape(len(pic), len(ident))
+    bad = np.zeros(pic._table.shape, dtype=bool)
+    for v in ident:
+        bad |= P[pic._table, v] != P[:, P[:, v]]
+    witnesses = [(pic.elements[i], pic.elements[j]) for i, j in np.argwhere(bad).tolist()]
     kernel_idx = {i for i, p in enumerate(perms) if p == ident}
     static = static_picard(g, pic)
     static_idx = {pic.elements.index(e) for e in static.elements}

@@ -801,6 +801,19 @@ def test_aut_and_graph_automorphisms_build_no_group_table(files, capsys, monkeyp
     assert built == []
 
 
+def test_verify_exact_builds_no_group_table(files, capsys, monkeypatch):
+    # the three pair checks are gathers over the index arrays of Aut, Bis
+    # and Pic, not loops over their tuple tables
+    from moritakit.groups import FiniteGroup
+
+    runs = [["verify-exact", name] for name in corpus_files(files)]
+    built = []
+    table = FiniteGroup.table.func
+    monkeypatch.setattr(FiniteGroup, "table", property(lambda g: built.append(g) or table(g)))
+    run_all(files, capsys, runs)
+    assert built == []
+
+
 NON_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 

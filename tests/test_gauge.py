@@ -1,12 +1,19 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moritakit import gauge
+from moritakit.cli import main
 from moritakit.errors import GridMismatch, GridTooSmall, SingularEndomorphism
 from moritakit.gauge import (GridSpec, SampledBivectorField,
                              SampledTwoFormField, apply_gauge,
                              closedness_residual, invertibility_check,
                              jacobi_residual, rank_map, verify_composition)
+from moritakit.io import save_field
 from support import reference_gauge
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -385,3 +392,171 @@ def test_closed_form_transform_is_the_scaled_upper_entries(d):
     out = apply_gauge(pi, b, 0.0)
     assert out.asymmetry_report == 0.0
     assert out.upper.tobytes() == (pi.upper / (1.0 - s)[..., None]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# slabs: every kernel walks rows of the first axis, bit for bit as one slab
+
+SLAB_GRIDS = {2: [(7, 4), (3, 5)], 3: [(7, 3, 4), (3, 4, 3)],
+              4: [(5, 3, 3, 3), (3, 3, 3, 4)]}
+
+
+def slab_case(d, shape, seed=0):
+    """Random pi and B on ``shape``, the point of the smallest |det(1 + B pi)|
+    copied to the last point, so the first minimum must win across slabs."""
+    grid = GridSpec(d, (0.0,) * d, 0.25, shape)
+    rng = np.random.default_rng([d, *shape, seed])
+    m = d * (d - 1) // 2
+    pi = from_upper(SampledBivectorField, grid, rng.standard_normal((grid.n_points(), m)))
+    b = from_upper(SampledTwoFormField, grid,
+                   0.3 * rng.standard_normal((grid.n_points(), m)))
+    worst = invertibility_check(pi, b, 0.0).worst_point
+    last = tuple(n - 1 for n in shape)
+    pi.upper[last], b.upper[last] = pi.upper[worst], b.upper[worst]
+    return pi, b
+
+
+def kernel_results(pi, b):
+    """Every kernel's result, as bytes and reprs so that NaN compares."""
+    out = apply_gauge(pi, b, 0.0)
+    ranks = rank_map(pi)
+    return {"nonfinite": (pi.nonfinite_point(), b.nonfinite_point()),
+            "check": repr(invertibility_check(pi, b, 0.0)),
+            "apply": (out.upper.tobytes(), repr(out.asymmetry_report)),
+            "rank": (ranks.dtype, ranks.tobytes()),
+            "jacobi": repr(jacobi_residual(pi)),
+            "closedness": repr(closedness_residual(b))}
+
+
+def with_slab_rows(monkeypatch, grid, rows):
+    """Slabs of ``rows`` rows of the first axis; None: one slab."""
+    row = int(np.prod(grid.shape[1:]))
+    monkeypatch.setattr(gauge, "_SLAB", grid.n_points() if rows is None else rows * row)
+    return gauge._slabs(grid)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_kernels_in_slabs_equal_the_whole_grid(monkeypatch, d, rows):
+    for shape in SLAB_GRIDS[d]:
+        pi, b = slab_case(d, shape)
+        grid = pi.grid
+        assert len(with_slab_rows(monkeypatch, grid, None)) == 1
+        whole = kernel_results(pi, b)
+        slabs = with_slab_rows(monkeypatch, grid, rows)
+        assert [s.stop - s.start for s in slabs][:-1] == [rows] * (len(slabs) - 1)
+        assert kernel_results(pi, b) == whole, shape
+        # the first minimum, not the copy at the last point
+        assert invertibility_check(pi, b, 0.0).worst_point != grid.shape
+        if d == 4:
+            # entries of 1e200 from the second row on overflow LAPACK's det
+            # to NaN, which np.argmin takes first, at its first occurrence
+            scale = np.full((shape[0],) + (1,) * d, 1e200)
+            scale[0] = 1.0
+            huge = [type(f)(grid, f.upper * scale) for f in (pi, b)]
+            with np.errstate(all="ignore"):
+                found = repr(invertibility_check(*huge, 0.0))
+                with_slab_rows(monkeypatch, grid, None)
+                assert found == repr(invertibility_check(*huge, 0.0))
+            assert "nan" in found
+            with_slab_rows(monkeypatch, grid, rows)
+        # non-finite entries: the first bad point, and residuals that read
+        # them as the whole grid does
+        pi.upper[(shape[0] - 1, 0) + (0,) * (d - 2)] = np.inf
+        pi.upper[(shape[0] - 1,) + (0,) * (d - 2) + (1,)] = np.nan
+        b.upper[(1,) * d] = np.nan
+        with np.errstate(invalid="ignore"):
+            found = (pi.nonfinite_point(), b.nonfinite_point(),
+                     repr(jacobi_residual(pi)), repr(closedness_residual(b)))
+            with_slab_rows(monkeypatch, grid, None)
+            assert found == (pi.nonfinite_point(), b.nonfinite_point(),
+                             repr(jacobi_residual(pi)), repr(closedness_residual(b)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_kernels_in_one_row_slabs_agree_with_lapack(monkeypatch, d):
+    # tests/support.reference_gauge works on the full matrices of the whole
+    # grid: LAPACK det, inv and SVD, and differences of all d^2 entries
+    pi, b = slab_case(d, SLAB_GRIDS[d][0], seed=1)
+    with_slab_rows(monkeypatch, pi.grid, 1)
+    ref = reference_gauge(pi, b)
+    report = invertibility_check(pi, b, 0.0)
+    assert report.worst_point == tuple(
+        int(i) for i in np.unravel_index(np.argmin(ref["det"]), pi.grid.shape))
+    assert report.min_abs_det == pytest.approx(ref["det"][report.worst_point], rel=1e-9)
+    tau = apply_gauge(pi, b, 0.0)
+    assert np.allclose(tau.values, ref["tau"], rtol=1e-9, atol=1e-12)
+    assert np.array_equal(rank_map(pi), ref["rank"])
+    assert jacobi_residual(pi) == ref["jacobi"]
+    assert closedness_residual(b) == ref["closedness"]
+    if d == 4:  # the LAPACK path is LAPACK's, bit for bit
+        assert np.array_equal(tau.values, ref["tau"])
+        assert tau.asymmetry_report == ref["asymmetry"]
+        assert report.min_abs_det == ref["det"][report.worst_point]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_gauge_reports_in_slabs_equal_the_whole_grid(tmp_path, capsys, monkeypatch,
+                                                     d, rows):
+    pi, b = slab_case(d, SLAB_GRIDS[d][0])
+    save_field(pi, tmp_path / "pi.field", "bivector")
+    save_field(b, tmp_path / "b.field", "two_form")
+    argvs = [["gauge-check", "pi.field", "b.field"],
+             ["gauge-apply", "pi.field", "b.field", "--out", "tau.field"]]
+
+    def reports():
+        out = []
+        for argv in argvs:
+            main([str(tmp_path / a) if "." in a else a for a in argv] + ["--quiet"])
+            out.append(capsys.readouterr().out)
+        return out + [(tmp_path / "tau.field").read_bytes()]
+    with_slab_rows(monkeypatch, pi.grid, None)
+    whole = reports()
+    with_slab_rows(monkeypatch, pi.grid, rows)
+    assert reports() == whole
+    assert '"rank_histogram"' in whole[0] and '"output_digest"' in whole[1]
+
+
+def test_gauge_commands_build_no_matrices(tmp_path, capsys, monkeypatch):
+    # values stays public API; no gauge command builds it
+    pi, b = slab_case(3, (7, 3, 4))
+    save_field(pi, tmp_path / "pi.field", "bivector")
+    save_field(b, tmp_path / "b.field", "two_form")
+    built = []
+    values = gauge._SampledField.values.func
+    monkeypatch.setattr(gauge._SampledField, "values",
+                        property(lambda f: built.append(f) or values(f)))
+    for argv in (["gauge-check", "pi.field", "b.field"],
+                 ["gauge-apply", "pi.field", "b.field", "--out", "tau.field"],
+                 ["validate", "pi.field"]):
+        assert main([str(tmp_path / a) if "." in a else a for a in argv] + ["--quiet"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_gauge_commands_run_in_bounded_memory(tmp_path, capsys):
+    # U: the bytes of one field's upper entries.  gauge-check holds the two
+    # loaded fields plus slabs, gauge-apply --out the result as well
+    grid = grid3(64)
+    rng = np.random.default_rng(0)
+    upper = rng.standard_normal((*grid.shape, 3))
+    save_field(SampledBivectorField(grid, upper), tmp_path / "pi.field", "bivector")
+    upper *= 0.01
+    save_field(SampledTwoFormField(grid, upper), tmp_path / "b.field", "two_form")
+    del upper
+    U = grid.n_points() * 3 * 8
+    pi, b, tau = (str(tmp_path / name) for name in ("pi.field", "b.field", "tau.field"))
+    for argv, bound in ((["gauge-check", pi, b], 2 * U + 16 * 2 ** 20),
+                        (["gauge-apply", pi, b, "--out", tau], 3 * U + 16 * 2 ** 20)):
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0, report
+        assert peak <= bound, (argv[0], peak / U)
+    digest = hashlib.sha256((tmp_path / "tau.field").read_bytes()).hexdigest()
+    assert report["result"]["output_digest"] == "sha256:" + digest

@@ -46,6 +46,43 @@ def test_non_associative_table_reported():
     assert "associativity" in validate_group(bad).rules()
 
 
+@pytest.mark.parametrize("group", [symmetric_group(3), quaternion_group()],
+                         ids=["S3", "Q8"])
+def test_light_test_matches_the_full_loop_on_every_single_cell_change(group):
+    # every cell of the table redirected to every other element: the
+    # generator rows of Light's test decide associativity, and the witnesses
+    # are those of the loop over all n^3 triples
+    table = group._table
+    n = len(group)
+    changed = 0
+    for i in range(n):
+        for j in range(n):
+            for v in range(n):
+                if v == table[i, j]:
+                    continue
+                cells = table.copy()
+                cells[i, j] = v
+                report = validate_group(FiniteGroup(group.elements, cells))
+                reference = reference_validate_group(TupleGroup(group.elements, cells))
+                assert violations(report) == violations(reference), (i, j, v)
+                changed += not report.ok
+    assert changed == n * n * (n - 1)
+
+
+def test_light_generators_reach_every_element():
+    # greedy in index order: each generator is the first index that the
+    # earlier generators' right products miss
+    assert groups._generators(cyclic_group(6)._table) == [0, 1]
+    for g in (symmetric_group(4), quaternion_group(), klein_four_group(),
+              direct_product(cyclic_group(2), cyclic_group(4))):
+        gens = groups._generators(g._table)
+        assert gens == sorted(gens) and gens[0] == 0
+        assert reference_generated_closure(TupleGroup(g.elements, g.table), gens) \
+            == set(range(len(g)))
+    # an undefined product (index n) reaches nothing
+    assert groups._generators(np.array([[2, 1], [1, 2]])) == [0, 1]
+
+
 def test_isomorphism_and_order_profiles():
     assert group_isomorphic(cyclic_group(4), klein_four_group()) is None
     assert group_isomorphic(direct_product(cyclic_group(2), cyclic_group(3)),
