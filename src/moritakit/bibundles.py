@@ -28,8 +28,8 @@ from ._search import _injective, _roots
 from .errors import (InvalidBibundle, MiddleMismatch, NotFunctor,
                      NotLeftPrincipal)
 from .groups import group_isomorphic
-from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_rows, _comp_table,
-                        _lookup_rows, _scatter, isotropy, orbit_partition, orbits)
+from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_rows, _lookup_rows,
+                        _scatter, isotropy, orbit_partition, orbits)
 from .report import ValidationReport
 
 
@@ -38,8 +38,8 @@ class Bibundle:
 
     Each action is given by id, as a dict ``{(g, x): y}`` (``{(x, g): y}``)
     or as rows ``[g, x, y]`` (``[x, g, y]``) as files store it, and is
-    held as (E, 3) index rows in that order; a repeated pair keeps its
-    first position and its last image.
+    held as read-only (E, 3) index rows in that order; a repeated pair
+    keeps its first position and its last image.
 
     ``left_act`` is defined exactly on pairs ``(g, x)`` with
     ``s(g) == j1(x)`` and ``right_act`` exactly on ``(x, g)`` with
@@ -74,13 +74,13 @@ class Bibundle:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two actions as dense index arrays ``L[g, x]`` and ``R[x, g]``.
+        """The two actions as read-only index arrays ``L[g, x]`` and ``R[x, g]``.
 
         An entry is the index of g.x (of x.g), or the sentinel n, the
         carrier size, where the action is undefined.  Each table has one
         more row and column than arrows and points, all n, so a gather
         through an undefined point or a sentinel arrow stays undefined, as
-        in ``groupoids._comp_table``.
+        in ``FiniteGroupoid._table``.
         """
         n = len(self.carrier)
         left, right = self._rows
@@ -131,7 +131,9 @@ def _first_keys(rows: np.ndarray, width: int) -> np.ndarray:
                                return_index=True, return_inverse=True)
     image = _scatter((1, len(first)), -1, np.zeros_like(pair), pair, rows[:, 2])[0]
     at = np.argsort(first)
-    return np.column_stack((rows[first[at], :2], image[at]))
+    rows = np.column_stack((rows[first[at], :2], image[at]))
+    rows.flags.writeable = False
+    return rows
 
 
 def _grouped(labels: np.ndarray, n_groups: int) -> list[np.ndarray]:
@@ -207,7 +209,7 @@ def validate_bibundle(s: Bibundle) -> ValidationReport:
             report.add("left-unit-action", car[x])
         if bad_ru[x]:
             report.add("right-unit-action", car[x])
-    cl, cr = _comp_table(lg), _comp_table(rg)
+    cl, cr = lg._table, rg._table
     ml, mr = lg.n_arrows, rg.n_arrows
     # left entries (h, x) -> hx and right entries (x, g) -> xg, in row order;
     # gathers go through flat tables and the right table's columns
@@ -323,7 +325,7 @@ def principality(s: Bibundle) -> PrincipalityReport:
 def identity_bibundle(g: FiniteGroupoid) -> Bibundle:
     """The groupoid acting on its own arrows by left/right multiplication."""
     m = g.n_arrows
-    table = _comp_table(g)[:m, :m]
+    table = g._table[:m, :m]
     i, j = np.nonzero(table != m)  # both actions are the composites, row-major
     return _from_classes(g, g, g.arrows, np.array(g.tgt, dtype=np.intp),
                          np.array(g.src, dtype=np.intp),
@@ -347,7 +349,7 @@ def from_homomorphism(hom: GroupoidHom) -> Bibundle:
     point = np.full((m + 1, src_g.n_objects), -1, dtype=np.intp)
     point[pg, py] = np.arange(len(pg))
     # g1.(g, y) = (g1 g, y) and (g, y).g2 = (g hom(g2), s(g2))
-    c, arr_map = _comp_table(tgt_g), np.array(hom.arr_map, dtype=np.intp)
+    c, arr_map = tgt_g._table, np.array(hom.arr_map, dtype=np.intp)
     lg, lc = _fibre_entries([tgt_g.s_fiber(t) for t in tgt[pg].tolist()])
     l_target = point[c[lg, pg[lc]], py[lc]]
     rg, rc = _fibre_entries([src_g.t_fiber(y) for y in py.tolist()])
@@ -455,6 +457,8 @@ def _from_classes(left, right, names, j1, j2, left_entries, right_entries):
     s.j1, s.j2 = tuple(j1[order].tolist()), tuple(j2[order].tolist())
     s._rows = (np.stack((lg, at[lc], at[l_target]), axis=1),
                np.stack((at[rc], rg, at[r_target]), axis=1))
+    for rows in s._rows:
+        rows.flags.writeable = False
     return s
 
 
@@ -586,7 +590,7 @@ def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None
     if matching is None:
         return None
 
-    c1, c2 = _comp_table(g1), _comp_table(g2)
+    c1, c2 = g1._table, g2._table
     m2 = g2.n_arrows
     # cls[e1, e2]: the class of the pair, -1 off the glued fibres
     cls = np.full((g1.n_arrows + 1, m2 + 1), -1, dtype=np.intp)
@@ -630,8 +634,8 @@ def _glue_orbit_pair(g1, x1, g2, x2, h1, h2, theta):
     e2 = np.array(g2.s_fiber(x2), dtype=np.intp)
     h = np.array([g2.arr_index[a] for a in h2.elements], dtype=np.intp)
     th = np.array([g1.arr_index[h1.elements[k]] for k in theta], dtype=np.intp)
-    k1 = _comp_table(g1)[e1[:, None], th[None, :]]
-    k2 = _comp_table(g2)[e2[:, None], h[None, :]]
+    k1 = g1._table[e1[:, None], th[None, :]]
+    k2 = g2._table[e2[:, None], h[None, :]]
     if not len(h) or (k1 == m1).any() or (k2 == m2).any():
         raise ValueError(_NOT_CLOSED)
     k1 *= m2 + 1

@@ -324,21 +324,17 @@ def _partials(field: _SampledField, rows: slice):
 def _max_over_triples(field: _SampledField, cyclic_sum) -> float:
     """Max |cyclic_sum(partial, rows, i, j, k)| over points and triples i < j < k.
 
-    The maximum per triple reduces over the slabs as ``np.max`` over the
-    whole grid; the triples are then folded in order with ``max``.
+    The maxima per slab and triple reduce with ``np.max``, as over the
+    whole grid, so a NaN anywhere makes the result NaN.
     """
     if any(n < 3 for n in field.grid.shape):
         raise GridTooSmall("need at least 3 points per axis for order-2 stencils")
     triples = list(combinations(range(field.grid.dimension), 3))
-    maxima = [[] for _ in triples]
+    maxima = []
     for rows in _slabs(field.grid):
         partial = _partials(field, rows)
-        for found, (i, j, k) in zip(maxima, triples):
-            found.append(np.max(np.abs(cyclic_sum(partial, rows, i, j, k))))
-    worst = 0.0
-    for found in maxima:
-        worst = max(worst, float(np.max(found)))
-    return worst
+        maxima += [np.max(np.abs(cyclic_sum(partial, rows, i, j, k))) for i, j, k in triples]
+    return float(np.max(maxima))
 
 
 def closedness_residual(b: SampledTwoFormField) -> float:

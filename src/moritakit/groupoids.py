@@ -30,7 +30,10 @@ class FiniteGroupoid:
     ``comp`` is given either as a dict ``{(g, h): k}`` or as rows
     ``[g, h, k]`` (as groupoid files store it), all by id; for a repeated
     pair (g, h) the last composite wins.  The composition is held only as
-    the dense table of ``_comp_table``; the ``comp`` attribute is the dict
+    ``_table``, a read-only dense (m+1) x (m+1) index array: ``_table[i, j]``
+    is the index of the composite "j, then i", or the sentinel m where it
+    is undefined; row and column m are all m, so gathers through an
+    undefined composite stay undefined.  The ``comp`` attribute is the dict
     ``{(i, j): k}`` of index pairs, built from that table on first use.
 
     The constructor only checks that the structure maps are total and refer
@@ -160,6 +163,7 @@ def _scatter(shape, fill: int, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> n
 
     A repeated cell keeps its last value, as a dict would; numpy's fancy
     assignment does not promise which one it keeps.  No k[r] is ``fill``.
+    The table comes back read-only.
     """
     table = np.full(shape, fill, dtype=np.intp)
     cells, flat = i * shape[1] + j, table.reshape(-1)
@@ -168,21 +172,12 @@ def _scatter(shape, fill: int, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> n
         cells, k = cells[::-1], k[::-1]
         last = np.unique(cells, return_index=True)[1]
         flat[cells[last]] = k[last]
+    table.flags.writeable = False
     return table
 
 
 # ---------------------------------------------------------------------------
 # validation
-
-def _comp_table(g: FiniteGroupoid) -> np.ndarray:
-    """The composition table as a dense (m+1) x (m+1) index array.
-
-    ``C[i, j]`` is the index of the composite "j, then i", or the sentinel
-    m where it is undefined; row and column m are all m, so gathers through
-    an undefined composite stay undefined.  The constructor builds it.
-    """
-    return g._table
-
 
 def _composite(C: np.ndarray, i, j) -> np.ndarray:
     """``C[i, j]``, the composites "j, then i", for index arrays or ints.
@@ -202,21 +197,21 @@ def _composite(C: np.ndarray, i, j) -> np.ndarray:
 def validate(g: FiniteGroupoid) -> ValidationReport:
     """Check every groupoid axiom, reporting id-level witnesses.
 
-    The check is exhaustive and runs over the dense table of
-    ``_comp_table``.  Composability and composite endpoints are compared
-    for all m^2 pairs at once.  Associativity compares (ij)k with i(jk) on
-    every composable triple: for each left arrow i, one gather over the
-    pairs j in t_fiber(src i), k in t_fiber(src j), counting a triple only
-    where both sides are defined; when the pairs check found nothing, only
-    the rows of the generators of ``groups._generators`` run unless one of
-    them fails (Light's test).  The unit and inverse laws are gathers
-    over all arrows at once.  Witnesses come in the order of a plain loop:
-    pairs (i, j) row-major, then triples (i, j, k), then arrows.
+    The check is exhaustive and runs over the dense table ``g._table``.
+    Composability and composite endpoints are compared for all m^2 pairs
+    at once.  Associativity compares (ij)k with i(jk) on every composable
+    triple: for each left arrow i, one gather over the pairs j in
+    t_fiber(src i), k in t_fiber(src j), counting a triple only where both
+    sides are defined; when the pairs check found nothing, only the rows
+    of the generators of ``groups._generators`` run unless one of them
+    fails (Light's test).  The unit and inverse laws are gathers over all
+    arrows at once.  Witnesses come in the order of a plain loop: pairs
+    (i, j) row-major, then triples (i, j, k), then arrows.
     """
     report = ValidationReport()
     A, O = g.arrows, g.objects
     m = len(A)
-    C = _comp_table(g)
+    C = g._table
     # endpoints, with -1 at the sentinel index m
     src = np.array(g.src + (-1,), dtype=np.intp)
     tgt = np.array(g.tgt + (-1,), dtype=np.intp)
@@ -305,7 +300,7 @@ def isotropy(g: FiniteGroupoid, x: str) -> FiniteGroup:
         return g._isotropy[xi]
     loops = np.array(g.isotropy_arrows(xi), dtype=np.intp)
     m = g.n_arrows
-    composites = _comp_table(g)[np.ix_(loops, loops)]
+    composites = g._table[np.ix_(loops, loops)]
     pos = np.full(m + 1, -1, dtype=np.intp)  # position among the loops
     pos[loops] = np.arange(len(loops))
     table = pos[composites]
@@ -521,7 +516,7 @@ def disjoint_union(*groupoids: FiniteGroupoid, prefixes=None) -> FiniteGroupoid:
             inv[pre + a] = pre + g.arrows[g.inv[i]]
         for x in range(g.n_objects):
             unit[pre + g.objects[x]] = pre + g.arrows[g.unit[x]]
-        C = _comp_table(g)
+        C = g._table
         i, j = np.nonzero(C != g.n_arrows)  # row and column m are all m
         ids = np.array([pre + a for a in g.arrows], dtype=object)
         comp.extend(zip(ids[i], ids[j], ids[C[i, j]]))
@@ -560,7 +555,7 @@ class GroupoidHom:
                 return False
         # every defined composite of the source goes to the composite of
         # the images, which the target's sentinel never matches
-        S, T = _comp_table(s), _comp_table(t)
+        S, T = s._table, t._table
         arr = np.array(self.arr_map, dtype=np.intp)
         i, j = np.nonzero(S != s.n_arrows)
         return bool((T[arr[i], arr[j]] == arr[S[i, j]]).all())
@@ -600,7 +595,7 @@ def _spanning_tree(g: FiniteGroupoid, root: int) -> dict[int, int]:
     The root gets its unit; the other objects are reached along source
     fibres in arrow order, so the tree is fixed by the groupoid alone.
     """
-    tree, queue, C = {root: g.unit[root]}, [root], _comp_table(g)
+    tree, queue, C = {root: g.unit[root]}, [root], g._table
     for x in queue:  # breadth first, the queue growing as we walk it
         for a in g.s_fiber(x):
             y = g.tgt[a]
@@ -645,7 +640,7 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
     orbit_of = {y: t for t, target in enumerate(orbits2) for y in target}
     targets = orbits2 if bijective else [range(g2.n_objects)]
     ends = g2.tgt.__getitem__
-    C1, inv1 = _comp_table(g1), np.array(g1.inv, dtype=np.intp)
+    C1, inv1 = g1._table, np.array(g1.inv, dtype=np.intp)
     slots, decomposed = [], []
     for k, block in enumerate(blocks):
         root, rest = block[0], block[1:]
@@ -678,7 +673,7 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
         slots.append(options)
     # the rows of g2's table, bound once; an undefined composite reads the
     # sentinel m2, and the lookup is redone to name it
-    C2, inv, m2 = _comp_table(g2), g2.inv, g2.n_arrows
+    C2, inv, m2 = g2._table, g2.inv, g2.n_arrows
     rows = C2.tolist()
     for choice in (product(*slots) if mode == "all"
                    else _injective(slots, lambda o: o[0])):

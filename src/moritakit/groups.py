@@ -225,28 +225,23 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
-def _closed_table(n: int, search, derive: bool = True, columns: bool = False) -> np.ndarray:
-    """The n x n table of a group whose rows (or ``columns``) ``search`` gives.
+def _closed_table(n: int, search) -> np.ndarray:
+    """The n x n table of a group whose rows ``search`` gives.
 
-    Lines are visited in index order, and ``search(x)`` fills line x when
-    it is not yet known.  With ``derive``, each searched x becomes a
-    generator s, and the known lines are closed under the generators,
-    breadth first: for a known line a and a generator s, the line of a s,
-    whose index is ``table[a, s]``, is row a gathered through row s,
-    because (a s) y = a (s y), or column s gathered through column a,
-    because y (a s) = (y a) s.  Every line is thus searched or derived
-    from two searched ones, so every cell is exact, with no sampling;
-    without ``derive`` every line is searched.
+    Rows are visited in index order, and ``search(x)`` fills row x when it
+    is not yet known.  Each searched x becomes a generator s, and the
+    known rows are closed under the generators, breadth first: for a known
+    row a and a generator s, the row of a s, whose index is
+    ``table[a, s]``, is row a gathered through row s, because
+    (a s) y = a (s y).  Every row is thus searched or derived from two
+    searched ones, so every cell is exact, with no sampling.
     """
-    table = np.empty((n, n), dtype=np.intp, order="F" if columns else "C")
-    lines = table.T if columns else table  # line x is lines[x], contiguous
+    table = np.empty((n, n), dtype=np.intp)
     known, gens = [False] * n, []
     for x in range(n):
         if known[x]:
             continue
-        lines[x] = search(x)
-        if not derive:
-            continue
+        table[x] = search(x)
         known[x] = True
         gens.append(x)
         queue = [a for a in range(n) if known[a]]
@@ -254,37 +249,27 @@ def _closed_table(n: int, search, derive: bool = True, columns: bool = False) ->
             for s in gens:
                 c = int(table[a, s])
                 if not known[c]:
-                    lines[c] = lines[s][lines[a]] if columns else lines[a][lines[s]]
+                    table[c] = table[a][table[s]]
                     known[c] = True
                     queue.append(c)
-    return np.ascontiguousarray(table)
+    return table
 
 
-def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
-    """The group of ``items`` under a product on their rows, items as payload.
+def _row_lookup(rows: np.ndarray, prefix: str):
+    """A function locating product rows among ``rows``, an n x w integer array.
 
-    ``rows`` is an n x w integer array whose row i encodes ``items[i]``
-    (distinct items, distinct rows), and ``compose(x, rows)`` returns, for
-    one row x, the n rows of the products x * y for y in ``rows``.  A row
-    of the table is searched by locating each product among the items by
-    ``searchsorted`` on the row bytes and comparing it with the row found.
-    For products of index maps (``compose is _after``) only the rows that
-    ``_closed_table`` cannot derive are searched; other products are
-    searched row by row.
-
-    A product outside the items raises ``KeyError`` at the first such
-    (x, y) in row-major order: a derived row never fails, so the first
-    failing row is a searched one.  Elements are named ``prefix000``,
-    ``prefix001``, ...
+    ``find(x, products)`` returns, for the rows of the products x * y of
+    item x with each item y, the index of each among ``rows``: located by
+    ``searchsorted`` on the row bytes and compared with the row found.  A
+    product outside the rows raises ``KeyError`` at the first such y, the
+    items named ``prefix000``, ``prefix001``, ...
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    n = len(items)
+    n = len(rows)
     keys = _row_keys(rows)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
 
-    def search(x):
-        products = compose(rows[x], rows)
+    def find(x: int, products: np.ndarray) -> np.ndarray:
         at = np.searchsorted(sorted_keys, _row_keys(products))
         found = order[np.minimum(at, n - 1)]
         missing = np.nonzero((rows[found] != products).any(axis=1))[0]
@@ -293,26 +278,37 @@ def _cayley(items, rows: np.ndarray, compose, prefix: str) -> FiniteGroup:
                            f"{prefix}{missing[0]:03d} is not among the items")
         return found
 
-    table = _closed_table(n, search, derive=compose is _after)
-    names = [f"{prefix}{i:03d}" for i in range(n)]
+    return find
+
+
+def _cayley(items, rows: np.ndarray, prefix: str) -> FiniteGroup:
+    """The group of ``items`` under composition of index maps, items as payload.
+
+    ``rows`` is an n x w integer array whose row i is the index map of
+    ``items[i]`` (distinct items, distinct rows); the product x y is "y,
+    then x", the row x[y].  A map of objects and one of arrows act on one
+    index range, so both go in one row, the arrows offset by the number of
+    objects.  Only the rows that ``_closed_table`` cannot derive are
+    searched, through ``_row_lookup``.
+
+    A product outside the items raises ``KeyError`` at the first such
+    (x, y) in row-major order: a derived row never fails, so the first
+    failing row is a searched one.  Elements are named ``prefix000``,
+    ``prefix001``, ...
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    find = _row_lookup(rows, prefix)
+    table = _closed_table(len(items), lambda x: find(x, rows[x][rows]))
+    names = [f"{prefix}{i:03d}" for i in range(len(items))]
     return FiniteGroup(names, table, payload=items)
 
 
 def _index_rows(maps, width: int) -> np.ndarray:
-    """Index maps of one length as an n x width array, for ``_cayley``.
+    """Index maps of one length as an n x width array, for ``_row_lookup``.
 
     The width is given, so that no maps, or empty ones, still make one.
     """
     return np.array(maps, dtype=np.intp).reshape(len(maps), width)
-
-
-def _after(x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Products "x after y" of index maps: x[y] for every row y of ys.
-
-    Both act on one index range, so a map of objects and one of arrows go
-    in one row, the arrows offset by the number of objects.
-    """
-    return x[ys]
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +535,7 @@ def group_isomorphic(g: FiniteGroup, h: FiniteGroup):
 def automorphism_group(g: FiniteGroup) -> FiniteGroup:
     """Aut(g), with the permutation tuples as payload."""
     perms = sorted(group_isomorphisms(g, g))
-    return _cayley(perms, _index_rows(perms, len(g)), _after, "a")
+    return _cayley(perms, _index_rows(perms, len(g)), "a")
 
 
 def inner_automorphism_group(g: FiniteGroup, aut: FiniteGroup | None = None) -> FiniteGroup:

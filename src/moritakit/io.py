@@ -19,9 +19,8 @@ import numpy as np
 from .bibundles import Bibundle
 from .gauge import (GridSpec, SampledBivectorField, SampledTwoFormField)
 from .groups import FiniteGroup, validate_group
-from .groupoids import (FiniteGroupoid, PrincipalBundleData, _comp_table,
-                        action_groupoid, gauge_groupoid, group_as_groupoid,
-                        pair_groupoid)
+from .groupoids import (FiniteGroupoid, PrincipalBundleData, action_groupoid,
+                        gauge_groupoid, group_as_groupoid, pair_groupoid)
 from .report import Rows, plain, write_json
 from .tss import LabeledSurfaceGraph
 
@@ -216,7 +215,7 @@ def _groupoid_doc(g: FiniteGroupoid) -> dict:
         "objects": list(g.objects),
         "arrows": [{"id": a, "src": g.objects[g.src[i]], "tgt": g.objects[g.tgt[i]]}
                    for i, a in enumerate(g.arrows)],
-        "comp": _table_rows(_comp_table(g)[:m, :m], m, arrows, arrows, arrows),
+        "comp": _table_rows(g._table[:m, :m], m, arrows, arrows, arrows),
         "units": {x: g.arrows[g.unit[i]] for i, x in enumerate(g.objects)},
         "inv": {a: g.arrows[g.inv[i]] for i, a in enumerate(g.arrows)},
     }

@@ -14,8 +14,8 @@ The Picard group of a finite groupoid is computed two ways:
   automorphisms.  One candidate functor per (root image, isotropy
   isomorphism) meets every class, at the first functor of that class in
   ``enumerate_functors`` order; that functor represents the class.  The
-  product of two classes is computed on their keys, for the columns of
-  generators only; the other columns follow by associativity, through
+  product of two classes is computed on their keys, for the rows of
+  generators only; the other rows follow by associativity, through
   the closure that closes the Cayley tables (``groups._closed_table``).
   Pic is a ``FiniteGroup``, its table one read-only index array.  The
   representatives become bibundles only when they are asked for; no
@@ -39,11 +39,11 @@ from .bibundles import (Bibundle, from_homomorphism, orbit_permutation,
                         principality)
 from ._search import _injective
 from .errors import MoritaKitError, NotFunctor
-from .groups import (FiniteGroup, _after, _cayley, _closed_table, _index_rows,
+from .groups import (FiniteGroup, _cayley, _closed_table, _index_rows, _row_lookup,
                      group_isomorphic, quotient_group, subgroup)
-from .groupoids import (FiniteGroupoid, GroupoidHom, _comp_table, _composite,
-                        _functors, _spanning_tree, bundle_of_groups,
-                        groupoid_isomorphisms, isotropy, orbit_partition)
+from .groupoids import (FiniteGroupoid, GroupoidHom, _composite, _functors,
+                        _spanning_tree, bundle_of_groups, groupoid_isomorphisms,
+                        isotropy, orbit_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def automorphisms(g: FiniteGroupoid) -> FiniteGroup:
     n = g.n_objects
     rows = _index_rows([h.obj_map + tuple(n + v for v in h.arr_map) for h in isos],
                        n + g.n_arrows)
-    return _cayley(isos, rows, _after, "a")
+    return _cayley(isos, rows, "a")
 
 
 @dataclass(frozen=True)
@@ -75,24 +75,28 @@ class Bisection:
 
 
 def bisections(g: FiniteGroupoid) -> FiniteGroup:
-    """All bisections, as a group under setwise product; payload holds them."""
+    """All bisections, as a group under setwise product; payload holds them.
+
+    Every row of the table is searched (``groups._row_lookup``): the
+    product is associative only on a valid groupoid, so no row is derived.
+    """
     found = sorted(_injective([g.s_fiber(x) for x in range(g.n_objects)],
                               lambda a: g.tgt[a]))
-    C, tgt = _comp_table(g), np.array(g.tgt, dtype=np.intp)
-
-    def product(n, ms):
+    rows = _index_rows(found, g.n_objects)
+    find, C, tgt = _row_lookup(rows, "b"), g._table, np.array(g.tgt, dtype=np.intp)
+    table = np.empty((len(rows), len(rows)), dtype=np.intp)
+    for x, n in enumerate(rows):
         # (n m)(x) = n(t(m(x))) . m(x); undefined composites give the
         # sentinel, which no bisection contains
-        return C[n[tgt[ms]], ms]
-
-    return _cayley([Bisection(g, arrows) for arrows in found],
-                   _index_rows(found, g.n_objects), product, "b")
+        table[x] = find(x, C[n[tgt[rows]], rows])
+    names = [f"b{i:03d}" for i in range(len(found))]
+    return FiniteGroup(names, table, [Bisection(g, arrows) for arrows in found])
 
 
 def inner_automorphism(g: FiniteGroupoid, n: Bisection) -> GroupoidHom:
     """Two-sided sliding along a bisection: g -> N(t(g)) . g . N(s(g))^-1."""
     obj_map = tuple(g.tgt[n.arrows[x]] for x in range(g.n_objects))
-    C, arrows = _comp_table(g), np.array(n.arrows, dtype=np.intp)
+    C, arrows = g._table, np.array(n.arrows, dtype=np.intp)
     inv = np.array(g.inv, dtype=np.intp)
     # arrow i goes to N(t i) . i . N(s i)^-1
     slid = _composite(C, arrows[list(g.tgt)], np.arange(g.n_arrows))
@@ -106,20 +110,15 @@ def _slides(g: FiniteGroupoid, aut: FiniteGroup, bis: FiniteGroup) -> list[int]:
     return [index[inner_automorphism(g, n).key()] for n in bis.payload]
 
 
-def inaut(g: FiniteGroupoid, aut: FiniteGroup | None = None,
-          bis: FiniteGroup | None = None) -> FiniteGroup:
+def inaut(g: FiniteGroupoid) -> FiniteGroup:
     """Inner automorphisms, as a subgroup of ``automorphisms(g)``."""
-    if aut is None:
-        aut = automorphisms(g)
-    if bis is None:
-        bis = bisections(g)
-    return subgroup(aut, _slides(g, aut, bis))
+    aut = automorphisms(g)
+    return subgroup(aut, _slides(g, aut, bisections(g)))
 
 
-def outaut(g: FiniteGroupoid, aut: FiniteGroup | None = None) -> FiniteGroup:
+def outaut(g: FiniteGroupoid) -> FiniteGroup:
     """Outer automorphism group Aut/Inaut with coset representatives."""
-    if aut is None:
-        aut = automorphisms(g)
+    aut = automorphisms(g)
     return quotient_group(aut, set(_slides(g, aut, bisections(g))))[0]
 
 
@@ -133,7 +132,7 @@ def ciso_bisections(g: FiniteGroupoid, bis: FiniteGroup | None = None) -> Finite
     """
     if bis is None:
         bis = bisections(g)
-    C, arrows = _comp_table(g), np.arange(g.n_arrows)
+    C, arrows = g._table, np.arange(g.n_arrows)
     tgt, src = np.array(g.tgt, dtype=np.intp), np.array(g.src, dtype=np.intp)
     # the bisections of loops, one row of arrows each, then those commuting
     rows = np.array([n.arrows for n in bis.payload], dtype=np.intp).reshape(len(bis), g.n_objects)
@@ -197,7 +196,7 @@ def _equivalence_key(g: FiniteGroupoid):
     alpha_a[sigma_b(k)] . alpha_b[k], reduced again.  That is the key of
     the composite, since alpha . conj_d = conj_alpha(d) . alpha.
     """
-    C, inv = _comp_table(g), g.inv
+    C, inv = g._table, g.inv
     blocks = orbit_partition(g)
     block_of = {x: k for k, block in enumerate(blocks) for x in block}
     tree = {}
@@ -251,12 +250,12 @@ def _class_of(index: dict, key) -> int:
 def _class_table(keys: list, index: dict, product) -> np.ndarray:
     """The table whose cell (i, j) is the class of ``product(keys[i], keys[j])``.
 
-    ``groups._closed_table`` closes it by columns: a column not yet known
-    is computed cell by cell from the keys, every cell through
-    ``_class_of``, and the other columns are derived from computed ones.
+    ``groups._closed_table`` closes it by rows: a row not yet known is
+    computed cell by cell from the keys, every cell through ``_class_of``,
+    and the other rows are derived from computed ones.
     """
-    return _closed_table(len(keys), lambda x: [_class_of(index, product(a, keys[x]))
-                                               for a in keys], columns=True)
+    return _closed_table(len(keys), lambda x: [_class_of(index, product(keys[x], b))
+                                               for b in keys])
 
 
 def _enumerate_picard(g: FiniteGroupoid) -> PicardGroup:

@@ -15,7 +15,7 @@ from itertools import product
 
 from ._search import _injective, _roots
 from .errors import InconsistentTopology, MissingVolume
-from .groups import FiniteGroup, _after, _cayley, _index_rows
+from .groups import FiniteGroup, _cayley, _index_rows
 from .report import ValidationReport
 
 
@@ -258,7 +258,7 @@ def graph_automorphisms(g: LabeledSurfaceGraph) -> FiniteGroup:
     n = g.n_vertices
     rows = _index_rows([vm + tuple(n + e for e in em) for vm, em in autos],
                        n + g.n_edges)
-    return _cayley(payload, rows, _after, "g")
+    return _cayley(payload, rows, "g")
 
 
 def picard_ingredients(g: LabeledSurfaceGraph) -> PicardIngredients:

@@ -581,16 +581,17 @@ def reference_cayley(items, mul, key, prefix: str) -> FiniteGroup:
     return FiniteGroup(names, table, payload=items)
 
 
-def reference_row_cayley(items, rows, compose, prefix: str) -> FiniteGroup:
+def reference_row_cayley(items, rows, prefix: str) -> FiniteGroup:
     """``groups._cayley`` with every row searched: one ``searchsorted`` of
-    the n products of x over the row keys, for each x in index order."""
+    the n products ``row[rows]`` of x over the row keys, for each x in
+    index order."""
     rows = np.asarray(rows, dtype=np.intp)
     keys = _row_keys(rows)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     table = []
     for x, row in enumerate(rows):
-        products = compose(row, rows)
+        products = row[rows]
         at = np.searchsorted(sorted_keys, _row_keys(products))
         found = order[np.minimum(at, len(items) - 1)]
         missing = np.nonzero((rows[found] != products).any(axis=1))[0]

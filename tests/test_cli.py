@@ -169,7 +169,8 @@ def test_bisections_on_corrupted_z4(files, capsys):
     (files / "gap.json").write_text(json.dumps(data))
     code, report = run(capsys, "bisections", files / "gap.json", "--quiet")
     assert code == 2
-    assert report["error"]["type"] == "KeyError"
+    assert report["error"] == {
+        "type": "KeyError", "message": "'product of b001 and b001 is not among the items'"}
 
 
 def test_closed_stdout_gives_no_traceback(files):

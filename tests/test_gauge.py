@@ -495,6 +495,22 @@ def test_kernels_in_one_row_slabs_agree_with_lapack(monkeypatch, d):
         assert report.min_abs_det == ref["det"][report.worst_point]
 
 
+@pytest.mark.parametrize("d, n", [(3, 5), (4, 4)])
+def test_residuals_of_a_field_with_one_nan_are_nan(d, n):
+    # the NaN partial meets the triples through a 0.0 term or its own; no
+    # maximum over slabs or triples may drop it
+    grid = GridSpec(d, (0.0,) * d, 0.25, (n,) * d)
+    rng = np.random.default_rng(d)
+    m = d * (d - 1) // 2
+    pi = from_upper(SampledBivectorField, grid, rng.standard_normal((grid.n_points(), m)))
+    b = from_upper(SampledTwoFormField, grid, rng.standard_normal((grid.n_points(), m)))
+    pi.upper[(1,) * d + (0,)] = np.nan
+    b.upper[(1,) * d + (0,)] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(jacobi_residual(pi))
+        assert np.isnan(closedness_residual(b))
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gauge_reports_in_slabs_equal_the_whole_grid(tmp_path, capsys, monkeypatch,

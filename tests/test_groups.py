@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from moritakit import groups
 from moritakit._search import _injective
 from moritakit.groupoids import GroupoidHom, groupoid_isomorphisms, isotropy
-from moritakit.groups import (FiniteGroup, _after, _cayley, _index_rows,
+from moritakit.groups import (FiniteGroup, _cayley, _index_rows,
                               automorphism_group, cyclic_group,
                               dihedral_group, direct_product, group_homomorphisms,
                               group_isomorphic, group_isomorphisms,
@@ -277,7 +277,7 @@ def permutation_groups(draw, cap=120):
 
 def cayley_outcome(build, items, width):
     try:
-        g = build(items, _index_rows(items, width), _after, "p")
+        g = build(items, _index_rows(items, width), "p")
     except KeyError as exc:
         return str(exc)
     return g.elements, g.table, g.payload

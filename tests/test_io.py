@@ -87,6 +87,18 @@ def test_bibundle_with_groupoid_references(tmp_path):
     assert loaded.left == g and loaded.right == g
 
 
+def test_loaded_tables_refuse_writes(tmp_path):
+    g = pair_groupoid(2)
+    save_groupoid(g, tmp_path / "g.json")
+    save_bibundle(identity_bibundle(g), tmp_path / "ib.json")
+    s = load_bibundle(tmp_path / "ib.json")
+    built = identity_bibundle(g)  # constructed from classes, not loaded
+    for table in (load_groupoid(tmp_path / "g.json")._table, *s._rows, *s._tables,
+                  *built._rows, *built._tables):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+
+
 def test_tss_roundtrip(tmp_path):
     g = LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1},
                             [("n", "s", 1.5), ("s", "n", 0.5)], volume=2.0)
