@@ -3,8 +3,8 @@
 * ``_roots`` is the union-find behind orbit partitions, graph
   connectivity and two-sided bibundle components.
 * ``_injective`` is the backtracking search for injective assignments:
-  orbit matchings, bisections, sections, vertex maps, bijections and
-  bibundle isomorphisms.
+  orbit matchings, bisections, sections, vertex maps, bijections,
+  bibundle isomorphisms and group homomorphisms (``groups._maps``).
 
 Both are deterministic, so the first witness a caller takes from them is
 fixed by the order of its inputs.

@@ -549,15 +549,10 @@ def orbit_permutation(s: Bibundle) -> tuple[int, ...]:
     Entry ``rb`` is the left-orbit block of the first carrier point over
     right-orbit block ``rb``.
     """
-    left_blocks, right_blocks = orbit_partition(s.left), orbit_partition(s.right)
-    left_block_of = {x: b for b, block in enumerate(left_blocks) for x in block}
-    right_block_of = {x: b for b, block in enumerate(right_blocks) for x in block}
-    perm = [None] * len(right_blocks)
-    for x in range(len(s.carrier)):
-        rb = right_block_of[s.j2[x]]
-        if perm[rb] is None:
-            perm[rb] = left_block_of[s.j1[x]]
-    return tuple(perm)
+    left, right, perm = s.left._block_of, s.right._block_of, {}
+    for x, y in zip(s.j1, s.j2):
+        perm.setdefault(right[y], left[x])
+    return tuple(map(perm.get, range(len(s.right._blocks))))
 
 
 def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None:

@@ -270,6 +270,9 @@ def _tss_picard_ingredients(args):
 
 def _tss_genus(args):
     g = load_tss(args.path)
+    invalid = _invalid_tss((args.path,), (g,))
+    if invalid:
+        return invalid
     genus = surface_genus(g)
     return ({"euler_characteristic": g.euler_characteristic(),
              "genus": genus}, EXIT_OK, f"genus {genus}")

@@ -14,7 +14,7 @@ two nonzero singular values, both |w|, with w the upper entries of pi.
 So the kernels use
 
     det(1 + B pi) = (1 - s)^2,   pi (1 + B pi)^{-1} = pi / (1 - s),
-    rank pi = 2 [|w| > eps_rank]
+    rank pi = 2 [|w| > EPS_RANK]
 
 and make no LAPACK call.  For d >= 4 no such closed form exists: they
 call LAPACK's det, inv and SVD at every point.
@@ -368,28 +368,28 @@ def jacobi_residual(pi: SampledBivectorField) -> float:
     return _max_over_triples(pi, cyclic_sum)
 
 
-def _ranks(upper: np.ndarray, d: int, eps_rank: float) -> np.ndarray:
+def _ranks(upper: np.ndarray, d: int) -> np.ndarray:
     if d <= 3:
-        return 2 * (np.linalg.norm(upper, axis=-1) > eps_rank)
+        return 2 * (np.linalg.norm(upper, axis=-1) > EPS_RANK)
     sv = np.linalg.svd(_matrices(upper, d), compute_uv=False)
-    return (sv > eps_rank).sum(axis=-1)
+    return (sv > EPS_RANK).sum(axis=-1)
 
 
-def _rank_slabs(pi: SampledBivectorField, eps_rank: float = EPS_RANK):
+def _rank_slabs(pi: SampledBivectorField):
     """``(rows, ranks)``: the rank map slab by slab, in row order."""
     for rows in _slabs(pi.grid):
-        yield rows, _ranks(pi.upper[rows], pi.grid.dimension, eps_rank)
+        yield rows, _ranks(pi.upper[rows], pi.grid.dimension)
 
 
-def rank_map(pi: SampledBivectorField, eps_rank: float = EPS_RANK) -> np.ndarray:
-    """Pointwise numerical rank: the singular values above ``eps_rank``.
+def rank_map(pi: SampledBivectorField) -> np.ndarray:
+    """Pointwise numerical rank: the singular values above ``EPS_RANK``.
 
     For d <= 3 the nonzero singular values are |w| twice, with w the
-    upper entries, so the rank is 2 [|w| > eps_rank]; for d >= 4 they
+    upper entries, so the rank is 2 [|w| > EPS_RANK]; for d >= 4 they
     come from an SVD per point.
     """
     ranks = np.empty(pi.grid.shape, dtype=int)
-    for rows, block in _rank_slabs(pi, eps_rank):
+    for rows, block in _rank_slabs(pi):
         ranks[rows] = block
     return ranks
 
@@ -403,4 +403,6 @@ def verify_composition(pi: SampledBivectorField, b1: SampledTwoFormField,
     step = apply_gauge(apply_gauge(pi, b1, eps_sing), b2, eps_sing)
     total = apply_gauge(pi, SampledTwoFormField(b1.grid, b1.upper + b2.upper),
                         eps_sing)
-    return float(np.max(np.abs(step.values - total.values)))
+    # as over the matrices, whose diagonal is 0 and lower entries the exact
+    # negated upper ones; initial=0.0 covers d = 1, which has no entries
+    return float(np.max(np.abs(step.upper - total.upper), initial=0.0))

@@ -53,12 +53,6 @@ class FiniteGroupoid:
         self.obj_index = {x: i for i, x in enumerate(self.objects)}
         self.arr_index = {a: i for i, a in enumerate(self.arrows)}
 
-        def oi(x):
-            try:
-                return self.obj_index[x]
-            except KeyError:
-                raise ValueError(f"unknown object id {x!r}") from None
-
         def ai(a):
             try:
                 return self.arr_index[a]
@@ -66,8 +60,8 @@ class FiniteGroupoid:
                 raise ValueError(f"unknown arrow id {a!r}") from None
 
         try:
-            self.src = tuple(oi(src[a]) for a in self.arrows)
-            self.tgt = tuple(oi(tgt[a]) for a in self.arrows)
+            self.src = tuple(self._object(src[a]) for a in self.arrows)
+            self.tgt = tuple(self._object(tgt[a]) for a in self.arrows)
             self.unit = tuple(ai(unit[x]) for x in self.objects)
             self.inv = tuple(ai(inv[a]) for a in self.arrows)
         except KeyError as exc:
@@ -84,7 +78,6 @@ class FiniteGroupoid:
         for i in range(len(self.arrows)):
             self._s_fiber[self.src[i]].append(i)
             self._t_fiber[self.tgt[i]].append(i)
-        self._orbits = None
         self._isotropy = {}
 
     @cached_property
@@ -95,7 +88,62 @@ class FiniteGroupoid:
         i, j = np.nonzero(table != m)
         return dict(zip(zip(i.tolist(), j.tolist()), table[i, j].tolist()))
 
+    @cached_property
+    def _block_of(self) -> tuple[int, ...]:
+        """The orbit of each object, indexing ``_blocks``: its root's rank among roots."""
+        roots = _roots(self.n_objects, zip(self.src, self.tgt))
+        rank = {root: k for k, root in enumerate(sorted(set(roots)))}
+        return tuple(map(rank.__getitem__, roots))
+
+    @cached_property
+    def _blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The orbits, as sorted index tuples ordered by smallest member."""
+        blocks = {}
+        for x, k in enumerate(self._block_of):
+            blocks.setdefault(k, []).append(x)
+        return tuple(map(tuple, blocks.values()))
+
+    @cached_property
+    def _tree(self) -> dict[int, int]:
+        """Breadth-first spanning trees of the orbits, built on first use:
+        y -> an arrow to y from the root of its orbit (the smallest object).
+        A root gets its unit; the others are reached along source fibres in
+        arrow order, so the trees are fixed by the groupoid alone."""
+        tree, C = {}, self._table
+        for root, *_ in self._blocks:
+            tree[root], queue = self.unit[root], [root]
+            for x in queue:  # breadth first, the queue growing as we walk it
+                for a in self._s_fiber[x]:
+                    y = self.tgt[a]
+                    if y not in tree:
+                        tree[y] = int(_composite(C, a, tree[x]))  # a after tree[x]
+                        queue.append(y)
+        return tree
+
+    @cached_property
+    def _words(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Every arrow a : x -> y as t_y . h . t_x^-1 over ``_tree``, built on
+        first use: ``(a, k, x, y, i)``, h the i-th loop at the root of x's
+        orbit k, orbit by orbit in source-fibre order.  An object the tree
+        misses (an invalid groupoid) reads arrow 0."""
+        C, inv, words = self._table, np.array(self.inv, dtype=np.intp), []
+        t = np.array([self._tree.get(v, 0) for v in range(self.n_objects)], dtype=np.intp)
+        for k, block in enumerate(self._blocks):
+            pos = {h: i for i, h in enumerate(self.isotropy_arrows(block[0]))}
+            edges = [(a, x, self.tgt[a]) for x in block for a in self._s_fiber[x]]
+            arr, src, tgt = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+            loops = _composite(C, _composite(C, inv[t[tgt]], arr), t[src]).tolist()
+            words.extend((a, k, x, y, pos[h]) for (a, x, y), h in zip(edges, loops))
+        return tuple(words)
+
     # -- basic accessors ----------------------------------------------------
+
+    def _object(self, x: str) -> int:
+        """The index of object id x; an unknown id raises ``ValueError``."""
+        try:
+            return self.obj_index[x]
+        except KeyError:
+            raise ValueError(f"unknown object id {x!r}") from None
 
     @property
     def n_objects(self):
@@ -273,13 +321,7 @@ def validate(g: FiniteGroupoid) -> ValidationReport:
 
 def orbit_partition(g: FiniteGroupoid) -> tuple[tuple[int, ...], ...]:
     """Orbit blocks as sorted index tuples, ordered by smallest member."""
-    if g._orbits is not None:
-        return g._orbits
-    blocks = {}
-    for x, root in enumerate(_roots(g.n_objects, zip(g.src, g.tgt))):
-        blocks.setdefault(root, []).append(x)
-    g._orbits = tuple(tuple(blocks[root]) for root in sorted(blocks))
-    return g._orbits
+    return g._blocks
 
 
 def orbits(g: FiniteGroupoid) -> tuple[tuple[str, ...], ...]:
@@ -290,12 +332,12 @@ def orbits(g: FiniteGroupoid) -> tuple[tuple[str, ...], ...]:
 def isotropy(g: FiniteGroupoid, x: str) -> FiniteGroup:
     """The group of arrows from x to itself, as a composition table.
 
-    Built once per object and kept on the groupoid.  A composite of two
-    loops that is undefined raises ``KeyError`` with the index pair, and
-    one that is not a loop with its index, at the first such cell in
-    row-major order.
+    Built once per object and kept on the groupoid.  An unknown object id
+    raises ``ValueError``.  A composite of two loops that is undefined
+    raises ``KeyError`` with the index pair, and one that is not a loop
+    with its index, at the first such cell in row-major order.
     """
-    xi = g.obj_index[x]
+    xi = g._object(x)
     if xi in g._isotropy:
         return g._isotropy[xi]
     loops = np.array(g.isotropy_arrows(xi), dtype=np.intp)
@@ -502,12 +544,11 @@ def bundle_of_groups(fibres: dict) -> FiniteGroupoid:
     return FiniteGroupoid(objs, arrows, src, src, unit, inv, comp)
 
 
-def disjoint_union(*groupoids: FiniteGroupoid, prefixes=None) -> FiniteGroupoid:
-    """Disjoint union, with ids kept apart by per-summand prefixes."""
-    if prefixes is None:
-        prefixes = [f"u{i}:" for i in range(len(groupoids))]
+def disjoint_union(*groupoids: FiniteGroupoid) -> FiniteGroupoid:
+    """Disjoint union, the ids of summand k prefixed with ``u{k}:``."""
     objs, arrows, src, tgt, unit, inv, comp = [], [], {}, {}, {}, {}, []
-    for g, pre in zip(groupoids, prefixes):
+    for k, g in enumerate(groupoids):
+        pre = f"u{k}:"
         objs.extend(pre + x for x in g.objects)
         arrows.extend(pre + a for a in g.arrows)
         for i, a in enumerate(g.arrows):
@@ -589,21 +630,6 @@ def identity_hom(g: FiniteGroupoid) -> GroupoidHom:
 # ---------------------------------------------------------------------------
 # functor enumeration: one spanning tree per orbit
 
-def _spanning_tree(g: FiniteGroupoid, root: int) -> dict[int, int]:
-    """Breadth-first spanning tree of root's orbit: y -> an arrow root -> y.
-
-    The root gets its unit; the other objects are reached along source
-    fibres in arrow order, so the tree is fixed by the groupoid alone.
-    """
-    tree, queue, C = {root: g.unit[root]}, [root], g._table
-    for x in queue:  # breadth first, the queue growing as we walk it
-        for a in g.s_fiber(x):
-            y = g.tgt[a]
-            if y not in tree:
-                tree[y] = int(_composite(C, a, tree[x]))  # a after tree[x] : root -> x
-                queue.append(y)
-    return tree
-
 
 def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
     """Yield functors g1 -> g2: all of them, the invertible ones, or the
@@ -611,15 +637,15 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
 
     Each orbit of g1 gets a root r (its smallest object) and a breadth-first
     spanning tree of arrows t_y : r -> y.  Every arrow a : x -> y is then
-    t_y . h . t_x^-1 for one loop h at r, and is decomposed so once per
-    call.  A functor is fixed freely, per orbit, by an image r' of r, a
-    homomorphism from the isotropy at r to the isotropy at r', and an image
-    arrow starting at r' for each tree arrow.  It is invertible exactly
-    when each orbit goes onto its own orbit of g2 by an isomorphism of
-    isotropy, with tree images ending at distinct objects other than r'.
-    Choices come orbit by orbit, each in the order of r', the homomorphism
-    and the tree images; for isomorphisms the tree images are grouped by
-    the object they end at.
+    t_y . h . t_x^-1 for one loop h at r, decomposed so once per groupoid
+    (``FiniteGroupoid._words``).  A functor is fixed freely, per orbit, by
+    an image r' of r, a homomorphism from the isotropy at r to the
+    isotropy at r', and an image arrow starting at r' for each tree arrow.
+    It is invertible exactly when each orbit goes onto its own orbit of g2
+    by an isomorphism of isotropy, with tree images ending at distinct
+    objects other than r'.  Choices come orbit by orbit, each in the order
+    of r', the homomorphism and the tree images; for isomorphisms the tree
+    images are grouped by the object they end at.
 
     "classes" keeps, in the "all" order, the functors whose roots go to
     pairwise distinct orbits by isomorphisms of isotropy, and of those
@@ -636,22 +662,11 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
     blocks = orbit_partition(g1)
     homs = group_homomorphisms if mode == "all" else group_isomorphisms
     iso2 = [isotropy(g2, x) for x in g2.objects]
-    orbits2 = orbit_partition(g2)
-    orbit_of = {y: t for t, target in enumerate(orbits2) for y in target}
-    targets = orbits2 if bijective else [range(g2.n_objects)]
+    targets = orbit_partition(g2) if bijective else [range(g2.n_objects)]
     ends = g2.tgt.__getitem__
-    C1, inv1 = g1._table, np.array(g1.inv, dtype=np.intp)
-    slots, decomposed = [], []
-    for k, block in enumerate(blocks):
+    words, slots = g1._words, []
+    for block in blocks:
         root, rest = block[0], block[1:]
-        tree = _spanning_tree(g1, root)
-        pos = {h: i for i, h in enumerate(g1.isotropy_arrows(root))}
-        # each arrow a : x -> y of the orbit as t_y h t_x^-1, all at once
-        edges = [(a, x, g1.tgt[a]) for x in block for a in g1.s_fiber(x)]
-        arr, src, tgt = np.array(edges, dtype=np.intp).reshape(-1, 3).T
-        t = np.array([tree.get(v, 0) for v in range(g1.n_objects)], dtype=np.intp)
-        loops = _composite(C1, _composite(C1, inv1[t[tgt]], arr), t[src]).tolist()
-        decomposed.extend((a, k, x, y, pos[h]) for (a, x, y), h in zip(edges, loops))
         iso1 = isotropy(g1, g1.objects[root])
         options = []
         for target in targets:
@@ -668,7 +683,7 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
                     trees = [(g2.s_fiber(r)[0],) * len(rest)]
                 for phi in homs(iso1, iso2[r]):
                     images = [loops[v] for v in phi]
-                    options.extend((orbit_of[r], images, (g2.unit[r],) + b)
+                    options.extend((g2._block_of[r], images, (g2.unit[r],) + b)
                                    for b in trees)
         slots.append(options)
     # the rows of g2's table, bound once; an undefined composite reads the
@@ -682,10 +697,10 @@ def _functors(g1: FiniteGroupoid, g2: FiniteGroupoid, mode: str):
             for x, a in zip(block, b):
                 tree_img[x] = a
         arr_map = [None] * g1.n_arrows
-        for a, k, x, y, h in decomposed:
+        for a, k, x, y, h in words:
             arr_map[a] = rows[rows[tree_img[y]][choice[k][1][h]]][inv[tree_img[x]]]
         if m2 in arr_map:
-            for a, k, x, y, h in decomposed:
+            for a, k, x, y, h in words:
                 _composite(C2, _composite(C2, tree_img[y], choice[k][1][h]), inv[tree_img[x]])
         yield GroupoidHom(g1, g2, tuple(map(ends, tree_img)), tuple(arr_map))
 

@@ -14,10 +14,11 @@ workhorse for cross-checking group-valued invariants.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
+from itertools import count, permutations
 
 import numpy as np
 
+from ._search import _injective
 from .report import Rows, ValidationReport, plain
 
 
@@ -417,14 +418,15 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
 
     Generators go only to elements whose order divides theirs (equals it,
     for isomorphisms); maps come in the order of the generator images.
-    The images are picked one generator at a time, depth first.  After
-    each pick the map is spread from the identity along the Cayley graph
-    edges of the subgroup the generators so far generate; it extends to a
-    homomorphism only if every such edge x -> x s agrees, that is if the
-    image of x s is the image of x times the image of s, and to an
-    isomorphism only if no two elements share an image.  A prefix failing
-    this has no completion, so cutting it leaves the maps and their order
-    as the full product of the candidates would give them.
+    The images are picked one generator at a time, depth first, by
+    ``_search._injective``.  After each pick its ``accept`` hook spreads
+    the map from the identity along the Cayley graph edges of the
+    subgroup the generators so far generate; it extends to a homomorphism
+    only if every such edge x -> x s agrees, that is if the image of x s
+    is the image of x times the image of s, and to an isomorphism only if
+    no two elements share an image.  A prefix failing this has no
+    completion, so cutting it leaves the maps and their order as the full
+    product of the candidates would give them.
     """
     for group in (g, h):
         if group.identity is None:
@@ -468,21 +470,17 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
         o = g.element_order(gidx)
         candidates.append([i for i in range(len(h))
                            if (h_orders[i] == o if bijective else o % h_orders[i] == 0)])
-    n = len(gens)
     out = [None] * len(g)
     out[g.identity] = h.identity
-    images = [None] * n
     free = [True] * len(h)  # images not yet taken, for isomorphisms
     free[h.identity] = False
-    taken = [[] for _ in range(n)]  # the images each level took
+    taken = [[] for _ in gens]  # the images each slot took
 
-    def release(k):
-        for v in taken[k]:
-            free[v] = True
-        taken[k].clear()
-
-    def spread(k) -> bool:
-        release(k)
+    def spread(k, images) -> bool:
+        for level in taken[k:]:  # a call for slot k abandons slots k and later
+            for v in level:
+                free[v] = True
+            level.clear()
         for x, j, y, fresh in levels[k]:
             v = h_rows[out[x]][images[j]]
             if not fresh:
@@ -498,23 +496,11 @@ def _maps(g: FiniteGroup, h: FiniteGroup, bijective: bool):
                 out[y] = v
         return True
 
-    if n == 0:
+    # an isomorphism takes each image once, so its candidates are keyed by
+    # image; a homomorphism's may repeat, so each gets a key of its own
+    key = (lambda v: v) if bijective else (lambda v, fresh=count(): next(fresh))
+    for _ in _injective(candidates, key, spread):
         yield tuple(out)
-        return
-    stack = [iter(candidates[0])]
-    while stack:
-        k = len(stack) - 1
-        for images[k] in stack[k]:
-            if spread(k):
-                break
-        else:
-            release(k)
-            stack.pop()
-            continue
-        if k + 1 == n:
-            yield tuple(out)
-        else:
-            stack.append(iter(candidates[k + 1]))
 
 
 def group_homomorphisms(g: FiniteGroup, h: FiniteGroup) -> list[tuple[int, ...]]:

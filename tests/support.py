@@ -7,6 +7,7 @@ the labeled-graph oracle tries every genus-preserving vertex bijection.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
@@ -115,6 +116,25 @@ def composable_pairs(factors):
         for tname, t in factors:
             if s.right is t.left and "morita" in sname + tname:
                 yield f"{sname} * {tname}", s, t
+
+
+# ---------------------------------------------------------------------------
+# the cached orbit structure, watched
+
+def count_tree_walks(monkeypatch) -> list:
+    """Record each groupoid whose spanning trees ``FiniteGroupoid._tree``
+    walks, for the rest of the test; the walk itself is unchanged."""
+    walks = []
+    walk = FiniteGroupoid._tree.func
+
+    def counted(g):
+        walks.append(g)
+        return walk(g)
+
+    tree = cached_property(counted)
+    tree.__set_name__(FiniteGroupoid, "_tree")
+    monkeypatch.setattr(FiniteGroupoid, "_tree", tree)
+    return walks
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +666,6 @@ class DictGroupoid(FiniteGroupoid):
         for i in range(len(self.arrows)):
             self._s_fiber[self.src[i]].append(i)
             self._t_fiber[self.tgt[i]].append(i)
-        self._orbits = None
         self._isotropy = {}
         m = len(self.arrows)
         self._table = np.full((m + 1, m + 1), m, dtype=np.intp)

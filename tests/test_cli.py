@@ -13,6 +13,7 @@ from moritakit.groupoids import group_as_groupoid, pair_groupoid
 from moritakit.groups import cyclic_group
 from moritakit.io import save_field, save_groupoid, save_tss
 from moritakit.tss import LabeledSurfaceGraph
+from support import count_tree_walks
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -73,6 +74,12 @@ def test_orbits_and_isotropy(files, capsys):
                        "--object", "pt", "--quiet")
     assert code == 0
     assert len(report["result"]["isotropy"]["elements"]) == 4
+
+
+def test_isotropy_at_an_unknown_object(files, capsys):
+    code, report = run(capsys, "isotropy", files / "z4.json", "--object", "zz", "--quiet")
+    assert code == 2
+    assert report["error"] == {"type": "ValueError", "message": "unknown object id 'zz'"}
 
 
 def test_group_theory_commands(files, capsys):
@@ -171,6 +178,23 @@ def test_bisections_on_corrupted_z4(files, capsys):
     assert code == 2
     assert report["error"] == {
         "type": "KeyError", "message": "'product of b001 and b001 is not among the items'"}
+
+
+def test_orbits_and_validate_of_corrupted_z4_walk_no_spanning_tree(files, capsys,
+                                                                   monkeypatch):
+    walks = count_tree_walks(monkeypatch)
+    data = json.loads((files / "z4.json").read_text())
+    data["comp"][5][2], data["comp"][10][2] = "c3", "c1"
+    (files / "bad2.json").write_text(json.dumps(data))
+    del data["comp"][5]
+    (files / "gap.json").write_text(json.dumps(data))
+    for name in ("bad2.json", "gap.json"):
+        code, report = run(capsys, "orbits", files / name, "--quiet")
+        assert code == 0 and report["result"]["orbits"] == [["pt"]]
+        assert run(capsys, "validate", files / name, "--quiet")[0] == 1
+    assert walks == []
+    assert run(capsys, "verify-exact", files / "z4.json", "--quiet")[0] == 0
+    assert len(walks) == 1
 
 
 def test_closed_stdout_gives_no_traceback(files):
@@ -344,6 +368,21 @@ def test_tss_commands(files, capsys):
     assert code == 0
     assert report["result"]["torus_rank"] == 1
     assert report["result"]["leaf_descriptors"] == [[0, 1], [0, 1]]
+
+
+def test_tss_genus_validates_its_graph(files, capsys):
+    # a disconnected graph read genus 1 and a negative period genus 0;
+    # both now get validate's report of the file, under its path
+    save_tss(LabeledSurfaceGraph(["a", "b"], {"a": 1, "b": 1}, []), files / "apart.json")
+    save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 0}, [("n", "s", -1.0)]),
+             files / "negative.json")
+    for name, rule in (("apart.json", "connected"), ("negative.json", "period-positive")):
+        path = str(files / name)
+        code, report = run(capsys, "tss-genus", path, "--quiet")
+        assert code == 1
+        _, validated = run(capsys, "validate", path, "--quiet")
+        assert report["result"] == {"input": path, **validated["result"]}
+        assert rule in {v["rule"] for v in report["result"]["violations"]}
 
 
 def test_tss_volume_flag(files, capsys):
@@ -975,3 +1014,15 @@ def test_picard_of_z2_over_six_points_by_enumeration(files, capsys):
     assert time.perf_counter() - started < 2.0
     assert code == 0 and report["result"]["order"] == 720
     assert report["result"]["method"] == "enumeration"
+
+
+def test_cli_import_loads_only_the_stdlib_numpy_and_moritakit():
+    # every command pays for this import before it starts
+    code = ("import json, sys; before = set(sys.modules); import moritakit.cli; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ,
+                                           "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) <= {"moritakit", "numpy"}

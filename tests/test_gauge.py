@@ -101,6 +101,29 @@ def test_composition_law_and_inverse_recovery():
     assert np.max(np.abs(recovered.values - pi.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("nan", [False, True])
+def test_verify_composition_matches_the_matrix_formula(monkeypatch, d, nan):
+    # the two sides are given, so that one can carry a NaN, which the
+    # transform itself refuses; the deviation is compared, bit for bit,
+    # with the maximum over the full matrices, which it no longer builds
+    rng = np.random.default_rng(d)
+    g = GridSpec(d, (0.0,) * d, 0.5, (3,) * d)
+    width = d * (d - 1) // 2
+    step, total = (SampledBivectorField(g, rng.standard_normal((*g.shape, width)))
+                   for _ in range(2))
+    if nan and width:
+        step.upper[(1,) * d + (width - 1,)] = np.nan
+    sides = iter([None, step, total])  # pi by b1, then by b2; pi by b1 + b2
+    monkeypatch.setattr(gauge, "apply_gauge", lambda *args: next(sides))
+    pi = SampledBivectorField(g, np.zeros((*g.shape, width)))
+    b = SampledTwoFormField(g, np.zeros((*g.shape, width)))
+    deviation = verify_composition(pi, b, b)
+    assert "values" not in step.__dict__ and "values" not in total.__dict__
+    expected = float(np.max(np.abs(step.values - total.values)))
+    assert repr(deviation) == repr(expected)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_composition_law_random_d4(seed):

@@ -172,6 +172,27 @@ def test_maps_refuse_a_table_without_identity():
                 list(groups._maps(g, h, bijective))
 
 
+def test_isomorphisms_of_a_non_associative_table_are_injective():
+    # Z6's order profile, and every Cayley edge of its generators a and b
+    # agrees with a -> 2, b -> 4 in Z6, which sends e, a, a2, b, p, q to
+    # 0, 2, 4, 4, 2, 4: no element but e goes to 0, yet the map is not
+    # injective, as a trivial kernel would force in a group
+    e, a, a2, b, p, q = range(6)
+    t = [[c if r == e else r if c == e else e for c in range(6)] for r in range(6)]
+    columns = {a: {a: a2, a2: e, b: e, p: q, q: e},
+               b: {a: e, a2: p, b: a, p: e, q: a},
+               p: {p: a, a: a2, a2: b, b: q, q: e},
+               q: {q: a, a: a2, a2: b, b: p, p: e}}
+    for c, column in columns.items():
+        for r, x in column.items():
+            t[r][c] = x
+    g, z6 = FiniteGroup(["e", "a", "a2", "b", "p", "q"], t), cyclic_group(6)
+    assert validate_group(g).ok is False
+    assert g.order_profile() == z6.order_profile()
+    assert group_isomorphisms(g, z6) == reference_maps(g, z6, True) == []
+    assert group_isomorphisms(g, g) == reference_maps(g, g, True) == [tuple(range(6))]
+
+
 def test_subgroup_and_quotient():
     z6 = cyclic_group(6)
     even = subgroup(z6, [0, 2, 4])

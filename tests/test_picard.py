@@ -21,8 +21,8 @@ from moritakit.picard import (automorphisms, bisections, center_map,
                               picard_group, static_picard,
                               verify_exact_sequences)
 
-from support import (bibundle_picard, corpus_groupoids, gauge_over, picard_bundles,
-                     raw_biprincipal_classes, reference_enumerate_picard,
+from support import (bibundle_picard, corpus_groupoids, count_tree_walks, gauge_over,
+                     picard_bundles, raw_biprincipal_classes, reference_enumerate_picard,
                      reference_lemma_section_check, relabelled_groupoid,
                      small_corpus)
 
@@ -542,9 +542,19 @@ def test_outer_of_isotropy_canonically_isomorphic_across_objects():
 def test_orbit_map_of_each_class_functor_is_its_bibundles_orbit_permutation(name, g):
     # check (c) of verify-exact and static_picard read sigma off the class
     # functors' object maps, with no bibundle built
-    sigma = picard._orbit_map(g)
     for f in picard_group(g, "enumerate").functors:
-        assert sigma(f) == orbit_permutation(from_homomorphism(f)), (name, f.key())
+        assert (picard._orbit_permutation(f)
+                == orbit_permutation(from_homomorphism(f))), (name, f.key())
+
+
+def test_verify_exact_walks_the_spanning_trees_once(monkeypatch):
+    # Aut, the class candidates, the class keys and j all read the trees
+    # that the groupoid walks on first use
+    walks = count_tree_walks(monkeypatch)
+    g = disjoint_union(pair_groupoid(2), z_groupoid(3), pair_groupoid(3))
+    report = verify_exact_sequences(g)
+    assert report.ok and report.orders["pic"] == 4
+    assert len(walks) == 1 and walks[0] is g
 
 
 def test_verify_exact_builds_no_bibundle(monkeypatch):
