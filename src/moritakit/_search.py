@@ -3,8 +3,9 @@
 * ``_roots`` is the union-find behind orbit partitions, graph
   connectivity and two-sided bibundle components.
 * ``_injective`` is the backtracking search for injective assignments:
-  orbit matchings, bisections, sections, vertex maps, bijections,
-  bibundle isomorphisms and group homomorphisms (``groups._maps``).
+  bisections, sections, vertex maps, bijections, bibundle isomorphisms
+  and group homomorphisms (``groups._maps``).  The Morita decision needs
+  no search: ``morita_equivalent`` pairs orbits in one greedy pass.
 
 Both are deterministic, so the first witness a caller takes from them is
 fixed by the order of its inputs.

@@ -558,11 +558,13 @@ def orbit_permutation(s: Bibundle) -> tuple[int, ...]:
 def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None:
     """A biprincipal (g1, g2)-bibundle, or None.
 
-    Decision: match orbits bijectively so that corresponding isotropy
-    groups are isomorphic; the witness is assembled orbitwise from source
-    fibres at basepoints, glued along a chosen isotropy isomorphism (see
-    ``_glue_orbit_pair``).  Its points are named by their representative
-    pairs, and its actions are gathers through the class table.
+    g1 and g2 are Morita equivalent exactly when their orbits pair off with
+    isomorphic isotropy groups.  Each orbit of g1, in order, takes the first
+    unused orbit of g2 with isomorphic isotropy: as isomorphism is an
+    equivalence relation, this greedy pass fails only when no pairing exists,
+    and otherwise takes the pairing a depth-first search takes first.  The
+    witness glues source fibres at the paired basepoints along each isotropy
+    isomorphism (``_glue_orbit_pair``); its actions are class-table gathers.
     """
     blocks1, blocks2 = orbit_partition(g1), orbit_partition(g2)
     if len(blocks1) != len(blocks2):
@@ -570,20 +572,16 @@ def morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid) -> Bibundle | None
     iso1 = [isotropy(g1, g1.objects[b[0]]) for b in blocks1]
     iso2 = [isotropy(g2, g2.objects[b[0]]) for b in blocks2]
 
-    candidates = []
-    for i, h1 in enumerate(iso1):
-        row = []
-        for j, h2 in enumerate(iso2):
-            theta = group_isomorphic(h2, h1)
+    matching, unused = [], list(range(len(blocks2)))
+    for h1 in iso1:
+        for j in unused:
+            theta = group_isomorphic(iso2[j], h1)
             if theta is not None:
-                row.append((j, theta))
-        if not row:
+                break
+        else:
             return None
-        candidates.append(row)
-
-    matching = next(_injective(candidates, lambda c: c[0]), None)
-    if matching is None:
-        return None
+        unused.remove(j)
+        matching.append((j, theta))
 
     c1, c2 = g1._table, g2._table
     m2 = g2.n_arrows

@@ -484,8 +484,7 @@ def verify_exact_sequences(g: FiniteGroupoid) -> ExactnessReport:
     for v in ident:
         bad |= P[pic._table, v] != P[:, P[:, v]]
     witnesses = [(pic.elements[i], pic.elements[j]) for i, j in np.argwhere(bad).tolist()]
-    # the kernel, as ``static_picard`` selects it; ``subgroup`` checks closure
-    static = subgroup(pic, [i for i, p in enumerate(perms) if p == ident])
+    static = static_picard(g, pic)  # the kernel; ``subgroup`` checks closure
     checks["static-sequence"] = {
         "ok": not witnesses,
         "witnesses": witnesses,

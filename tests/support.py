@@ -1123,6 +1123,14 @@ def reference_bibundle_to_dict(s: Bibundle) -> dict:
     }
 
 
+def same_bibundle(s, t):
+    """Equal carriers, moments and actions, the actions in the same order."""
+    return (s.left is t.left and s.right is t.right and s.carrier == t.carrier
+            and s.j1 == t.j1 and s.j2 == t.j2
+            and list(s.left_act.items()) == list(t.left_act.items())
+            and list(s.right_act.items()) == list(t.right_act.items()))
+
+
 def reference_morita_equivalent(g1: FiniteGroupoid, g2: FiniteGroupoid):
     """``morita_equivalent`` with each orbit pair glued by a loop over pairs."""
     blocks1, blocks2 = orbit_partition(g1), orbit_partition(g2)

@@ -24,7 +24,7 @@ from support import (composable_pairs, corpus_factors, corpus_groupoids,
                      reference_identity_bibundle, reference_lemma_section_check,
                      reference_morita_equivalent, reference_principality,
                      reference_tensor, reference_validate_bibundle,
-                     with_composites)
+                     relabelled_groupoid, same_bibundle, with_composites)
 
 
 def z_groupoid(n):
@@ -543,14 +543,6 @@ def test_kernels_match_the_loops_over_a_deleted_composite(name):
             assert same_principality(bad), pair
 
 
-def same_bibundle(s, t):
-    """Equal carriers, moments and actions, the actions in the same order."""
-    return (s.left is t.left and s.right is t.right and s.carrier == t.carrier
-            and s.j1 == t.j1 and s.j2 == t.j2
-            and list(s.left_act.items()) == list(t.left_act.items())
-            and list(s.right_act.items()) == list(t.right_act.items()))
-
-
 def test_morita_witness_matches_the_orbit_loop():
     empty = FiniteGroupoid([], [], {}, {}, {}, {}, {})
     pairs = [(f"{a}~{b}", g, h) for a, g in corpus_groupoids()
@@ -564,6 +556,40 @@ def test_morita_witness_matches_the_orbit_loop():
             assert same_bibundle(w, ref), name
             found += 1
     assert found == 42
+
+
+ORBIT_GROUPS = (trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+                klein_four_group(), symmetric_group(3))
+
+
+def test_morita_pairing_on_random_unions_of_gauge_orbits():
+    # A Morita class forgets orbit sizes and orbit order, so the second
+    # groupoid takes the first one's isotropy groups, shuffled, over fresh
+    # orbit sizes.  Every other pair is a near miss: one orbit's group is
+    # swapped for another, so two class counts are off by one.  Half the
+    # pairs are two one-object orbits over trivial, Z2 or Z3, small enough
+    # for the raw search when both have at most 8 arrows in all.
+    rng = random.Random(26)
+    raw = 0
+    for trial in range(64):
+        small, near_miss = trial % 4 < 2, trial % 2 == 1
+        n_groups = 3 if small else len(ORBIT_GROUPS)
+        kinds = [rng.randrange(n_groups) for _ in range(2 if small else rng.randint(2, 6))]
+        other = rng.sample(kinds, len(kinds))
+        if near_miss:
+            i = rng.randrange(len(other))
+            other[i] = rng.choice([k for k in range(n_groups) if k != other[i]])
+        g1, g2 = (relabelled_groupoid(rng, disjoint_union(*(
+            gauge_over(ORBIT_GROUPS[k], 1 if small else rng.randint(1, 3)) for k in ks)))
+            for ks in (kinds, other))
+        w, ref = morita_equivalent(g1, g2), reference_morita_equivalent(g1, g2)
+        assert (w is None) == (ref is None) == near_miss, trial
+        if w is not None:
+            assert same_bibundle(w, ref), trial
+        if g1.n_arrows + g2.n_arrows <= 8:
+            assert raw_morita_exists(g1, g2) == (not near_miss), trial
+            raw += 1
+    assert raw >= 10
 
 
 def test_morita_witness_on_an_open_composition_is_a_value_error():

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -141,6 +142,63 @@ def test_morita_command(files, capsys):
     assert principality(load_bibundle(witness)).biprincipal
 
 
+def count_isomorphism_tests(monkeypatch) -> list:
+    """Record every isotropy comparison the Morita decision makes."""
+    from moritakit import bibundles
+    calls, isomorphic = [], bibundles.group_isomorphic
+
+    def counting(g, h):
+        calls.append(None)
+        return isomorphic(g, h)
+
+    monkeypatch.setattr(bibundles, "group_isomorphic", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [12, 30])
+def test_morita_on_one_odd_fibre_makes_at_most_k_squared_comparisons(
+        files, capsys, monkeypatch, k):
+    # k Z2 fibres against k - 1 Z2 fibres and one Z3 fibre: every Z2 orbit
+    # has k - 1 isomorphic partners, so a search over pairings tries all
+    # (k - 1)! of them before it fails at the last orbit
+    from moritakit.groupoids import bundle_of_groups
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    save_groupoid(bundle_of_groups({f"p{i:02d}": z2 for i in range(k)}), files / "a.json")
+    save_groupoid(bundle_of_groups({f"p{i:02d}": z2 if i else z3 for i in range(k)}),
+                  files / "b.json")
+    calls = count_isomorphism_tests(monkeypatch)
+    code, report = run(capsys, "morita", files / "a.json", files / "b.json", "--quiet")
+    assert code == 4
+    assert report["result"] == {"equivalent": False,
+                                "obstruction": "isotropy order profiles differ"}
+    assert 0 < len(calls) <= k * k
+
+
+def test_morita_witness_on_thirty_shuffled_fibres(files, capsys, monkeypatch):
+    from moritakit.bibundles import morita_equivalent
+    from moritakit.groupoids import bundle_of_groups
+    from moritakit.groups import klein_four_group, trivial_group
+    from moritakit.io import load_groupoid, save_bibundle
+    from support import reference_morita_equivalent, same_bibundle
+    groups = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+              klein_four_group()] * 6
+    for name in ("a", "b"):
+        random.Random(name).shuffle(groups)
+        save_groupoid(bundle_of_groups({f"p{i:02d}": h for i, h in enumerate(groups)}),
+                      files / f"{name}.json")
+    calls = count_isomorphism_tests(monkeypatch)
+    code, report = run(capsys, "morita", files / "a.json", files / "b.json",
+                       "--emit-witness", files / "w.json", "--quiet")
+    assert code == 0 and report["result"]["equivalent"] is True
+    assert 0 < len(calls) <= 30 * 30
+    monkeypatch.undo()
+    g1, g2 = load_groupoid(files / "a.json"), load_groupoid(files / "b.json")
+    ref = reference_morita_equivalent(g1, g2)
+    assert same_bibundle(morita_equivalent(g1, g2), ref)
+    save_bibundle(ref, files / "ref.json")
+    assert (files / "w.json").read_bytes() == (files / "ref.json").read_bytes()
+
+
 def test_non_associative_table_is_a_precondition_failure(files, capsys):
     # identity and inverses exist, but b.b = b, so b has no finite order
     names = ["e", "a", "b"]
@@ -178,6 +236,26 @@ def test_bisections_on_corrupted_z4(files, capsys):
     assert code == 2
     assert report["error"] == {
         "type": "KeyError", "message": "'product of b001 and b001 is not among the items'"}
+
+
+def test_morita_on_corrupted_z4(files, capsys):
+    # Both files fail on their own isotropy group before any orbit is
+    # paired: the redirected table has an element of no order, which the
+    # first isomorphism test meets, and the deleted composite (1, 1) is
+    # missing when the group is read off the groupoid.
+    data = json.loads((files / "z4.json").read_text())
+    data["comp"][5][2], data["comp"][10][2] = "c3", "c1"
+    (files / "bad2.json").write_text(json.dumps(data))
+    del data["comp"][5]
+    (files / "gap.json").write_text(json.dumps(data))
+    code, report = run(capsys, "morita", files / "bad2.json", files / "z4.json", "--quiet")
+    assert code == 2
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "element 'c2' has no order up to the group size (table not a group)"}
+    code, report = run(capsys, "morita", files / "gap.json", files / "z4.json", "--quiet")
+    assert code == 2
+    assert report["error"] == {"type": "KeyError", "message": "(1, 1)"}
 
 
 def test_orbits_and_validate_of_corrupted_z4_walk_no_spanning_tree(files, capsys,
