@@ -3,7 +3,7 @@
 * ``_roots`` is the union-find behind orbit partitions, graph
   connectivity and two-sided bibundle components.
 * ``_injective`` is the backtracking search for injective assignments:
-  bisections, sections, vertex maps, bijections, bibundle isomorphisms
+  bisections, sections, vertex maps, edge maps, bibundle isomorphisms
   and group homomorphisms (``groups._maps``).  The Morita decision needs
   no search: ``morita_equivalent`` pairs orbits in one greedy pass.
 

@@ -417,9 +417,10 @@ def action_groupoid(group: FiniteGroup, objects, act) -> FiniteGroupoid:
     for x in objs:
         if act[(ident, x)] != x:
             raise InvalidAction(f"identity moves {x}")
+    rows = group._rows()
     for i, gname in enumerate(group.elements):
         for j, hname in enumerate(group.elements):
-            gh = group.elements[group.mul(i, j)]
+            gh = group.elements[rows[i][j]]
             for x in objs:
                 if act[(gname, act[(hname, x)])] != act[(gh, x)]:
                     raise InvalidAction(f"compatibility fails at ({gname}, {hname}, {x})")
@@ -439,7 +440,7 @@ def action_groupoid(group: FiniteGroup, objects, act) -> FiniteGroupoid:
     comp = {}
     for i, gname in enumerate(group.elements):
         for j, hname in enumerate(group.elements):
-            gh = group.elements[group.mul(i, j)]
+            gh = group.elements[rows[i][j]]
             for x in objs:
                 comp[(name(gname, act[(hname, x)]), name(hname, x))] = name(gh, x)
     return FiniteGroupoid(objs, arrows, src, tgt, unit, inv, comp)
@@ -466,13 +467,14 @@ class PrincipalBundleData:
                     raise NotPrincipal(f"action undefined at ({e}, {a})")
             if self.action[(e, ident)] != e:
                 raise NotPrincipal(f"identity moves {e}")
+        rows = G._rows()
         for e in E:
             for i, a in enumerate(G.elements):
                 ea = self.action[(e, a)]
                 if self.projection[ea] != self.projection[e]:
                     raise NotPrincipal(f"action does not preserve fibres at ({e}, {a})")
                 for j, b in enumerate(G.elements):
-                    ab = G.elements[G.mul(i, j)]
+                    ab = G.elements[rows[i][j]]
                     if self.action[(ea, b)] != self.action[(e, ab)]:
                         raise NotPrincipal(f"action axiom fails at ({e}, {a}, {b})")
                 if ea == e and a != ident:

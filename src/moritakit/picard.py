@@ -242,17 +242,6 @@ def _class_of(index: dict, key) -> int:
         raise MoritaKitError("bibundle does not match any enumerated class") from None
 
 
-def _class_table(keys: list, index: dict, product) -> np.ndarray:
-    """The table whose cell (i, j) is the class of ``product(keys[i], keys[j])``.
-
-    ``groups._closed_table`` closes it by rows: a row not yet known is
-    computed cell by cell from the keys, every cell through ``_class_of``,
-    and the other rows are derived from computed ones.
-    """
-    return _closed_table(len(keys), lambda x: [_class_of(index, product(keys[x], b))
-                                               for b in keys])
-
-
 def _enumerate_picard(g: FiniteGroupoid) -> PicardGroup:
     key = _equivalence_key(g)
     first: dict = {}  # class key -> first functor met with it
@@ -265,7 +254,8 @@ def _enumerate_picard(g: FiniteGroupoid) -> PicardGroup:
     keys = list(first)
     index = {k: i for i, k in enumerate(keys)}
     # <phi_i> (x) <phi_j> is the bibundle of phi_i . phi_j, phi_j applied first
-    table = _class_table(keys, index, key.product)
+    table = _closed_table(len(keys), lambda x: [_class_of(index, key.product(keys[x], b))
+                                                for b in keys])
     names = tuple(f"pic{i:03d}" for i in range(len(keys)))
     return PicardGroup(names, table, "enumeration", tuple(first.values()))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from ._search import _injective, _roots
 from .errors import InconsistentTopology, MissingVolume
@@ -234,24 +233,17 @@ def poisson_isomorphic_tss(g1: LabeledSurfaceGraph, g2: LabeledSurfaceGraph,
 
 def graph_automorphisms(g: LabeledSurfaceGraph) -> FiniteGroup:
     """Label-preserving automorphisms, including parallel-edge swaps."""
-    # expand each vertex automorphism by all period-preserving edge bijections
-    autos = set()
+    # a vertex automorphism sends edge (t, h, p) to any edge of period p from
+    # vmap[t] to vmap[h]; different endpoint pairs have different images, so
+    # one search over all edges yields each automorphism once
     groups = _edge_groups(g)
+    autos = []
     for iso in _isomorphisms(g, g, 0.0):
         vmap = iso.vertex_map
-        per_group = []
-        for (t, h), idxs1 in sorted(groups.items()):
-            idxs2 = groups[(vmap[t], vmap[h])]
-            options = [[b for b in idxs2 if g.edges[b][2] == g.edges[a][2]]
-                       for a in idxs1]
-            per_group.append((idxs1, list(_injective(options, lambda b: b))))
-        for combo in product(*(opts for _, opts in per_group)):
-            emap = [None] * g.n_edges
-            for (idxs1, _), perm in zip(per_group, combo):
-                for a, b in zip(idxs1, perm):
-                    emap[a] = b
-            autos.add((vmap, tuple(emap)))
-    autos = sorted(autos)
+        options = [[b for b in groups[(vmap[t], vmap[h])] if g.edges[b][2] == p]
+                   for t, h, p in g.edges]
+        autos += ((vmap, emap) for emap in _injective(options, lambda b: b))
+    autos.sort()
     payload = [TssIsomorphism(vm, em) for vm, em in autos]
     # one row per automorphism: vertex map, then edge map offset past the
     # vertices, so "a after b" is the row of a indexed by the row of b

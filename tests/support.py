@@ -1049,6 +1049,21 @@ def _edges_match(a, b, perm, tol):
     return True
 
 
+def reference_graph_automorphisms(g: LabeledSurfaceGraph) -> list:
+    """Every (vertex map, edge map) of g that keeps genus, endpoints and
+    periods (compared with ``==``), sorted: a brute force over every
+    vertex permutation and every edge permutation."""
+    found = []
+    for vmap in permutations(range(g.n_vertices)):
+        if any(g.genus[vmap[v]] != g.genus[v] for v in range(g.n_vertices)):
+            continue
+        for emap in permutations(range(g.n_edges)):
+            if all(g.edges[b][:2] == (vmap[t], vmap[h]) and g.edges[b][2] == p
+                   for (t, h, p), b in zip(g.edges, emap)):
+                found.append((vmap, emap))
+    return sorted(found)
+
+
 def random_tss(rng: random.Random, max_vertices: int = 6,
                max_edges: int = 8) -> LabeledSurfaceGraph:
     """A random valid labeled graph: spanning tree plus extra edges."""

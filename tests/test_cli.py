@@ -912,6 +912,20 @@ def test_aut_and_graph_automorphisms_build_no_group_table(files, capsys, monkeyp
     runs = [["aut", name] for name in corpus_files(files)]
     save_tss(LabeledSurfaceGraph(["n", "s"], {"n": 0, "s": 1}, [("n", "s", 1.0)] * 6),
              files / "par6.json")
+    # the action and gauge shorthands check their axioms on the group's index rows
+    z3 = {"elements": ["e", "r", "rr"], "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+    (files / "act.json").write_text(json.dumps({"action": {
+        "group": z3, "objects": ["x", "y", "z"],
+        "act": [[g, x, "xyz"[("xyz".index(x) + k) % 3]]
+                for k, g in enumerate(z3["elements"]) for x in "xyz"]}}))
+    (files / "gauge.json").write_text(json.dumps({"gauge": {
+        "total": ["p0", "p1", "p2", "q0", "q1", "q2"], "base": ["p", "q"],
+        "projection": {f"{b}{i}": b for b in "pq" for i in range(3)},
+        "group": z3,
+        "action": [[f"{b}{i}", g, f"{b}{(i + k) % 3}"]
+                   for b in "pq" for i in range(3) for k, g in enumerate(z3["elements"])]}}))
+    runs += [[command, name] for name in ("act.json", "gauge.json")
+             for command in ("validate", "aut")]
     built = []
     table = FiniteGroup.table.func
     monkeypatch.setattr(FiniteGroup, "table", property(lambda g: built.append(g) or table(g)))

@@ -12,8 +12,8 @@ from moritakit.tss import (LabeledSurfaceGraph, graph_automorphisms,
                            morita_equivalent_tss, picard_ingredients,
                            poisson_isomorphic_tss, surface_genus, validate_tss)
 
-from support import (perturb_one_period, random_tss, reference_tss_isomorphisms,
-                     shuffled_copy, tss_isomorphic_oracle)
+from support import (perturb_one_period, random_tss, reference_graph_automorphisms,
+                     reference_tss_isomorphisms, shuffled_copy, tss_isomorphic_oracle)
 
 
 def sphere(period=1.0, volume=None):
@@ -299,6 +299,32 @@ def test_graph_automorphisms_match_the_unpruned_search(pair):
     assert aut.elements == reference.elements
     assert aut.payload == reference.payload
     assert np.array_equal(aut.table, reference.table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_vertices=4, max_edges=5))
+def test_graph_automorphisms_match_the_brute_force(pair):
+    g, _ = pair
+    assert ([(a.vertex_map, a.edge_map) for a in graph_automorphisms(g).payload]
+            == reference_graph_automorphisms(g))
+
+
+def test_one_edge_search_per_vertex_automorphism(monkeypatch):
+    # a and b have different signatures, so the identity is the only vertex
+    # map; its 3! * 2! * 2! * 2! edge completions come from one edge search
+    calls = []
+    injective = tss._injective
+
+    def counting(options, key, accept=None):
+        calls.append(len(options))
+        return injective(options, key, accept)
+
+    monkeypatch.setattr(tss, "_injective", counting)
+    g = LabeledSurfaceGraph(["a", "b"], {"a": 1, "b": 1},
+                            [("a", "b", 1.0)] * 3 + [("b", "a", 1.0)] * 2
+                            + [("a", "a", 2.0)] * 2 + [("b", "b", 2.0)] * 2)
+    assert len(graph_automorphisms(g)) == 48
+    assert calls == [2, 9]
 
 
 @pytest.fixture
